@@ -192,7 +192,6 @@ class ArchitectureSimulator(abc.ABC):
                 backend=backend.name,
                 backend_fused=plan.fused,
                 backend_compile_seconds=plan.compile_seconds,
-                backend_plan_cached=plan.cached,
             )
             if traced
             else nullcontext()

@@ -178,7 +178,6 @@ def record_trace(
             backend=exec_backend.name,
             backend_fused=plan.fused,
             backend_compile_seconds=plan.compile_seconds,
-            backend_plan_cached=plan.cached,
         ) as run_span:
             for _ in range(cap):
                 if state.frontier.size == 0:

@@ -25,7 +25,9 @@ Backends follow a compile-once/execute-many idiom: :meth:`plan` builds an
 on first use and caches it in-process, so JIT cost is paid once per sweep
 rather than once per task.  The plan records the backend chosen, whether
 the fused path is active, and the compile time — the observability layer
-attaches these to the run span.
+attaches these to the run span.  Plan-cache hits and misses are process
+history, not run structure, so they are counted in the ``METRICS``
+registry (``backend.plan-cache.hits``/``.misses``) instead.
 """
 
 from __future__ import annotations
@@ -39,6 +41,7 @@ import numpy as np
 
 from repro.graph.csr import CSRGraph
 from repro.kernels.base import KernelState, VertexProgram
+from repro.obs.metrics import METRICS, M
 
 #: Operations a backend must provide for a kernel to run through it; the
 #: names match :attr:`repro.kernels.base.VertexProgram.backend_primitives`.
@@ -149,7 +152,9 @@ class ExecutionBackend(abc.ABC):
         key = self._plan_key(kernel, graph)
         hit = _PLAN_CACHE.get(key)
         if hit is not None:
+            METRICS.counter(M.BACKEND_PLAN_HITS).inc()
             return dataclasses.replace(hit, cached=True)
+        METRICS.counter(M.BACKEND_PLAN_MISSES).inc()
         plan = self._build_plan(kernel, graph)
         _PLAN_CACHE[key] = plan
         return plan

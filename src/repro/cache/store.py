@@ -82,7 +82,11 @@ class ArtifactCache:
         """
         path = self.path_for(kind, key)
         try:
-            with np.load(path, allow_pickle=False) as payload:
+            # Our own handle: np.load leaks the file it opens when the zip
+            # directory turns out to be corrupt.
+            with open(path, "rb") as fh, np.load(
+                fh, allow_pickle=False
+            ) as payload:
                 if _META_FIELD not in payload.files:
                     raise ValueError("missing meta field")
                 meta = json.loads(bytes(payload[_META_FIELD].tobytes()))
@@ -302,7 +306,9 @@ class ArtifactCache:
     def _entry_ok(path: Path) -> bool:
         """True iff the entry parses *and* all its arrays fully read."""
         try:
-            with np.load(path, allow_pickle=False) as payload:
+            with open(path, "rb") as fh, np.load(
+                fh, allow_pickle=False
+            ) as payload:
                 if _META_FIELD not in payload.files:
                     return False
                 json.loads(bytes(payload[_META_FIELD].tobytes()))

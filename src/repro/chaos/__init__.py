@@ -55,11 +55,12 @@ __all__ = [
 #: Worker-side chaos actions, in severity order:
 #:
 #: * ``crash`` — ``os._exit(3)``: the process vanishes the way an uncaught
-#:   fatal signal or a C-level abort leaves it (pool breaks, no traceback);
+#:   fatal signal or a C-level abort leaves it (connection drops, no
+#:   traceback);
 #: * ``kill``  — ``SIGKILL`` to self: identical to the OOM killer;
 #: * ``hang``  — ``SIGSTOP`` to self: the process *freezes* without dying,
-#:   heartbeats stop, and the pool never notices on its own — exactly the
-#:   failure mode worker supervision exists to catch.
+#:   keepalives stop, and its connection stays open — exactly the failure
+#:   mode worker supervision exists to catch.
 CHAOS_KINDS = ("crash", "kill", "hang")
 
 

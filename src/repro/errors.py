@@ -127,9 +127,9 @@ class SweepInterrupted(ExperimentError):
     """A sweep shut down gracefully on SIGINT/SIGTERM.
 
     By the time this is raised the journal (when one is active) has been
-    flushed and closed, worker processes have been killed, and every
-    shared-memory segment has been unlinked — restarting with ``--resume``
-    continues from the last completed task.
+    flushed and closed and every worker the sweep forked has been killed
+    and reaped — restarting with ``--resume`` continues from the last
+    completed task.
     """
 
 

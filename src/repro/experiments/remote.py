@@ -15,12 +15,15 @@ disaggregation discipline — move *descriptors*, not data:
   validation + atomic rename) so every subsequent sweep on that host is
   a pure cache hit.
 
-Failure semantics mirror the single-host supervised pool exactly — the
-journal, the tests, and a resumed sweep cannot tell the schedulers
-apart:
+This coordinator is the sweep's only supervision core: ``run_sweep(jobs=N)``
+runs it on loopback with ``N`` workers forked from the sweep process (a
+:class:`~repro.experiments.worker.ForkedFleet`, which inherits the loaded
+graphs instead of fetching them), so local, remote and served sweeps
+share these semantics by construction:
 
-* a lost connection mid-task charges the task an attempt and re-queues
-  it with the shared capped-exponential :class:`BackoffPolicy`;
+* a lost connection mid-task charges that task — and no other — an
+  attempt and re-queues it with the shared capped-exponential
+  :class:`BackoffPolicy`;
 * a stale keepalive (``heartbeat_timeout_s``) or an over-budget task
   (``timeout``) gets the connection closed with blame attributed to the
   exact task the worker was running;
@@ -28,8 +31,9 @@ apart:
 * a *deterministic* in-task exception reported by the worker is fatal
   (or a placeholder under ``keep_going``), never retried;
 * journal records are written by the coordinator only — ``start`` at
-  dispatch, ``outcome`` on completion — identically to the local path,
-  so ``--resume`` works across scheduler switches.
+  dispatch, ``outcome`` on completion — so ``--resume`` works across
+  scheduler switches;
+* no task is dispatched before ``min_workers`` workers have connected.
 
 Chaos (:mod:`repro.chaos`) is taken from the same plan at dispatch and
 shipped as a task field; the worker applies it to *itself* before doing
@@ -50,7 +54,17 @@ import threading
 import time
 from dataclasses import replace
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Callable,
+    Dict,
+    List,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 from repro.cache import (
     ArtifactCache,
@@ -74,6 +88,9 @@ from repro.experiments.scheduler import SweepOptions, SweepScheduler
 from repro.obs.metrics import METRICS, M
 from repro.obs.span import get_tracer, stamp_batch
 
+if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
+    from repro.experiments.worker import ForkedFleet
+
 #: wire protocol version; a mismatched worker is rejected at handshake
 PROTOCOL_VERSION = 1
 
@@ -83,9 +100,6 @@ LINE_LIMIT = 1 << 22
 
 #: coordinator supervision poll cadence (bounds blame latency)
 _WATCH_S = 0.25
-
-#: dispatch poll cadence while the ready queue is empty
-_IDLE_S = 0.05
 
 #: how long a connection may sit silent before the handshake line
 _HELLO_TIMEOUT_S = 10.0
@@ -131,6 +145,8 @@ class _Conn:
         #: failure message set by the watchdog before it severs the
         #: connection, so the charge cites hang/timeout, not "lost"
         self.blame: Optional[str] = None
+        #: the worker was forked by this process (a ForkedFleet member)
+        self.forked = False
         self.write_lock = asyncio.Lock()
 
     @property
@@ -149,6 +165,13 @@ class RemoteScheduler(SweepScheduler):
     coordinator-side artifact cache backing by-digest fetches (defaults
     to the process-global cache; with none, workers regenerate datasets
     locally instead of fetching).
+
+    ``fleet`` (a :class:`~repro.experiments.worker.ForkedFleet`) makes the
+    coordinator fork its own workers once bound, seeded with the graphs it
+    loaded.  It is driven from the event-loop thread only: a worker whose
+    connection is lost is killed, reaped and, while tasks remain,
+    replaced; every worker is killed and reaped before ``execute``
+    returns or raises.
     """
 
     name = "remote"
@@ -164,6 +187,7 @@ class RemoteScheduler(SweepScheduler):
         ready_file: Optional[str] = None,
         on_ready: Optional[Callable[[str, int], None]] = None,
         cache: Optional[ArtifactCache] = None,
+        fleet: Optional["ForkedFleet"] = None,
     ) -> None:
         if not token:
             raise SchedulerError(
@@ -182,6 +206,7 @@ class RemoteScheduler(SweepScheduler):
         self.ready_file = ready_file
         self.on_ready = on_ready
         self.cache = cache
+        self.fleet = fleet
         #: (host, port) actually bound, set once the server is up
         self.bound: Optional[Tuple[str, int]] = None
 
@@ -189,14 +214,18 @@ class RemoteScheduler(SweepScheduler):
         cache = self.cache if self.cache is not None else get_cache()
         # Resolve every distinct graph up front: warms the coordinator
         # cache (the fetch source) and pins the graph display names the
-        # journal records.  Only descriptors ever reach the workers.
+        # journal records.  Only descriptors reach remote workers; forked
+        # ones inherit the loaded graphs.
         graphs: Dict[Tuple[str, str, int], Tuple[str, Optional[Dict[str, str]]]] = {}
+        loaded: Dict[Tuple[str, str, int], Any] = {}
         for _idx, task in todo:
             if task.graph_key in graphs:
                 continue
-            _graph, spec = load_dataset_cached(
+            graph, spec = load_dataset_cached(
                 task.dataset, tier=task.tier, seed=task.seed, cache=cache
             )
+            if self.fleet is not None:
+                loaded[task.graph_key] = graph
             artifact: Optional[Dict[str, str]] = None
             key_seed = cacheable_seed(task.seed)
             if cache is not None and key_seed is not None:
@@ -206,7 +235,7 @@ class RemoteScheduler(SweepScheduler):
                 }
             graphs[task.graph_key] = (spec.name, artifact)
         coordinator = _Coordinator(
-            self, todo, results, session, chaos, opts, graphs, cache
+            self, todo, results, session, chaos, opts, graphs, cache, loaded
         )
         asyncio.run(coordinator.run())
 
@@ -224,14 +253,17 @@ class _Coordinator:
         opts: SweepOptions,
         graphs: Dict[Tuple[str, str, int], Tuple[str, Optional[Dict[str, str]]]],
         cache: Optional[ArtifactCache],
+        loaded: Dict[Tuple[str, str, int], Any],
     ) -> None:
         self.sched = sched
+        self.fleet = sched.fleet
         self.results = results
         self.session = session
         self.chaos = chaos
         self.opts = opts
         self.graphs = graphs
         self.cache = cache
+        self.loaded = loaded
         self.digest = sweep_digest([task for _idx, task in todo])
         #: ready-to-dispatch heap: (ready_at, seq, idx, task, tries)
         self.pending: List[Tuple[float, int, int, Any, int]] = []
@@ -239,7 +271,7 @@ class _Coordinator:
         for idx, task in todo:
             heapq.heappush(self.pending, (0.0, self._next_seq(), idx, task, 0))
         self.remaining: Set[int] = {idx for idx, _task in todo}
-        self.pool_kills: Dict[int, int] = {}
+        self.worker_kills: Dict[int, int] = {}
         self.conns: Set[_Conn] = set()
         self.connected = 0
         self.fatal: Optional[BaseException] = None
@@ -252,13 +284,35 @@ class _Coordinator:
         #: and zero connections for worker_wait_s is declared dead rather
         #: than spinning forever
         self._drought_since: Optional[float] = None
-        #: worker keepalive cadence, derived like the local heartbeat
+        #: worker keepalive cadence: five beats per staleness bound
         self.keepalive_s = min(1.0, opts.heartbeat_timeout_s / 5.0)
         self._old_signals: Dict[int, Any] = {}
+        #: set and replaced on every state change (see :meth:`_notify`)
+        self._changed = asyncio.Event()
 
     def _next_seq(self) -> int:
         self._seq += 1
         return self._seq
+
+    def _notify(self) -> None:
+        """Wake every coroutine waiting for the coordinator's state to
+        change: a connection, a loss, a resolved or re-queued task, a
+        fatal error or a signal."""
+        self._changed.set()
+        self._changed = asyncio.Event()
+
+    async def _wait(self, timeout: Optional[float] = None) -> None:
+        """Sleep until the next :meth:`_notify`, or ``timeout`` seconds."""
+        try:
+            await asyncio.wait_for(self._changed.wait(), timeout)
+        except asyncio.TimeoutError:
+            pass
+
+    def _stopped(self) -> bool:
+        return self.fatal is not None or self.interrupted is not None
+
+    def _gate_open(self) -> bool:
+        return self.handshakes >= self.sched.min_workers
 
     # ------------------------------------------------------------------ #
     # Main loop
@@ -279,25 +333,31 @@ class _Coordinator:
                 write_ready_file(self.sched.ready_file, host, port)
             if self.sched.on_ready is not None:
                 self.sched.on_ready(host, port)
-            get_tracer().event(
-                "coordinator-ready", host=host, port=port, sweep=self.digest
-            )
+            if self.fleet is None:
+                get_tracer().event(
+                    "coordinator-ready",
+                    host=host,
+                    port=port,
+                    sweep=self.digest,
+                )
+            else:
+                self.fleet.start(host, port, self.sched.token, self.loaded)
             await self._await_workers()
-            while (
-                self.remaining
-                and self.fatal is None
-                and self.interrupted is None
-            ):
-                self._check_liveness()
-                await asyncio.sleep(_IDLE_S)
+            while True:
+                timeout = self._check_liveness()
+                if not self.remaining or self._stopped():
+                    break
+                await self._wait(timeout)
         except SchedulerError as exc:
-            self.fatal = exc
+            self._fail(exc)
         finally:
             watchdog.cancel()
             self._remove_signals(loop)
             await self._shutdown_conns()
             server.close()
             await server.wait_closed()
+            if self.fleet is not None:
+                self.fleet.stop()
             METRICS.gauge(M.SWEEP_REMOTE_WORKERS).set(0)
         if self.interrupted is not None:
             self.session.interrupt(self.interrupted)
@@ -309,51 +369,47 @@ class _Coordinator:
         if self.fatal is not None:
             raise self.fatal
 
-    def _check_liveness(self) -> None:
+    def _check_liveness(self) -> Optional[float]:
         """Fail the sweep if every worker is gone and none come back.
 
         Chaos kills, crashes, and network partitions can consume the
         whole fleet while retries are still queued; without this check
-        the dispatch loop would poll an unservable heap forever.
+        the coordinator would wait on an unservable heap forever.
+        Returns the seconds left before that verdict (``None`` while any
+        worker is connected).
         """
-        if self.connected > 0:
+        if self.connected > 0 or self.handshakes == 0:
+            # handshakes == 0: still covered by the startup worker gate
             self._drought_since = None
-            return
-        if self.handshakes == 0:
-            return  # still covered by the startup worker gate
-        now = time.time()
+            return None
+        now = time.monotonic()
         if self._drought_since is None:
             self._drought_since = now
-        elif now - self._drought_since > self.sched.worker_wait_s:
-            self._fail(
-                SchedulerError(
-                    f"all workers disconnected with {len(self.remaining)} "
-                    f"task(s) unresolved and none reconnected within "
-                    f"{self.sched.worker_wait_s:g}s"
-                )
+        left = self._drought_since + self.sched.worker_wait_s - now
+        if left > 0:
+            return left
+        self._fail(
+            SchedulerError(
+                f"all workers disconnected with {len(self.remaining)} "
+                f"task(s) unresolved and none reconnected within "
+                f"{self.sched.worker_wait_s:g}s"
             )
+        )
+        return None
 
     async def _await_workers(self) -> None:
-        if self.sched.min_workers <= 0:
-            return
-        deadline = time.time() + self.sched.worker_wait_s
-        while time.time() < deadline:
-            if self.handshakes >= self.sched.min_workers:
-                return
-            # A fast sweep can connect, drain, and disconnect its workers
-            # between two polls — an empty queue means the gate is moot.
-            if (
-                not self.remaining
-                or self.fatal is not None
-                or self.interrupted is not None
-            ):
-                return
-            await asyncio.sleep(_IDLE_S)
-        if self.handshakes < self.sched.min_workers and self.remaining:
-            raise SchedulerError(
-                f"only {self.handshakes} of {self.sched.min_workers} required "
-                f"workers connected within {self.sched.worker_wait_s:g}s"
-            )
+        """The dispatch gate: hold every task until ``min_workers``
+        workers have connected, or fail after ``worker_wait_s``."""
+        deadline = time.monotonic() + self.sched.worker_wait_s
+        while not self._gate_open() and not self._stopped():
+            left = deadline - time.monotonic()
+            if left <= 0:
+                raise SchedulerError(
+                    f"only {self.handshakes} of {self.sched.min_workers} "
+                    f"required workers connected within "
+                    f"{self.sched.worker_wait_s:g}s"
+                )
+            await self._wait(left)
 
     # ------------------------------------------------------------------ #
     # Per-connection handling
@@ -369,11 +425,14 @@ class _Coordinator:
         if conn is None:
             writer.close()
             return
+        conn.forked = self.fleet is not None and conn.pid in self.fleet.pids
         self.conns.add(conn)
         self.connected += 1
         self.handshakes += 1
+        self._notify()
         METRICS.gauge(M.SWEEP_REMOTE_WORKERS).set(self.connected)
-        get_tracer().event("worker-connected", worker=conn.ident)
+        if not conn.forked:
+            get_tracer().event("worker-connected", worker=conn.ident)
         pump = asyncio.ensure_future(self._pump(conn, reader))
         try:
             await self._serve_conn(conn)
@@ -386,11 +445,17 @@ class _Coordinator:
             pump.cancel()
             self.conns.discard(conn)
             self.connected -= 1
+            self._notify()
             METRICS.gauge(M.SWEEP_REMOTE_WORKERS).set(max(self.connected, 0))
             try:
                 writer.close()
             except Exception:  # pragma: no cover - already severed
                 pass
+            if conn.forked:
+                # Crashed, killed, stale or timed out: only SIGKILL is sure
+                # to end it (a SIGSTOP'd worker ignores everything else).
+                respawn = bool(self.remaining) and not self._stopped()
+                self.fleet.lost(conn.pid, respawn=respawn)
 
     async def _handshake(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
@@ -518,23 +583,23 @@ class _Coordinator:
                 break
 
     async def _next_assignment(self) -> Optional[Tuple[int, Any, int]]:
-        """Block until a task is ready, or ``None`` on sweep end."""
+        """Block until the gate is open and a task is ready, or ``None``
+        on sweep end."""
         while True:
-            if (
-                self.fatal is not None
-                or self.interrupted is not None
-                or not self.remaining
-            ):
+            if self._stopped() or not self.remaining:
                 return None
-            if self.pending and self.pending[0][0] <= time.time():
-                _ready, _seq, idx, task, tries = heapq.heappop(self.pending)
-                if idx not in self.remaining:  # pragma: no cover - defensive
-                    continue
-                return idx, task, tries
-            await asyncio.sleep(_IDLE_S)
+            timeout = None
+            if self._gate_open() and self.pending:
+                timeout = self.pending[0][0] - time.monotonic()
+                if timeout <= 0:
+                    _at, _seq, idx, task, tries = heapq.heappop(self.pending)
+                    if idx not in self.remaining:  # pragma: no cover
+                        continue
+                    return idx, task, tries
+            await self._wait(timeout)
 
     # ------------------------------------------------------------------ #
-    # Outcome accounting (mirrors the local supervised pool)
+    # Outcome accounting
     # ------------------------------------------------------------------ #
 
     def _record_result(
@@ -546,15 +611,16 @@ class _Coordinator:
         if msg.get("status") == "ok":
             outcome = outcome_from_json(msg.get("outcome") or {}, task)
             spans: Any = msg.get("spans") or ()
-            if spans:
+            if spans and not conn.forked:
                 spans = stamp_batch(spans, host=conn.host, worker=conn.name)
             outcome = replace(outcome, attempts=tries + 1, spans=tuple(spans))
             self.results[idx] = outcome
             self.session.outcome(idx, "ok", outcome)
             self.remaining.discard(idx)
+            self._notify()
             return
         # Deterministic in-task failure: the worker survived to report
-        # it, so retrying would fail identically (same rule locally).
+        # it, so retrying would fail identically (same rule in-process).
         error = str(msg.get("error") or "worker reported an unknown failure")
         failed = _failed_outcome(task, graph_name, error, tries + 1)
         self.session.outcome(idx, "failed", failed)
@@ -565,6 +631,7 @@ class _Coordinator:
             return
         self.results[idx] = failed
         self.remaining.discard(idx)
+        self._notify()
 
     def _charge(
         self, conn: _Conn, idx: int, task: Any, tries: int, error: str
@@ -579,8 +646,8 @@ class _Coordinator:
         ):
             return
         graph_name = self.graphs[task.graph_key][0]
-        kills = self.pool_kills.get(idx, 0) + 1
-        self.pool_kills[idx] = kills
+        kills = self.worker_kills.get(idx, 0) + 1
+        self.worker_kills[idx] = kills
         get_tracer().event(
             "worker-lost", worker=conn.ident, task=task.label, error=error
         )
@@ -598,13 +665,18 @@ class _Coordinator:
             self.results[idx] = quarantined
             self.session.outcome(idx, "quarantined", quarantined)
             METRICS.counter(M.SWEEP_QUARANTINED).inc()
+            get_tracer().event(
+                "task-quarantined", label=task.label, kills=kills
+            )
             self.remaining.discard(idx)
+            self._notify()
             return
         if tries + 1 <= self.opts.retries:
-            ready_at = time.time() + self.opts.backoff.delay(tries)
+            ready_at = time.monotonic() + self.opts.backoff.delay(tries)
             heapq.heappush(
                 self.pending, (ready_at, self._next_seq(), idx, task, tries + 1)
             )
+            self._notify()
             return
         exhausted = _failed_outcome(
             task, graph_name, f"{error} (after {tries + 1} attempts)", tries + 1
@@ -620,10 +692,12 @@ class _Coordinator:
             return
         self.results[idx] = exhausted
         self.remaining.discard(idx)
+        self._notify()
 
     def _fail(self, exc: BaseException) -> None:
         if self.fatal is None:
             self.fatal = exc
+            self._notify()
 
     # ------------------------------------------------------------------ #
     # Supervision
@@ -632,11 +706,10 @@ class _Coordinator:
     async def _watchdog(self) -> None:
         """Blame and sever stale or over-budget connections.
 
-        This generalizes the local heartbeat supervisor: a worker whose
-        keepalive went silent (SIGSTOP'd, wedged, network-dead) or whose
-        task exceeded the wall-clock budget gets its connection closed —
-        the pump posts the sentinel and ``_serve_conn`` charges the task
-        with the blame recorded here.
+        A worker whose keepalive went silent (SIGSTOP'd, wedged,
+        network-dead) or whose task exceeded the wall-clock budget gets its
+        connection closed — the pump posts the sentinel and ``_serve_conn``
+        charges the task with the blame recorded here.
         """
         while True:
             await asyncio.sleep(_WATCH_S)
@@ -746,6 +819,7 @@ class _Coordinator:
     def _on_signal(self, signum: int) -> None:
         if self.interrupted is None:
             self.interrupted = signal.Signals(signum).name
+            self._notify()
 
     def _remove_signals(self, loop: asyncio.AbstractEventLoop) -> None:
         for signum, previous in self._old_signals.items():

@@ -1,33 +1,32 @@
-"""Sweep scheduler seam: one box today, a cluster with the same semantics.
+"""Sweep scheduler seam: one supervision core, any number of hosts.
 
 :func:`repro.experiments.sweep.run_sweep` owns *what* a sweep is — task
 order, journaling, resume, result assembly.  A :class:`SweepScheduler`
 owns *where* the remaining tasks execute:
 
-* :class:`LocalScheduler` — the default; wraps the existing in-process
-  serial path and the supervised ``ProcessPoolExecutor`` path unchanged
-  (``run_sweep(jobs=N)`` without an explicit scheduler is bit-for-bit the
-  pre-seam behavior);
+* :class:`LocalScheduler` — the default; runs ``jobs <= 1`` in-process,
+  and for ``jobs > 1`` runs the remote coordinator on loopback with
+  ``jobs`` workers forked from this process;
 * :class:`~repro.experiments.remote.RemoteScheduler` — an asyncio TCP
   coordinator feeding ``repro-worker`` processes on any number of hosts,
   with the content-addressed artifact cache as the data plane.
 
-Both implementations share the hardened failure machinery through the
-same :class:`SweepOptions`: per-task retries with capped exponential
-backoff (:class:`repro.utils.backoff.BackoffPolicy`), per-task timeouts,
-heartbeat/keepalive supervision with blame attribution, poison-task
-quarantine, and fail-fast vs ``keep_going`` semantics.  The journal
+Every parallel sweep therefore runs through one coordinator: per-task
+retries with capped exponential backoff
+(:class:`repro.utils.backoff.BackoffPolicy`), per-task timeouts,
+keepalive supervision with blame attribution, poison-task quarantine, and
+fail-fast vs ``keep_going`` semantics are written once.  The journal
 records outcomes identically under either scheduler, so a sweep killed
 under one can resume under the other.
 """
 
 from __future__ import annotations
 
+import secrets
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, Optional, Sequence, Tuple
 
-from repro.cache import load_dataset_cached
 from repro.utils.backoff import BackoffPolicy
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
@@ -41,9 +40,8 @@ class SweepOptions:
 
     ``jobs`` is the local worker-process count (the remote scheduler's
     parallelism is its connected worker count instead).  ``backoff``
-    paces retry rounds for both schedulers; ``heartbeat_timeout_s`` is
-    the staleness bound for local heartbeat slots *and* remote
-    connection keepalives — one supervision policy, two transports.
+    paces retries; ``heartbeat_timeout_s`` is the staleness bound for
+    worker keepalives, forked or remote.
     """
 
     jobs: int = 1
@@ -82,13 +80,13 @@ class SweepScheduler(ABC):
 
 
 class LocalScheduler(SweepScheduler):
-    """Single-host execution: in-process or supervised process pool.
+    """Single-host execution: in-process, or ``jobs`` forked workers.
 
-    This is a thin wrapper moving the pre-existing ``run_sweep`` body
-    behind the seam — graph loading, shared-memory publication, the
-    supervised pool with heartbeats/blame/quarantine, and the serial
-    path are the same code as before, so outcomes are bit-identical to
-    the historical behavior by construction.
+    ``jobs > 1`` runs :class:`~repro.experiments.remote.RemoteScheduler`
+    bound to ``127.0.0.1:0`` with a fresh random token, fed by a
+    :class:`~repro.experiments.worker.ForkedFleet`: the workers run the
+    ``repro-worker`` serve loop and inherit the graphs the coordinator
+    loaded, so nothing is shared, copied or cached on their behalf.
     """
 
     name = "local"
@@ -105,42 +103,26 @@ class LocalScheduler(SweepScheduler):
         chaos: "ChaosPlan",
         opts: SweepOptions,
     ) -> None:
-        # Imported here: sweep.py imports this module for the seam types.
-        from repro.experiments import sweep as _sweep
-
         jobs = self.jobs if self.jobs is not None else opts.jobs
-        # Load each distinct graph exactly once, in task order — and only
-        # for the tasks actually left to run on a resume.
-        graphs: Dict[Tuple[str, str, int], Tuple[object, str]] = {}
-        for _idx, task in todo:
-            if task.graph_key not in graphs:
-                graph, ds = load_dataset_cached(
-                    task.dataset, tier=task.tier, seed=task.seed
-                )
-                graphs[task.graph_key] = (graph, ds.name)
+        # Imported here: these modules import this one for the seam types.
         if jobs <= 1:
-            _sweep._run_serial(
+            from repro.experiments.sweep import _run_serial
+
+            _run_serial(
                 todo,
-                graphs,
                 results,
                 session,
                 chaos,
                 keep_going=opts.keep_going,
                 collect_spans=opts.collect_spans,
             )
-        else:
-            _sweep._run_supervised(
-                todo,
-                graphs,
-                results,
-                session,
-                chaos,
-                jobs=jobs,
-                timeout=opts.timeout,
-                retries=opts.retries,
-                backoff=opts.backoff,
-                keep_going=opts.keep_going,
-                collect_spans=opts.collect_spans,
-                poison_threshold=opts.poison_threshold,
-                heartbeat_timeout_s=opts.heartbeat_timeout_s,
-            )
+            return
+        from repro.experiments.remote import RemoteScheduler
+        from repro.experiments.worker import ForkedFleet
+
+        workers = min(jobs, len(todo))
+        RemoteScheduler(
+            token=secrets.token_hex(16),
+            min_workers=workers,
+            fleet=ForkedFleet(workers),
+        ).execute(todo, results, session, chaos, opts)

@@ -22,6 +22,9 @@ A ``chaos`` field on a task makes the worker apply the fault to *itself*
 is how the chaos harness exercises the coordinator's crash/hang
 supervision deterministically across real process boundaries.
 
+:class:`ForkedFleet` runs the same loop in workers forked from the sweep
+process itself: that is how ``run_sweep(jobs=N)`` executes in parallel.
+
 Exit codes: 0 on coordinator-initiated shutdown, 2 on configuration or
 handshake errors, 3 on a lost connection.
 """
@@ -32,16 +35,18 @@ import argparse
 import io
 import json
 import os
+import signal
 import socket
 import sys
 import threading
-from typing import Any, Dict, Optional, Sequence, Tuple
+from typing import Any, Dict, Mapping, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
 from repro import chaos as chaos_mod
 from repro.cache import ArtifactCache, get_cache
 from repro.cache.artifacts import graph_from_arrays, load_dataset_cached
+from repro.errors import WorkerAuthError
 from repro.experiments.journal import outcome_to_json, task_from_json
 from repro.experiments.remote import (
     PROTOCOL_VERSION,
@@ -49,6 +54,7 @@ from repro.experiments.remote import (
     default_worker_name,
     encode_msg,
 )
+from repro.obs.span import set_tracer
 
 _META_FIELD = "__meta__"
 
@@ -152,10 +158,15 @@ class _Connection:
 class _GraphStore:
     """Per-worker graph materialization with the cache as data plane."""
 
-    def __init__(self, conn: _Connection, cache: Optional[ArtifactCache]) -> None:
+    def __init__(
+        self,
+        conn: _Connection,
+        cache: Optional[ArtifactCache],
+        graphs: Optional[Mapping[Tuple[str, str, int], Any]] = None,
+    ) -> None:
         self.conn = conn
         self.cache = cache
-        self._graphs: Dict[Tuple[str, str, int], Any] = {}
+        self._graphs: Dict[Tuple[str, str, int], Any] = dict(graphs or {})
 
     def materialize(self, task: Any, artifact: Optional[Dict[str, str]]) -> Any:
         key3 = task.graph_key
@@ -218,16 +229,54 @@ class _GraphStore:
             # anything else is a stray; keep waiting for our payload
 
 
-def _serve(conn: _Connection, cache: Optional[ArtifactCache]) -> int:
+def _handshake(
+    sock: socket.socket, *, token: str, name: str
+) -> Tuple[_Connection, Dict[str, Any]]:
+    """Authenticate on a connected socket and start the keepalives.
+
+    Returns the connection and the coordinator's ``welcome``.
+    Raises :class:`WorkerAuthError` when the coordinator rejects the
+    ``hello`` or answers with anything but ``welcome``.
+    """
+    conn = _Connection(sock)
+    conn.send(
+        {
+            "t": "hello",
+            "proto": PROTOCOL_VERSION,
+            "token": token,
+            "name": name,
+            "host": socket.gethostname(),
+            "pid": os.getpid(),
+        }
+    )
+    welcome = conn.recv()
+    if welcome.get("t") == "reject":
+        raise WorkerAuthError(
+            f"coordinator rejected worker: {welcome.get('error', '?')}"
+        )
+    if welcome.get("t") != "welcome":
+        raise WorkerAuthError("unexpected handshake reply")
+    conn.start_keepalive(float(welcome.get("keepalive_s", 1.0)) or 1.0)
+    return conn, welcome
+
+
+def _serve(
+    conn: _Connection,
+    cache: Optional[ArtifactCache],
+    graphs: Optional[Mapping[Tuple[str, str, int], Any]] = None,
+) -> str:
+    """Pull and execute tasks until the coordinator's ``shutdown``.
+
+    Returns the shutdown reason; a lost connection raises.
+    """
     from repro.experiments.sweep import _execute_task
 
-    store = _GraphStore(conn, cache)
+    store = _GraphStore(conn, cache, graphs)
     while True:
         msg = conn.recv()
         t = msg.get("t")
         if t == "shutdown":
-            print(f"coordinator shutdown: {msg.get('reason', '')}")
-            return 0
+            return str(msg.get("reason", ""))
         if t != "task":
             continue
         idx = int(msg.get("idx", -1))
@@ -295,34 +344,17 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"cannot reach coordinator {host}:{port}: {exc}", file=sys.stderr)
         return 2
     sock.settimeout(None)
-    conn = _Connection(sock)
     try:
-        conn.send(
-            {
-                "t": "hello",
-                "proto": PROTOCOL_VERSION,
-                "token": token,
-                "name": name,
-                "host": socket.gethostname(),
-                "pid": os.getpid(),
-            }
-        )
-        welcome = conn.recv()
-        if welcome.get("t") == "reject":
-            print(
-                f"coordinator rejected worker: {welcome.get('error', '?')}",
-                file=sys.stderr,
-            )
-            return 2
-        if welcome.get("t") != "welcome":
-            print("unexpected handshake reply", file=sys.stderr)
-            return 2
+        conn, welcome = _handshake(sock, token=token, name=name)
         print(
             f"worker {name} connected to {host}:{port} "
             f"(sweep {str(welcome.get('sweep', ''))[:12]})"
         )
-        conn.start_keepalive(float(welcome.get("keepalive_s", 1.0)) or 1.0)
-        return _serve(conn, cache)
+        print(f"coordinator shutdown: {_serve(conn, cache)}")
+        return 0
+    except WorkerAuthError as exc:
+        print(str(exc), file=sys.stderr)
+        return 2
     except (ConnectionError, OSError) as exc:
         print(f"connection to coordinator lost: {exc}", file=sys.stderr)
         return 3
@@ -331,6 +363,88 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             sock.close()
         except OSError:  # pragma: no cover - already closed
             pass
+
+
+class ForkedFleet:
+    """``size`` sweep workers forked from the sweep process itself.
+
+    :class:`~repro.experiments.remote.RemoteScheduler` drives a fleet from
+    its event-loop thread only, so no thread is alive when it forks:
+    :meth:`start` once the coordinator is bound, :meth:`lost` whenever a
+    forked worker's connection goes, :meth:`stop` before the sweep
+    returns or raises.  A child runs the ``repro-worker`` serve loop with
+    the graphs the coordinator loaded already in its store, so it neither
+    imports ``repro`` afresh nor reads the cache, and it prints nothing.
+    """
+
+    def __init__(self, size: int) -> None:
+        self.size = size
+        #: children not yet reaped, killed by :meth:`lost`/:meth:`stop`
+        self.pids: Set[int] = set()
+        self._target: Optional[Tuple[str, int, str, Mapping[Any, Any]]] = None
+
+    def start(
+        self, host: str, port: int, token: str, graphs: Mapping[Any, Any]
+    ) -> None:
+        self._target = (host, port, token, graphs)
+        for _ in range(self.size):
+            self._fork()
+
+    def lost(self, pid: int, *, respawn: bool) -> None:
+        """Kill and reap a worker whose connection went; replace it when
+        ``respawn`` (tasks remain)."""
+        if pid not in self.pids:
+            return
+        self._kill(pid)
+        if respawn:
+            self._fork()
+
+    def stop(self) -> None:
+        for pid in list(self.pids):
+            self._kill(pid)
+
+    def _kill(self, pid: int) -> None:
+        self.pids.discard(pid)
+        try:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        except (ProcessLookupError, ChildProcessError):  # pragma: no cover
+            pass
+
+    def _fork(self) -> None:
+        assert self._target is not None, "start() the fleet first"
+        # Unflushed parent output would otherwise be written twice.
+        sys.stdout.flush()
+        sys.stderr.flush()
+        pid = os.fork()
+        if pid == 0:
+            # The child must never unwind into the parent's event-loop
+            # frames it inherited: whatever happens, it exits here.
+            code = 3
+            try:
+                _forked_worker(*self._target)
+                code = 0
+            finally:
+                os._exit(code)
+        self.pids.add(pid)
+
+
+def _forked_worker(
+    host: str, port: int, token: str, graphs: Mapping[Any, Any]
+) -> None:
+    """A forked worker's life: serve until the coordinator's shutdown."""
+    # Forked inside the coordinator's running event loop: drop its
+    # handlers and self-pipe, or a signal sent to this child would be
+    # written into the parent's wakeup fd and read there as its own.
+    for signum in (signal.SIGINT, signal.SIGTERM):
+        signal.signal(signum, signal.SIG_DFL)
+    signal.set_wakeup_fd(-1)
+    # Spans recorded outside a task would land in the parent's tracer
+    # copy (and its exporters); tasks carry their own tracer.
+    set_tracer(None)
+    sock = socket.create_connection((host, port))
+    conn, _welcome = _handshake(sock, token=token, name=default_worker_name())
+    _serve(conn, None, graphs)
 
 
 if __name__ == "__main__":

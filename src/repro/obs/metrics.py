@@ -323,6 +323,16 @@ class M:
         description="updates the switch passed through unmerged",
     )
 
+    # Execution-backend plan cache.
+    BACKEND_PLAN_HITS = METRICS.declare(
+        "backend.plan-cache.hits",
+        description="execution plans served from the in-process plan cache",
+    )
+    BACKEND_PLAN_MISSES = METRICS.declare(
+        "backend.plan-cache.misses",
+        description="execution plans built (and cached) on first use",
+    )
+
     # Artifact cache (kinds × outcomes).
     CACHE_DATASET_HITS = METRICS.declare("cache.dataset.hits")
     CACHE_DATASET_MISSES = METRICS.declare("cache.dataset.misses")
@@ -449,17 +459,13 @@ class M:
         "sweep.tasks-resumed",
         description="tasks skipped on resume (journaled outcome reused)",
     )
-    SWEEP_POOL_BREAKS = METRICS.declare(
-        "sweep.pool-breaks",
-        description="worker-pool breakages (crashes, hangs, timeouts)",
-    )
     SWEEP_HUNG_WORKERS = METRICS.declare(
         "sweep.hung-workers",
-        description="workers killed for stale heartbeats or task timeouts",
+        description="workers severed for stale keepalives or task timeouts",
     )
     SWEEP_QUARANTINED = METRICS.declare(
         "sweep.quarantined-tasks",
-        description="poison tasks quarantined after repeated pool kills",
+        description="poison tasks quarantined after repeated worker kills",
     )
 
     # Distributed sweep (remote scheduler + workers).

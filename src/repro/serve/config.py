@@ -55,7 +55,7 @@ class ServeConfig:
     #: largest accepted request body.
     max_body_bytes: int = 1 << 20
     #: cap on ``jobs`` a sweep request may ask for (sweeps fan out over
-    #: the supervised sweep runner's process pool).
+    #: that many forked sweep workers).
     sweep_jobs_cap: int = 2
     #: allow ``POST /v1/shutdown`` to stop the daemon (handy for CI and
     #: tests; the daemon only listens on localhost anyway).

@@ -8,9 +8,9 @@ facade's single source of truth:
   (:func:`repro.api._run_resolved` / :func:`repro.api._compare_resolved`)
   — the *same* code path ``repro.api.run`` and the ``repro-run`` CLI
   execute, so served results are bit-identical to offline ones;
-* ``sweep`` delegates to :func:`repro.experiments.sweep.run_sweep`, the
-  supervised multi-process sweep runner (heartbeats, retries, shared-memory
-  graph publication), with the requested ``jobs`` capped by the server.
+* ``sweep`` delegates to :func:`repro.experiments.sweep.run_sweep` — the
+  sweep coordinator on loopback with forked workers (keepalives, retries,
+  quarantine) — with the requested ``jobs`` capped by the server.
 
 Threads suffice for parallelism here: the engine hot loops run in numpy
 (GIL released) and sweeps fork their own worker processes.

@@ -173,7 +173,7 @@ class AnalyticsServer:
 
         Mirrors the sweep runner's signal discipline — first interrupt
         drains, nothing ever hangs past ``drain_timeout_s``, and no pool
-        or shared-memory residue survives the daemon.
+        or sweep-worker residue survives the daemon.
         """
         if self._closed:
             return

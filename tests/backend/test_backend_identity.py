@@ -119,10 +119,20 @@ def test_compiled_run_is_bit_identical(kernel_name, tiny_rmat, weighted_er):
 
 
 def test_run_span_carries_backend_attrs(tiny_rmat):
-    """The run span exposes backend name, fusion, and compile seconds."""
+    """The run span exposes backend name, fusion, and compile seconds;
+    plan-cache hits and misses are counted in METRICS instead, because
+    they record process history rather than run structure."""
+    from repro.obs.metrics import METRICS, M
     from repro.obs.span import Tracer, use_tracer
 
+    def lookups():
+        return (
+            METRICS.counter(M.BACKEND_PLAN_HITS).value
+            + METRICS.counter(M.BACKEND_PLAN_MISSES).value
+        )
+
     cfg = SystemConfig(num_memory_nodes=4, backend="numpy")
+    before = lookups()
     tracer = Tracer()
     with use_tracer(tracer):
         DisaggregatedSimulator(cfg).run(
@@ -134,4 +144,5 @@ def test_run_span_carries_backend_attrs(tiny_rmat):
     assert attrs["backend"] == "numpy"
     assert attrs["backend_fused"] is False
     assert attrs["backend_compile_seconds"] == 0.0
-    assert "backend_plan_cached" in attrs
+    assert "backend_plan_cached" not in attrs
+    assert lookups() == before + 1

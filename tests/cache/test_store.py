@@ -3,8 +3,11 @@
 from __future__ import annotations
 
 import errno
+import gc
 import multiprocessing
 import os
+import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -126,6 +129,26 @@ class TestCorruption:
         # After eviction the slot is writable again.
         assert cache.put("dataset", KEY, _arrays())
         assert cache.get("dataset", KEY) is not None
+
+    def test_corrupt_entry_read_closes_its_file(self, tmp_path, monkeypatch):
+        """Regression: np.load leaked its handle on a truncated zip."""
+        cache = ArtifactCache(tmp_path)
+        cache.put("dataset", KEY, _arrays())
+        path = cache.path_for("dataset", KEY)
+        torn = path.read_bytes()[: path.stat().st_size // 2]
+        # An unclosed file warns from its finalizer, where an error can
+        # only reach the unraisable hook.
+        unraisable = []
+        monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", ResourceWarning)
+            path.write_bytes(torn)
+            assert cache.get("dataset", KEY) is None
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_bytes(torn)
+            assert cache.verify()["corrupt"]
+            gc.collect()
+        assert unraisable == []
 
     def test_garbage_entry_is_a_miss(self, tmp_path):
         cache = ArtifactCache(tmp_path)

@@ -1,24 +1,18 @@
-"""Sweep runner: shared-memory CSR publication, serial/parallel parity,
-and the fault tolerance of the runner itself (crashed workers, retries,
-keep-going, no orphaned shared-memory segments)."""
+"""Sweep runner: serial/parallel parity and the fault tolerance of the
+runner itself (crashed workers, retries, keep-going, no leftover worker
+processes or shared-memory segments)."""
 
 from __future__ import annotations
 
 import os
 from pathlib import Path
 
-import numpy as np
 import pytest
 
+from repro.chaos import ChaosPlan
 from repro.errors import ExperimentError
 from repro.experiments.runner import build_parser
-from repro.experiments.sweep import (
-    SweepTask,
-    attach_shared_graph,
-    fig7_sweep_tasks,
-    run_sweep,
-    share_graph,
-)
+from repro.experiments.sweep import SweepTask, fig7_sweep_tasks, run_sweep
 from repro.faults import FaultSpec
 
 TASKS = [
@@ -42,49 +36,21 @@ def _shm_segments() -> set:
     return {p.name for p in root.glob("rsw-*")}
 
 
-class TestSharedGraph:
-    def test_roundtrip(self, lj_tiny):
-        spec, segments = share_graph(lj_tiny, tag="test-roundtrip")
-        attached_segments = []
+def _children() -> set:
+    """Processes whose parent is this one, live or waiting to be reaped."""
+    found = set()
+    for entry in Path("/proc").iterdir():
+        if not entry.name.isdigit():
+            continue
         try:
-            attached, attached_segments = attach_shared_graph(spec)
-            np.testing.assert_array_equal(attached.indptr, lj_tiny.indptr)
-            np.testing.assert_array_equal(attached.indices, lj_tiny.indices)
-            assert attached.weights is None
-            assert attached.num_vertices == lj_tiny.num_vertices
-            # Attached views are read-only borrowings of the segments.
-            with pytest.raises(ValueError):
-                attached.indices[0] = 0
-        finally:
-            for shm in attached_segments:
-                shm.close()
-            for shm in segments:
-                shm.close()
-                shm.unlink()
-
-    def test_weighted_roundtrip(self, weighted_er):
-        spec, segments = share_graph(weighted_er, tag="test-weighted")
-        attached_segments = []
-        try:
-            attached, attached_segments = attach_shared_graph(spec)
-            np.testing.assert_array_equal(attached.weights, weighted_er.weights)
-        finally:
-            for shm in attached_segments:
-                shm.close()
-            for shm in segments:
-                shm.close()
-                shm.unlink()
-
-    def test_spec_is_tiny(self, lj_tiny):
-        spec, segments = share_graph(lj_tiny, tag="test-size")
-        try:
-            assert len(spec.segment_names) == 2
-            # The descriptor carries names and shapes, never array payloads.
-            assert spec.indices.shape == (lj_tiny.num_edges,)
-        finally:
-            for shm in segments:
-                shm.close()
-                shm.unlink()
+            # the state and ppid fields follow the parenthesised name
+            stat = (entry / "stat").read_text()
+            _state, ppid = stat.rsplit(")", 1)[1].split()[:2]
+        except (OSError, ValueError):
+            continue
+        if int(ppid) == os.getpid():
+            found.add(int(entry.name))
+    return found
 
 
 class TestRunSweep:
@@ -190,6 +156,32 @@ class TestSweepFaultTolerance:
         before = _shm_segments()
         run_sweep(SMALL_TASKS, jobs=2)
         assert _shm_segments() == before
+
+    @pytest.mark.skipif(not os.path.isdir("/proc"), reason="needs Linux /proc")
+    @pytest.mark.parametrize("case", ["hang-and-kill", "fail-fast"])
+    def test_no_worker_outlives_the_sweep(self, case):
+        """Every forked worker is killed and reaped before run_sweep
+        returns or raises — a SIGSTOP'd one included."""
+        before = _children()
+        if case == "hang-and-kill":
+            chaos = ChaosPlan(
+                actions={
+                    SMALL_TASKS[0].label: ["hang"],
+                    SMALL_TASKS[1].label: ["kill"],
+                }
+            )
+            outcomes = run_sweep(
+                SMALL_TASKS, jobs=2, retries=2, backoff_s=0.01,
+                heartbeat_timeout_s=1.0, chaos_plan=chaos,
+            )
+            assert all(o.ok and o.attempts == 2 for o in outcomes)
+        else:
+            with pytest.raises(ExperimentError, match="failed after"):
+                run_sweep(
+                    SMALL_TASKS, jobs=2, retries=0, backoff_s=0.01,
+                    crash_plan={t.label: 99 for t in SMALL_TASKS},
+                )
+        assert _children() - before == set()
 
 
 class TestSweepFaultInjection:
