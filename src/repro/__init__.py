@@ -29,218 +29,67 @@ Or assemble the pieces yourself::
     print(run.summary_table())
 """
 
-from repro.errors import (
-    CapabilityError,
-    ConfigError,
-    ExperimentError,
-    FaultError,
-    JournalError,
-    GraphError,
-    KernelError,
-    PartitionError,
-    RecoveryError,
-    ReproError,
-    SimulationError,
-    SweepInterrupted,
-)
-from repro.faults import (
-    AdaptiveCheckpoint,
-    CheckpointPolicy,
-    EveryKCheckpoint,
-    FaultEvent,
-    FaultKind,
-    FaultSchedule,
-    FaultSpec,
-    NoCheckpoint,
-)
-from repro.graph import (
-    CSRGraph,
-    GraphBuilder,
-    barabasi_albert,
-    compute_stats,
-    erdos_renyi,
-    list_datasets,
-    rmat,
-)
-from repro.partition import (
-    BFSGrowPartitioner,
-    HashPartitioner,
-    MetisPartitioner,
-    PartitionAssignment,
-    RandomPartitioner,
-    RangePartitioner,
-    build_mirror_table,
-    partition_quality,
-)
-from repro.kernels import (
-    BFS,
-    SSSP,
-    ConnectedComponents,
-    DegreeCentrality,
-    KCore,
-    PageRank,
-    get_kernel,
-    list_kernels,
-)
-from repro.hardware import (
-    CXL_CMS,
-    CXL_PNM,
-    HOST_XEON,
-    SHARP_SWITCH,
-    SWITCHML_TOFINO,
-    UPMEM_PIM,
-    check_offload,
-    device_catalog,
-)
-from repro.arch import (
-    DisaggregatedNDPSimulator,
-    DisaggregatedSimulator,
-    DistributedNDPSimulator,
-    DistributedSimulator,
-    ExecutionTrace,
-    RunResult,
-    estimate_run_energy,
-    get_architecture,
-    list_architectures,
-    record_trace,
-)
-from repro.api import (
-    PolicySpec,
-    RunSpec,
-    SweepSpec,
-    compare,
-    load_dataset,
-    partition,
-    run,
-    sweep,
-    vertex_program,
-)
-from repro.runtime import (
-    AdaptiveOffloadPolicy,
-    AlwaysOffload,
-    DynamicCostPolicy,
-    NeverOffload,
-    OraclePolicy,
-    PerPartCostPolicy,
-    SystemConfig,
-    ThresholdPolicy,
-    estimate_movement,
-    exact_movement,
-    get_policy,
-)
+import importlib
+
+from repro._lazy import lazy_exports
 
 __version__ = "1.1.0"
 
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        ".api": (
+            "PolicySpec", "RunSpec", "SweepSpec", "run", "compare", "sweep",
+            "load_dataset", "partition", "vertex_program",
+        ),
+        ".errors": (
+            "ReproError", "GraphError", "PartitionError", "KernelError",
+            "CapabilityError", "ConfigError", "SimulationError",
+            "ExperimentError", "JournalError", "SweepInterrupted",
+            "FaultError", "RecoveryError",
+        ),
+        ".faults": (
+            "FaultEvent", "FaultKind", "FaultSchedule", "FaultSpec",
+            "CheckpointPolicy", "NoCheckpoint", "EveryKCheckpoint",
+            "AdaptiveCheckpoint",
+        ),
+        ".graph": (
+            "CSRGraph", "GraphBuilder", "rmat", "erdos_renyi",
+            "barabasi_albert", "list_datasets", "compute_stats",
+        ),
+        ".partition": (
+            "PartitionAssignment", "HashPartitioner", "RandomPartitioner",
+            "RangePartitioner", "BFSGrowPartitioner", "MetisPartitioner",
+            "build_mirror_table", "partition_quality",
+        ),
+        ".kernels": (
+            "PageRank", "BFS", "SSSP", "ConnectedComponents",
+            "DegreeCentrality", "KCore", "get_kernel", "list_kernels",
+        ),
+        ".hardware": (
+            "CXL_CMS", "CXL_PNM", "UPMEM_PIM", "SWITCHML_TOFINO",
+            "SHARP_SWITCH", "HOST_XEON", "device_catalog", "check_offload",
+        ),
+        ".arch": (
+            "DistributedSimulator", "DistributedNDPSimulator",
+            "DisaggregatedSimulator", "DisaggregatedNDPSimulator", "RunResult",
+            "ExecutionTrace", "record_trace", "estimate_run_energy",
+            "get_architecture", "list_architectures",
+        ),
+        ".runtime": (
+            "SystemConfig", "AdaptiveOffloadPolicy", "AlwaysOffload",
+            "NeverOffload", "ThresholdPolicy", "DynamicCostPolicy",
+            "OraclePolicy", "PerPartCostPolicy", "get_policy",
+            "estimate_movement", "exact_movement",
+        ),
+    },
+)
+__all__.insert(0, "__version__")
 
-def __getattr__(name: str):
-    # Deprecated access paths kept importable one release: the facade's
-    # repro.compare() replaced the eager compare_architectures re-export.
-    if name == "compare_architectures":
-        import warnings
-
-        warnings.warn(
-            "repro.compare_architectures is deprecated; use repro.compare() "
-            "or import it from repro.arch",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        from repro.arch import compare_architectures
-
-        return compare_architectures
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-__all__ = [
-    "__version__",
-    # facade
-    "PolicySpec",
-    "RunSpec",
-    "SweepSpec",
-    "run",
-    "compare",
-    "sweep",
-    "load_dataset",
-    "partition",
-    # errors
-    "ReproError",
-    "GraphError",
-    "PartitionError",
-    "KernelError",
-    "CapabilityError",
-    "ConfigError",
-    "SimulationError",
-    "ExperimentError",
-    "JournalError",
-    "SweepInterrupted",
-    "FaultError",
-    "RecoveryError",
-    # faults
-    "FaultEvent",
-    "FaultKind",
-    "FaultSchedule",
-    "FaultSpec",
-    "CheckpointPolicy",
-    "NoCheckpoint",
-    "EveryKCheckpoint",
-    "AdaptiveCheckpoint",
-    # graph
-    "CSRGraph",
-    "GraphBuilder",
-    "rmat",
-    "erdos_renyi",
-    "barabasi_albert",
-    "list_datasets",
-    "compute_stats",
-    # partition
-    "PartitionAssignment",
-    "HashPartitioner",
-    "RandomPartitioner",
-    "RangePartitioner",
-    "BFSGrowPartitioner",
-    "MetisPartitioner",
-    "build_mirror_table",
-    "partition_quality",
-    # kernels
-    "PageRank",
-    "BFS",
-    "SSSP",
-    "ConnectedComponents",
-    "DegreeCentrality",
-    "KCore",
-    "get_kernel",
-    "list_kernels",
-    # hardware
-    "CXL_CMS",
-    "CXL_PNM",
-    "UPMEM_PIM",
-    "SWITCHML_TOFINO",
-    "SHARP_SWITCH",
-    "HOST_XEON",
-    "device_catalog",
-    "check_offload",
-    # architectures
-    "DistributedSimulator",
-    "DistributedNDPSimulator",
-    "DisaggregatedSimulator",
-    "DisaggregatedNDPSimulator",
-    "RunResult",
-    "ExecutionTrace",
-    "record_trace",
-    "compare_architectures",
-    "estimate_run_energy",
-    "get_architecture",
-    "list_architectures",
-    "vertex_program",
-    # runtime
-    "SystemConfig",
-    "AdaptiveOffloadPolicy",
-    "AlwaysOffload",
-    "NeverOffload",
-    "ThresholdPolicy",
-    "DynamicCostPolicy",
-    "OraclePolicy",
-    "PerPartCostPolicy",
-    "get_policy",
-    "estimate_movement",
-    "exact_movement",
-]
+# ``repro.partition`` is the facade function, but it is also the name of a
+# subpackage, and the first import of a subpackage binds it on its parent.
+# Load the (lazy, cheap) subpackage here so that binding happens now, then
+# drop it so the table above serves the function.
+importlib.import_module("repro.partition")
+del globals()["partition"]
+del importlib

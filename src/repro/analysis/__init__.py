@@ -1,33 +1,19 @@
 """Offline analyses built on runs and traces, plus executable variants."""
 
-from repro.analysis.direction import (
-    DirectionProfile,
-    direction_profile,
-    pull_iteration_bytes,
-)
-from repro.analysis.dobfs import (
-    DOBFSIteration,
-    DOBFSResult,
-    run_direction_optimized_bfs,
-)
-from repro.analysis.projection import (
-    ProjectedMovement,
-    ScaleFactors,
-    project_phase_bytes,
-    project_run,
-    project_trace,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "ProjectedMovement",
-    "ScaleFactors",
-    "project_phase_bytes",
-    "project_run",
-    "project_trace",
-    "DirectionProfile",
-    "direction_profile",
-    "pull_iteration_bytes",
-    "DOBFSIteration",
-    "DOBFSResult",
-    "run_direction_optimized_bfs",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        ".projection": (
+            "ProjectedMovement", "ScaleFactors", "project_phase_bytes",
+            "project_run", "project_trace",
+        ),
+        ".direction": (
+            "DirectionProfile", "direction_profile", "pull_iteration_bytes",
+        ),
+        ".dobfs": (
+            "DOBFSIteration", "DOBFSResult", "run_direction_optimized_bfs",
+        ),
+    },
+)

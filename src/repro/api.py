@@ -73,15 +73,26 @@ from typing import Any, Callable, Dict, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.errors import ConfigError, KernelError
-from repro.graph.csr import CSRGraph
+from repro.arch.compare import compare_architectures
+from repro.arch.registry import get_architecture
 from repro.arch.trace import ExecutionTrace, record_trace
+from repro.backend import BACKEND_CHOICES
+from repro.cache import load_dataset_cached
+from repro.cache.keys import canonical_key
+from repro.errors import ConfigError, KernelError
+from repro.faults.schedule import FaultSchedule, FaultSpec
+from repro.graph.csr import CSRGraph
+from repro.graph.datasets import load_dataset as load_uncached
 from repro.kernels.base import (
     ComputeProfile,
     KernelState,
     MessageSpec,
     VertexProgram,
 )
+from repro.kernels.registry import get_kernel
+from repro.partition.registry import get_partitioner
+from repro.runtime.config import SystemConfig
+from repro.runtime.offload import check_policy_name, get_policy
 
 __all__ = [
     "PolicySpec",
@@ -148,8 +159,6 @@ class PolicySpec:
     params: Tuple[Tuple[str, Any], ...] = ()
 
     def __post_init__(self) -> None:
-        from repro.runtime.offload import check_policy_name
-
         if not isinstance(self.name, str) or not self.name:
             raise ConfigError(
                 f"policy name must be a non-empty string, got {self.name!r}"
@@ -202,8 +211,6 @@ class PolicySpec:
 
     def instantiate(self):
         """Build the :class:`~repro.runtime.offload.OffloadPolicy`."""
-        from repro.runtime.offload import get_policy
-
         return get_policy(self.name, **self.kwargs)
 
     def spell(self) -> str:
@@ -253,8 +260,7 @@ class PolicySpec:
         )
 
 
-#: One-shot flag for the bare-string ``RunSpec.policy`` deprecation,
-#: mirroring the ``compare_architectures`` shim in ``repro/__init__``.
+#: One-shot flag for the bare-string ``RunSpec.policy`` deprecation.
 _warned_string_policy = False
 
 
@@ -311,8 +317,6 @@ class RunSpec:
                 "replication_factor must be >= 1, got "
                 f"{self.replication_factor}"
             )
-        from repro.backend import BACKEND_CHOICES
-
         if self.backend not in BACKEND_CHOICES:
             raise ConfigError(
                 f"backend must be one of {', '.join(BACKEND_CHOICES)}, "
@@ -330,8 +334,6 @@ class RunSpec:
         digests mean bit-identical results, so requests sharing a digest
         can share one execution.
         """
-        from repro.cache.keys import canonical_key
-
         payload = {f.name: getattr(self, f.name) for f in fields(self)}
         if self.policy is not None:
             payload["policy"] = self.policy.to_json()
@@ -371,9 +373,6 @@ def _spec_workload(
     datasets are generated deterministically, so an honest pool entry is
     bit-identical to a fresh load.
     """
-    from repro.kernels.registry import get_kernel
-    from repro.partition.registry import get_partitioner
-
     if graph is None:
         graph, ds = load_dataset(
             spec.dataset,
@@ -395,8 +394,6 @@ def _spec_workload(
 
 
 def _spec_faults(spec: RunSpec):
-    from repro.faults.schedule import FaultSchedule, FaultSpec
-
     if spec.fault_seed is None:
         return None
     return FaultSchedule.from_spec(
@@ -435,9 +432,6 @@ def _run_resolved(
     serving daemon's warm-pool executor, so a served result can only
     differ from the CLI/facade path if the *inputs* differ.
     """
-    from repro.arch.registry import get_architecture
-    from repro.runtime.config import SystemConfig
-
     graph, graph_name, kernel, chooser, source = _spec_workload(
         spec, graph=graph, graph_name=graph_name
     )
@@ -491,9 +485,6 @@ def _compare_resolved(
     graph_name: Optional[str] = None,
 ):
     """Execute a resolved comparison (optionally against a preloaded graph)."""
-    from repro.arch.compare import compare_architectures
-    from repro.runtime.config import SystemConfig
-
     graph, graph_name, kernel, chooser, source = _spec_workload(
         spec, graph=graph, graph_name=graph_name
     )
@@ -623,13 +614,9 @@ def load_dataset(
     (``cache=False`` bypasses it for this call only).
     """
     if cache:
-        from repro.cache import load_dataset_cached
-
         return load_dataset_cached(
             name, tier=tier, seed=seed, scale_shift=scale_shift
         )
-    from repro.graph.datasets import load_dataset as load_uncached
-
     return load_uncached(name, tier=tier, seed=seed, scale_shift=scale_shift)
 
 
@@ -646,8 +633,6 @@ def partition(
     Extra keyword arguments are forwarded to the partitioner constructor
     (e.g. ``repro.partition(g, num_parts=8, partitioner="ldg", slack=0.1)``).
     """
-    from repro.partition.registry import get_partitioner
-
     return get_partitioner(partitioner, **params).partition(
         graph, num_parts, seed=seed
     )

@@ -1,43 +1,24 @@
 """Architecture simulators: distributed, distributed-NDP, disaggregated,
 and disaggregated-NDP (this work) — Table II's four rows."""
 
-from repro.arch.base import ArchitectureSimulator
-from repro.arch.engine import (
-    IterationProfile,
-    StructuralProfileCache,
-    execute_iteration,
-    numeric_execution_count,
-    prepare_graph,
-)
-from repro.arch.results import IterationStats, RunResult
-from repro.arch.trace import ExecutionTrace, record_trace
-from repro.arch.distributed import DistributedSimulator
-from repro.arch.distributed_ndp import DistributedNDPSimulator
-from repro.arch.disaggregated import DisaggregatedSimulator
-from repro.arch.disaggregated_ndp import DisaggregatedNDPSimulator
-from repro.arch.compare import ArchitectureComparison, compare_architectures
-from repro.arch.energy import EnergyBreakdown, estimate_run_energy
-from repro.arch.registry import get_architecture, list_architectures
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "ArchitectureSimulator",
-    "IterationProfile",
-    "StructuralProfileCache",
-    "execute_iteration",
-    "numeric_execution_count",
-    "prepare_graph",
-    "IterationStats",
-    "RunResult",
-    "ExecutionTrace",
-    "record_trace",
-    "DistributedSimulator",
-    "DistributedNDPSimulator",
-    "DisaggregatedSimulator",
-    "DisaggregatedNDPSimulator",
-    "ArchitectureComparison",
-    "compare_architectures",
-    "EnergyBreakdown",
-    "estimate_run_energy",
-    "get_architecture",
-    "list_architectures",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        ".base": ("ArchitectureSimulator",),
+        ".engine": (
+            "IterationProfile", "StructuralProfileCache", "execute_iteration",
+            "numeric_execution_count", "prepare_graph",
+        ),
+        ".results": ("IterationStats", "RunResult"),
+        ".trace": ("ExecutionTrace", "record_trace"),
+        ".distributed": ("DistributedSimulator",),
+        ".distributed_ndp": ("DistributedNDPSimulator",),
+        ".disaggregated": ("DisaggregatedSimulator",),
+        ".disaggregated_ndp": ("DisaggregatedNDPSimulator",),
+        ".compare": ("ArchitectureComparison", "compare_architectures"),
+        ".energy": ("EnergyBreakdown", "estimate_run_energy"),
+        ".registry": ("get_architecture", "list_architectures"),
+    },
+)

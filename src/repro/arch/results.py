@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
@@ -12,6 +13,11 @@ from repro.obs.metrics import CounterSet, strict_counters
 from repro.telemetry.movement import MovementLedger
 from repro.utils.tables import TextTable
 from repro.utils.units import format_bytes
+
+
+def result_sha256(values: np.ndarray) -> str:
+    """sha256 of a kernel's result array — the bit-identity comparator."""
+    return hashlib.sha256(np.ascontiguousarray(values).tobytes()).hexdigest()
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,6 @@ import sys
 from typing import Optional, Sequence
 
 from repro import cache as repro_cache
-from repro.arch.energy import estimate_run_energy
 from repro.cli_common import (
     add_backend_arg,
     add_cache_dir_alias,
@@ -33,6 +32,7 @@ from repro.cli_common import (
 )
 from repro.obs import tracing_session
 from repro.arch.registry import get_architecture, list_architectures
+from repro.arch.results import result_sha256
 from repro.errors import ReproError
 from repro.faults.checkpoint import (
     AdaptiveCheckpoint,
@@ -47,7 +47,6 @@ from repro.partition.registry import get_partitioner, list_partitioners
 from repro.runtime.config import SystemConfig
 from repro.runtime.offload import get_policy
 from repro.telemetry.report import movement_table
-from repro.trace import trace_run, write_trace_csv, write_trace_jsonl
 from repro.utils.units import format_bytes, parse_bytes
 
 
@@ -274,8 +273,6 @@ def _run(args: argparse.Namespace) -> int:
             f"{values.size} values (min {values.min()}, max {values.max()})"
         )
         if args.result_sha:
-            from repro.serve.protocol import result_sha256
-
             print(f"result sha256: {result_sha256(values)}")
         return 0
 
@@ -324,8 +321,6 @@ def _run(args: argparse.Namespace) -> int:
                     f"{format_bytes(row.run.total_recovery_bytes)}"
                 )
         if args.result_sha:
-            from repro.serve.protocol import result_sha256
-
             print(
                 "result sha256: "
                 f"{result_sha256(comparison.rows[0].run.result_property())}"
@@ -394,21 +389,25 @@ def _run(args: argparse.Namespace) -> int:
             f"{format_bytes(run.counters['engine-peak-tracked-bytes'])}"
         )
     if args.energy:
+        from repro.arch.energy import estimate_run_energy
+
         breakdown = estimate_run_energy(run)
         print(
             f"energy: {breakdown.total_joules * 1e3:.4f} mJ "
             f"(movement {breakdown.movement_joules * 1e3:.4f}, "
             f"compute {breakdown.compute_joules * 1e3:.4f})"
         )
-    if args.trace_csv:
-        write_trace_csv(trace_run(run), args.trace_csv)
-        print(f"trace written to {args.trace_csv}")
-    if args.trace_jsonl:
-        write_trace_jsonl(trace_run(run), args.trace_jsonl)
-        print(f"trace written to {args.trace_jsonl}")
-    if args.result_sha:
-        from repro.serve.protocol import result_sha256
+    if args.trace_csv or args.trace_jsonl:
+        from repro.trace import trace_run, write_trace_csv, write_trace_jsonl
 
+        records = trace_run(run)
+        if args.trace_csv:
+            write_trace_csv(records, args.trace_csv)
+            print(f"trace written to {args.trace_csv}")
+        if args.trace_jsonl:
+            write_trace_jsonl(records, args.trace_jsonl)
+            print(f"trace written to {args.trace_jsonl}")
+    if args.result_sha:
         print(f"result sha256: {result_sha256(run.result_property())}")
     return 0
 

@@ -43,6 +43,7 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
+from repro.api import PolicySpec
 from repro.cache.keys import canonical_key
 from repro.errors import JournalError
 from repro.obs.metrics import METRICS, M
@@ -71,7 +72,6 @@ def task_to_json(task: Any) -> Dict[str, Any]:
 
 def task_from_json(record: Mapping[str, Any]) -> Any:
     """Reconstruct a ``SweepTask`` serialized by :func:`task_to_json`."""
-    from repro.api import PolicySpec
     from repro.experiments.sweep import SweepTask
     from repro.faults.schedule import FaultSpec
 

@@ -37,10 +37,9 @@ from typing import (
 if TYPE_CHECKING:  # pragma: no cover — annotation only, avoids an import cycle
     from repro.api import PolicySpec
 
-import numpy as np
-
 from repro.arch.disaggregated import DisaggregatedSimulator
 from repro.arch.disaggregated_ndp import DisaggregatedNDPSimulator
+from repro.arch.results import result_sha256
 from repro.arch.trace import record_trace
 from repro.cache import load_dataset_cached
 from repro.errors import ExperimentError
@@ -227,9 +226,7 @@ def _task_body(task: SweepTask, graph: CSRGraph, graph_name: str) -> SweepOutcom
     offload = DisaggregatedNDPSimulator(ndp_cfg, **ndp_kwargs).replay(
         trace, faults=faults
     )
-    digest = hashlib.sha256(
-        np.ascontiguousarray(fetch.result_property()).tobytes()
-    ).hexdigest()
+    digest = result_sha256(fetch.result_property())
     ledger_digest = hashlib.sha256(
         json.dumps(
             {"fetch": fetch.ledger.breakdown(), "offload": offload.ledger.breakdown()},

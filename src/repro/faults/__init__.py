@@ -13,30 +13,18 @@ sees, exactly like the paper's run-once/account-per-deployment methodology.
 See ``docs/fault-model.md`` for the taxonomy and the cost formulas.
 """
 
-from repro.faults.checkpoint import (
-    AdaptiveCheckpoint,
-    CheckpointPolicy,
-    EveryKCheckpoint,
-    NoCheckpoint,
-    get_checkpoint_policy,
-    list_checkpoint_policies,
-)
-from repro.faults.events import FaultEvent, FaultKind
-from repro.faults.recovery import FaultRuntime, FaultsLike, as_schedule
-from repro.faults.schedule import FaultSchedule, FaultSpec
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "AdaptiveCheckpoint",
-    "CheckpointPolicy",
-    "EveryKCheckpoint",
-    "FaultEvent",
-    "FaultKind",
-    "FaultRuntime",
-    "FaultSchedule",
-    "FaultSpec",
-    "FaultsLike",
-    "NoCheckpoint",
-    "as_schedule",
-    "get_checkpoint_policy",
-    "list_checkpoint_policies",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        ".checkpoint": (
+            "AdaptiveCheckpoint", "CheckpointPolicy", "EveryKCheckpoint",
+            "NoCheckpoint", "get_checkpoint_policy",
+            "list_checkpoint_policies",
+        ),
+        ".events": ("FaultEvent", "FaultKind"),
+        ".recovery": ("FaultRuntime", "FaultsLike", "as_schedule"),
+        ".schedule": ("FaultSchedule", "FaultSpec"),
+    },
+)

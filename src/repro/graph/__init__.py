@@ -1,46 +1,23 @@
 """Graph substrate: CSR representation, builders, generators, datasets, I/O."""
 
-from repro.graph.csr import CSRGraph
-from repro.graph.builder import GraphBuilder, from_edge_array
-from repro.graph.generators import (
-    barabasi_albert,
-    complete_graph,
-    erdos_renyi,
-    grid_graph,
-    path_graph,
-    ring_graph,
-    rmat,
-    star_graph,
-    watts_strogatz,
-)
-from repro.graph.datasets import DatasetSpec, load_dataset, list_datasets
-from repro.graph.properties import VertexPropertyStore
-from repro.graph.stats import GraphStats, compute_stats, degree_histogram
-from repro.graph import io
-from repro.graph.traversal import bfs_levels, bfs_parents, connected_component_sizes
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "CSRGraph",
-    "GraphBuilder",
-    "from_edge_array",
-    "rmat",
-    "erdos_renyi",
-    "barabasi_albert",
-    "watts_strogatz",
-    "grid_graph",
-    "ring_graph",
-    "star_graph",
-    "path_graph",
-    "complete_graph",
-    "DatasetSpec",
-    "load_dataset",
-    "list_datasets",
-    "VertexPropertyStore",
-    "GraphStats",
-    "compute_stats",
-    "degree_histogram",
-    "io",
-    "bfs_levels",
-    "bfs_parents",
-    "connected_component_sizes",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        ".csr": ("CSRGraph",),
+        ".builder": ("GraphBuilder", "from_edge_array"),
+        ".generators": (
+            "rmat", "erdos_renyi", "barabasi_albert", "watts_strogatz",
+            "grid_graph", "ring_graph", "star_graph", "path_graph",
+            "complete_graph",
+        ),
+        ".datasets": ("DatasetSpec", "load_dataset", "list_datasets"),
+        ".properties": ("VertexPropertyStore",),
+        ".stats": ("GraphStats", "compute_stats", "degree_histogram"),
+        ".io": ("io",),
+        ".traversal": (
+            "bfs_levels", "bfs_parents", "connected_component_sizes",
+        ),
+    },
+)

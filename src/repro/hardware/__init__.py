@@ -1,39 +1,19 @@
 """Device capability models for the emerging NDP hardware tier (Table I)."""
 
-from repro.hardware.device import DeviceClass, DeviceModel
-from repro.hardware.catalog import (
-    CXL_CMS,
-    CXL_PNM,
-    HOST_XEON,
-    SHARP_SWITCH,
-    SWITCHML_TOFINO,
-    UPMEM_PIM,
-    device_catalog,
-    get_device,
-    list_devices,
-)
-from repro.hardware.capabilities import (
-    OffloadCheck,
-    check_offload,
-    supported_kernels,
-)
-from repro.hardware.energy import EnergyModel, estimate_energy
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "DeviceClass",
-    "DeviceModel",
-    "CXL_CMS",
-    "CXL_PNM",
-    "UPMEM_PIM",
-    "SWITCHML_TOFINO",
-    "SHARP_SWITCH",
-    "HOST_XEON",
-    "device_catalog",
-    "get_device",
-    "list_devices",
-    "OffloadCheck",
-    "check_offload",
-    "supported_kernels",
-    "EnergyModel",
-    "estimate_energy",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        ".device": ("DeviceClass", "DeviceModel"),
+        ".catalog": (
+            "CXL_CMS", "CXL_PNM", "UPMEM_PIM", "SWITCHML_TOFINO",
+            "SHARP_SWITCH", "HOST_XEON", "device_catalog", "get_device",
+            "list_devices",
+        ),
+        ".capabilities": (
+            "OffloadCheck", "check_offload", "supported_kernels",
+        ),
+        ".energy": ("EnergyModel", "estimate_energy"),
+    },
+)

@@ -1,42 +1,25 @@
 """Graph analytics kernels in the traverse/apply/update vertex-program model."""
 
-from repro.kernels.base import (
-    ComputeProfile,
-    KernelState,
-    MessageSpec,
-    VertexProgram,
-)
-from repro.kernels.pagerank import PageRank
-from repro.kernels.bfs import BFS
-from repro.kernels.sssp import SSSP
-from repro.kernels.cc import ConnectedComponents
-from repro.kernels.degree import DegreeCentrality
-from repro.kernels.kcore import KCore
-from repro.kernels.triangle import TriangleCounting
-from repro.kernels.betweenness import ApproxBetweenness
-from repro.kernels.ppr import PersonalizedPageRank
-from repro.kernels.scc import StronglyConnectedComponents
-from repro.kernels.widest_path import WidestPath
-from repro.kernels.registry import get_kernel, list_kernels
-from repro.kernels import reference
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "VertexProgram",
-    "KernelState",
-    "MessageSpec",
-    "ComputeProfile",
-    "PageRank",
-    "BFS",
-    "SSSP",
-    "ConnectedComponents",
-    "DegreeCentrality",
-    "KCore",
-    "TriangleCounting",
-    "ApproxBetweenness",
-    "PersonalizedPageRank",
-    "WidestPath",
-    "StronglyConnectedComponents",
-    "get_kernel",
-    "list_kernels",
-    "reference",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        ".base": (
+            "VertexProgram", "KernelState", "MessageSpec", "ComputeProfile",
+        ),
+        ".pagerank": ("PageRank",),
+        ".bfs": ("BFS",),
+        ".sssp": ("SSSP",),
+        ".cc": ("ConnectedComponents",),
+        ".degree": ("DegreeCentrality",),
+        ".kcore": ("KCore",),
+        ".triangle": ("TriangleCounting",),
+        ".betweenness": ("ApproxBetweenness",),
+        ".ppr": ("PersonalizedPageRank",),
+        ".widest_path": ("WidestPath",),
+        ".scc": ("StronglyConnectedComponents",),
+        ".registry": ("get_kernel", "list_kernels"),
+        ".reference": ("reference",),
+    },
+)

@@ -1,15 +1,13 @@
 """Interconnect models: alpha-beta links, star topology, INC switch."""
 
-from repro.net.link import Link, LinkClass
-from repro.net.messages import Transfer
-from repro.net.switch import AggregationOutcome, SwitchModel
-from repro.net.topology import ClusterTopology
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Link",
-    "LinkClass",
-    "Transfer",
-    "SwitchModel",
-    "AggregationOutcome",
-    "ClusterTopology",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        ".link": ("Link", "LinkClass"),
+        ".messages": ("Transfer",),
+        ".switch": ("SwitchModel", "AggregationOutcome"),
+        ".topology": ("ClusterTopology",),
+    },
+)

@@ -1,45 +1,25 @@
 """Graph partitioning: simple schemes, a from-scratch METIS-like multilevel
 partitioner, quality metrics, and Gluon-style master/mirror construction."""
 
-from repro.partition.base import (
-    PartitionAssignment,
-    Partitioner,
-    balance_ratio,
-    communication_volume,
-    edge_balance_ratio,
-    edge_cut,
-    partition_quality,
-    PartitionQuality,
-)
-from repro.partition.random_hash import HashPartitioner, RandomPartitioner
-from repro.partition.range_chunk import EdgeBalancedRangePartitioner, RangePartitioner
-from repro.partition.bfs_grow import BFSGrowPartitioner
-from repro.partition.metis import MetisPartitioner
-from repro.partition.spectral import SpectralPartitioner
-from repro.partition.streaming import LDGStreamingPartitioner
-from repro.partition.mirrors import MirrorTable, build_mirror_table, replication_factor
-from repro.partition.registry import get_partitioner, list_partitioners
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "PartitionAssignment",
-    "Partitioner",
-    "edge_cut",
-    "communication_volume",
-    "balance_ratio",
-    "edge_balance_ratio",
-    "partition_quality",
-    "PartitionQuality",
-    "HashPartitioner",
-    "RandomPartitioner",
-    "RangePartitioner",
-    "EdgeBalancedRangePartitioner",
-    "BFSGrowPartitioner",
-    "MetisPartitioner",
-    "SpectralPartitioner",
-    "LDGStreamingPartitioner",
-    "MirrorTable",
-    "build_mirror_table",
-    "replication_factor",
-    "get_partitioner",
-    "list_partitioners",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        ".base": (
+            "PartitionAssignment", "Partitioner", "edge_cut",
+            "communication_volume", "balance_ratio", "edge_balance_ratio",
+            "partition_quality", "PartitionQuality",
+        ),
+        ".random_hash": ("HashPartitioner", "RandomPartitioner"),
+        ".range_chunk": ("RangePartitioner", "EdgeBalancedRangePartitioner"),
+        ".bfs_grow": ("BFSGrowPartitioner",),
+        ".metis": ("MetisPartitioner",),
+        ".spectral": ("SpectralPartitioner",),
+        ".streaming": ("LDGStreamingPartitioner",),
+        ".mirrors": (
+            "MirrorTable", "build_mirror_table", "replication_factor",
+        ),
+        ".registry": ("get_partitioner", "list_partitioners"),
+    },
+)

@@ -9,13 +9,16 @@ partitioning sensitivity.
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from repro.graph.csr import CSRGraph
 from repro.partition.base import PartitionAssignment, Partitioner
 from repro.utils.rng import SeedLike, ensure_rng
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 
 class SpectralPartitioner(Partitioner):
@@ -86,8 +89,10 @@ class SpectralPartitioner(Partitioner):
         largest component is ordered internally by its own Fiedler vector —
         the cut then crosses only that component, at its spectral boundary.
         """
+        from scipy.sparse.csgraph import connected_components
+
         n = adj.shape[0]
-        ncomp, labels = sp.csgraph.connected_components(adj, directed=False)
+        ncomp, labels = connected_components(adj, directed=False)
         if ncomp == 1:
             scores = self._fiedler_vector(adj, rng).astype(np.float64)
             order = np.argsort(scores)
@@ -111,6 +116,9 @@ class SpectralPartitioner(Partitioner):
     def _fiedler_vector(
         self, adj: sp.csr_matrix, rng: np.random.Generator
     ) -> np.ndarray:
+        import scipy.sparse as sp
+        import scipy.sparse.linalg as spla
+
         n = adj.shape[0]
         degrees = np.asarray(adj.sum(axis=1)).ravel()
         lap = sp.diags(degrees) - adj
@@ -134,6 +142,8 @@ class SpectralPartitioner(Partitioner):
 
 
 def _adjacency(graph: CSRGraph) -> sp.csr_matrix:
+    import scipy.sparse as sp
+
     src, dst = graph.edge_array()
     n = graph.num_vertices
     adj = sp.csr_matrix(

@@ -2,57 +2,26 @@
 policies, the analytic cost model, in-network aggregation planning, and
 provisioning (Section IV)."""
 
-from repro.runtime.config import SystemConfig
-from repro.runtime.offload import (
-    AdaptiveOffloadPolicy,
-    AlwaysOffload,
-    DynamicCostPolicy,
-    IterationOutlook,
-    NeverOffload,
-    OffloadPolicy,
-    OraclePolicy,
-    PerPartCostPolicy,
-    ThresholdPolicy,
-    check_policy_name,
-    get_policy,
-    list_policies,
-)
-from repro.runtime.cost_model import (
-    MovementEstimate,
-    estimate_distinct_destinations,
-    estimate_movement,
-    exact_movement,
-)
-from repro.runtime.aggregation import AggregationPlan, plan_aggregation
-from repro.runtime.provision import (
-    ProvisionPlan,
-    provision_coupled,
-    provision_disaggregated,
-    workload_demands,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "SystemConfig",
-    "OffloadPolicy",
-    "AdaptiveOffloadPolicy",
-    "AlwaysOffload",
-    "NeverOffload",
-    "ThresholdPolicy",
-    "DynamicCostPolicy",
-    "OraclePolicy",
-    "PerPartCostPolicy",
-    "IterationOutlook",
-    "check_policy_name",
-    "get_policy",
-    "list_policies",
-    "MovementEstimate",
-    "estimate_movement",
-    "exact_movement",
-    "estimate_distinct_destinations",
-    "AggregationPlan",
-    "plan_aggregation",
-    "ProvisionPlan",
-    "provision_coupled",
-    "provision_disaggregated",
-    "workload_demands",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        ".config": ("SystemConfig",),
+        ".offload": (
+            "OffloadPolicy", "AdaptiveOffloadPolicy", "AlwaysOffload",
+            "NeverOffload", "ThresholdPolicy", "DynamicCostPolicy",
+            "OraclePolicy", "PerPartCostPolicy", "IterationOutlook",
+            "check_policy_name", "get_policy", "list_policies",
+        ),
+        ".cost_model": (
+            "MovementEstimate", "estimate_movement", "exact_movement",
+            "estimate_distinct_destinations",
+        ),
+        ".aggregation": ("AggregationPlan", "plan_aggregation"),
+        ".provision": (
+            "ProvisionPlan", "provision_coupled", "provision_disaggregated",
+            "workload_demands",
+        ),
+    },
+)

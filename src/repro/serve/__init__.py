@@ -22,63 +22,24 @@ service.  The pieces, each its own module:
 See ``docs/serving.md`` for the protocol and operational story.
 """
 
-from repro.serve.admission import AdmissionController, TokenBucket
-from repro.serve.coalesce import Coalescer
-from repro.serve.config import DEFAULT_PORT, ServeConfig
-from repro.serve.executor import ServeExecutor
-from repro.serve.pool import GraphLease, GraphPool, graph_nbytes, pool_key
-from repro.serve.protocol import (
-    REQUEST_KINDS,
-    ServeRequest,
-    canonical_bytes,
-    encode_compare,
-    encode_run,
-    encode_sweep,
-    error_payload,
-    parse_request,
-    result_sha256,
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        ".admission": ("AdmissionController", "TokenBucket"),
+        ".coalesce": ("Coalescer",),
+        ".config": ("DEFAULT_PORT", "ServeConfig"),
+        ".executor": ("ServeExecutor",),
+        ".pool": ("GraphLease", "GraphPool", "graph_nbytes", "pool_key"),
+        ".protocol": (
+            "REQUEST_KINDS", "ServeRequest", "canonical_bytes",
+            "encode_compare", "encode_run", "encode_sweep", "error_payload",
+            "parse_request",
+        ),
+        "repro.arch.results": ("result_sha256",),
+        ".results": ("ResultCache",),
+        ".server": ("AnalyticsServer", "RequestTimeout", "ServerThread"),
+        ".loadgen": ("DEFAULT_MIX", "LoadReport", "run_load", "run_load_sync"),
+    },
 )
-from repro.serve.results import ResultCache
-from repro.serve.server import AnalyticsServer, RequestTimeout, ServerThread
-
-#: loadgen re-exports are lazy so ``python -m repro.serve.loadgen`` does
-#: not trip runpy's already-imported warning.
-_LOADGEN_NAMES = ("DEFAULT_MIX", "LoadReport", "run_load", "run_load_sync")
-
-
-def __getattr__(name):
-    if name in _LOADGEN_NAMES:
-        from repro.serve import loadgen
-
-        return getattr(loadgen, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-__all__ = [
-    "AdmissionController",
-    "AnalyticsServer",
-    "Coalescer",
-    "DEFAULT_MIX",
-    "DEFAULT_PORT",
-    "GraphLease",
-    "GraphPool",
-    "LoadReport",
-    "REQUEST_KINDS",
-    "RequestTimeout",
-    "ResultCache",
-    "ServeConfig",
-    "ServeExecutor",
-    "ServeRequest",
-    "ServerThread",
-    "TokenBucket",
-    "canonical_bytes",
-    "encode_compare",
-    "encode_run",
-    "encode_sweep",
-    "error_payload",
-    "graph_nbytes",
-    "parse_request",
-    "pool_key",
-    "result_sha256",
-    "run_load",
-    "run_load_sync",
-]

@@ -22,6 +22,11 @@ import threading
 from concurrent.futures import Future, ThreadPoolExecutor
 from typing import Any, Callable, Dict, Mapping, Optional
 
+from repro import api
+from repro.backend import numba_available
+# Loaded now rather than by the first sweep request, which forks from it.
+from repro.experiments import worker as _sweep_workers  # noqa: F401
+from repro.experiments.sweep import run_sweep
 from repro.obs.metrics import METRICS, M
 from repro.serve.pool import GraphPool
 from repro.serve.protocol import (
@@ -54,6 +59,9 @@ class ServeExecutor:
         )
         self._executions = 0
         self._lock = threading.Lock()
+        # The first run probes for numba; probe now, so the daemon reports
+        # ready with its whole execution path imported.
+        numba_available()
 
     def submit(self, request: ServeRequest) -> "Future[bytes]":
         """Schedule a request; the future resolves to canonical bytes."""
@@ -69,9 +77,6 @@ class ServeExecutor:
         return canonical_bytes(payload)
 
     def _payload(self, request: ServeRequest) -> Mapping[str, Any]:
-        from repro import api
-        from repro.experiments.sweep import run_sweep
-
         if request.kind == "run":
             with self.pool.acquire(request.spec) as lease:
                 run = api._run_resolved(

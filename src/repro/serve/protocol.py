@@ -22,14 +22,12 @@ HTTP layer carries it in ``X-Repro-*`` headers.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import dataclass, fields, replace
 from typing import Any, Dict, Mapping, Optional, Sequence, Tuple
 
-import numpy as np
-
 from repro.api import PolicySpec, RunSpec, _SPEC_FIELDS
+from repro.arch.results import result_sha256
 from repro.cache.keys import canonical_key
 from repro.errors import ConfigError
 from repro.experiments.sweep import SweepOutcome, SweepTask
@@ -244,11 +242,6 @@ def canonical_bytes(payload: Mapping[str, Any]) -> bytes:
         json.dumps(payload, sort_keys=True, separators=(",", ":"), allow_nan=False)
         + "\n"
     ).encode()
-
-
-def result_sha256(values: np.ndarray) -> str:
-    """sha256 of a kernel's result array — the bit-identity comparator."""
-    return hashlib.sha256(np.ascontiguousarray(values).tobytes()).hexdigest()
 
 
 def encode_run(spec: RunSpec, run) -> Dict[str, Any]:

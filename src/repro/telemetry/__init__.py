@@ -1,21 +1,15 @@
 """Measurement plumbing: counters, movement ledger, utilization, reports."""
 
-from repro.obs.metrics import CounterSet
-from repro.telemetry.movement import MovementLedger
-from repro.telemetry.utilization import (
-    UtilizationReport,
-    classify_utilization,
-    utilization_report,
-)
-from repro.telemetry.report import movement_table, to_csv, to_json
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "CounterSet",
-    "MovementLedger",
-    "UtilizationReport",
-    "utilization_report",
-    "classify_utilization",
-    "movement_table",
-    "to_csv",
-    "to_json",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "repro.obs.metrics": ("CounterSet",),
+        ".movement": ("MovementLedger",),
+        ".utilization": (
+            "UtilizationReport", "utilization_report", "classify_utilization",
+        ),
+        ".report": ("movement_table", "to_csv", "to_json"),
+    },
+)

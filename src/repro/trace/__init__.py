@@ -9,23 +9,16 @@ analysis, and :func:`compare_traces` answers the Fig. 7-style questions
 recorded runs.
 """
 
-from repro.trace.record import IterationRecord, trace_run
-from repro.trace.export import (
-    load_trace_csv,
-    load_trace_jsonl,
-    write_trace_csv,
-    write_trace_jsonl,
-)
-from repro.trace.analyze import TraceComparison, compare_traces, summarize_trace
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "IterationRecord",
-    "trace_run",
-    "write_trace_csv",
-    "write_trace_jsonl",
-    "load_trace_csv",
-    "load_trace_jsonl",
-    "TraceComparison",
-    "compare_traces",
-    "summarize_trace",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        ".record": ("IterationRecord", "trace_run"),
+        ".export": (
+            "write_trace_csv", "write_trace_jsonl", "load_trace_csv",
+            "load_trace_jsonl",
+        ),
+        ".analyze": ("TraceComparison", "compare_traces", "summarize_trace"),
+    },
+)

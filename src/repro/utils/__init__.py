@@ -1,48 +1,20 @@
 """Shared utilities: RNG seeding, unit formatting, validation, tables."""
 
-from repro.utils.backoff import (
-    BackoffPolicy,
-    exponential_delay,
-    retry_after_hint,
-)
-from repro.utils.rng import ensure_rng, spawn_rngs
-from repro.utils.units import (
-    format_bytes,
-    format_count,
-    format_rate,
-    parse_bytes,
-    GiB,
-    KiB,
-    MiB,
-    TiB,
-)
-from repro.utils.validation import (
-    check_dtype_integer,
-    check_in_range,
-    check_nonnegative,
-    check_positive,
-    check_type,
-)
-from repro.utils.tables import TextTable
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "BackoffPolicy",
-    "exponential_delay",
-    "retry_after_hint",
-    "ensure_rng",
-    "spawn_rngs",
-    "format_bytes",
-    "format_count",
-    "format_rate",
-    "parse_bytes",
-    "KiB",
-    "MiB",
-    "GiB",
-    "TiB",
-    "check_dtype_integer",
-    "check_in_range",
-    "check_nonnegative",
-    "check_positive",
-    "check_type",
-    "TextTable",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        ".backoff": ("BackoffPolicy", "exponential_delay", "retry_after_hint"),
+        ".rng": ("ensure_rng", "spawn_rngs"),
+        ".units": (
+            "format_bytes", "format_count", "format_rate", "parse_bytes",
+            "KiB", "MiB", "GiB", "TiB",
+        ),
+        ".validation": (
+            "check_dtype_integer", "check_in_range", "check_nonnegative",
+            "check_positive", "check_type",
+        ),
+        ".tables": ("TextTable",),
+    },
+)

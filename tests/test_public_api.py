@@ -2,19 +2,35 @@
 the quickstart path working end to end."""
 
 import dataclasses
+import importlib
 import inspect
-import warnings
+import pkgutil
 
 import numpy as np
 import pytest
 
 import repro
 
+#: the root package and every subpackage; each declares ``__all__``
+PACKAGES = ["repro"] + [
+    info.name
+    for info in pkgutil.walk_packages(repro.__path__, "repro.")
+    if info.ispkg
+]
+
 
 class TestPublicSurface:
-    def test_all_names_exist(self):
-        for name in repro.__all__:
-            assert hasattr(repro, name), name
+    @pytest.mark.parametrize("package", PACKAGES)
+    def test_all_names_exist(self, package):
+        module = importlib.import_module(package)
+        exported = module.__all__
+        assert len(set(exported)) == len(exported), "duplicate in __all__"
+        for name in exported:
+            assert hasattr(module, name), name
+        assert set(exported) <= set(dir(module))
+        namespace = {}
+        exec(f"from {package} import *", namespace)
+        assert set(exported) <= set(namespace)
 
     def test_version(self):
         assert repro.__version__.count(".") == 2
@@ -175,14 +191,3 @@ class TestFacadeSurface:
         assert spec.name.startswith("wikitalk")
         assignment = repro.partition(graph, num_parts=4, partitioner="hash")
         assert assignment.num_parts == 4
-
-    def test_compare_architectures_shim_warns(self):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            fn = repro.compare_architectures
-        assert any(
-            issubclass(w.category, DeprecationWarning) for w in caught
-        )
-        from repro.arch import compare_architectures
-
-        assert fn is compare_architectures
