@@ -17,27 +17,25 @@ A second gate covers the observability layer: the ``noop_tracer_overhead``
 section (benchmarks/test_obs_bench.py) must report a disabled-tracer
 engine overhead of at most 2%.
 
-A third gate covers the compiled execution backend: the
-``backend_micro_medium`` section of ``BENCH_backend.json``
-(benchmarks/test_backend_bench.py) must report at least a 5x numba-over-
-numpy speedup on the fused apply loop — but only when numba actually ran;
-on numpy-only machines the gate passes with a note, so the bench stays
-runnable everywhere.
+A third gate covers the serving daemon: the ``serve_throughput`` section
+of ``BENCH_serve.json`` (benchmarks/test_serve_bench.py) must report warm
+serving at least 5x the cold path, and its ``serve_overload`` section
+typed shedding with zero transport or server errors.
 
-A fifth gate covers the distributed sweep: the ``remote_scaling_medium``
+A fourth gate covers the distributed sweep: the ``remote_scaling_medium``
 section of ``BENCH_sweep.json`` (benchmarks/test_sweep_bench.py) must
 report ledger-identical outcomes across 1/2/4 workers and at least a
 1.6x two-worker speedup — the speedup floor applies only on hosts with
 two or more cores (single-core runners pass with a note).
 
-A sixth gate covers the adaptive offload controller: the
+A fifth gate covers the adaptive offload controller: the
 ``adaptive_policy_overhead`` section of ``BENCH_offload.json``
 (benchmarks/test_offload_bench.py) must report a per-iteration decision
 cycle costing at most 2% of the engine iteration it steers — the same
 bar as the observability layer.
 
-``--only`` selects which gates run: ``engine``, ``obs``, ``backend``,
-``serve``, ``sweep``, and ``offload`` each require their section; the
+``--only`` selects which gates run: ``engine``, ``obs``, ``serve``,
+``sweep``, and ``offload`` each require their section; the
 default ``all`` requires the engine section and checks the others when
 present.
 
@@ -46,8 +44,7 @@ Usage::
     python benchmarks/check_regression.py \\
         [--current benchmarks/out/BENCH_engine.json] \\
         [--baseline benchmarks/baseline/BENCH_engine.medium.json] \\
-        [--backend-current benchmarks/out/BENCH_backend.json] \\
-        [--only {all,engine,obs,backend}]
+        [--only {all,engine,obs,serve,sweep,offload}]
 """
 
 from __future__ import annotations
@@ -65,11 +62,6 @@ MAX_DROP = 0.20
 OBS_SECTION = "noop_tracer_overhead"
 OBS_METRIC = "overhead_pct"
 OBS_MAX_PCT = 2.0
-
-#: Optional gate: compiled backend speedup (benchmarks/test_backend_bench.py).
-BACKEND_SECTION = "backend_micro_medium"
-BACKEND_METRIC = "apply_speedup"
-BACKEND_MIN_SPEEDUP = 5.0
 
 #: Optional gate: serving daemon (benchmarks/test_serve_bench.py).
 SERVE_THROUGHPUT_SECTION = "serve_throughput"
@@ -103,10 +95,6 @@ def main(argv=None) -> int:
         ),
     )
     parser.add_argument(
-        "--backend-current",
-        default=str(REPO_ROOT / "benchmarks" / "out" / "BENCH_backend.json"),
-    )
-    parser.add_argument(
         "--serve-current",
         default=str(REPO_ROOT / "benchmarks" / "out" / "BENCH_serve.json"),
     )
@@ -120,16 +108,13 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--only",
-        choices=("all", "engine", "obs", "backend", "serve", "sweep", "offload"),
+        choices=("all", "engine", "obs", "serve", "sweep", "offload"),
         default="all",
         help="which gates to enforce (default: engine required, obs/"
-        "backend/serve/sweep/offload checked when their sections are "
-        "present)",
+        "serve/sweep/offload checked when their sections are present)",
     )
     args = parser.parse_args(argv)
 
-    if args.only == "backend":
-        return _check_backend(args.backend_current, required=True)
     if args.only == "serve":
         return _check_serve(args.serve_current, required=True)
     if args.only == "sweep":
@@ -197,14 +182,8 @@ def main(argv=None) -> int:
             )
             return 1
 
-    # Like the obs gate, the backend gate is advisory-by-presence under
+    # Like the obs gate, the serve gate is advisory-by-presence under
     # --only all: its bench writes a separate file, checked when there.
-    if args.only == "all" and Path(args.backend_current).exists():
-        code = _check_backend(args.backend_current, required=False)
-        if code:
-            return code
-
-    # The serve gate follows the same advisory-by-presence rule.
     if args.only == "all" and Path(args.serve_current).exists():
         code = _check_serve(args.serve_current, required=False)
         if code:
@@ -223,54 +202,6 @@ def main(argv=None) -> int:
             return code
 
     print("bench-regression: OK")
-    return 0
-
-
-def _check_backend(path: str, *, required: bool) -> int:
-    """Gate the compiled-backend speedup recorded in BENCH_backend.json.
-
-    The minimum speedup is only enforced when the bench actually ran
-    numba; a numpy-only environment records ``numba_available: false``
-    and passes with a note (the bit-identity tests, not this gate, are
-    what guard correctness there).
-    """
-    try:
-        doc = json.loads(Path(path).read_text())
-    except FileNotFoundError:
-        print(
-            f"bench-regression: {path} missing — run "
-            "pytest benchmarks/test_backend_bench.py first",
-            file=sys.stderr,
-        )
-        return 2
-    if BACKEND_SECTION not in doc:
-        print(
-            f"bench-regression: section {BACKEND_SECTION!r} missing from "
-            f"{path}",
-            file=sys.stderr,
-        )
-        return 2
-    section = doc[BACKEND_SECTION]
-    if not section.get("numba_available", False):
-        print(
-            "bench-regression: backend gate skipped — numba not installed, "
-            "numpy oracle is the only backend (OK)"
-        )
-        return 0
-    speedup = float(section[BACKEND_METRIC])
-    print(
-        f"bench-regression: {BACKEND_SECTION}.{BACKEND_METRIC} = "
-        f"{speedup:.2f}x (min {BACKEND_MIN_SPEEDUP:.1f}x)"
-    )
-    if speedup < BACKEND_MIN_SPEEDUP:
-        print(
-            f"bench-regression: FAIL — compiled backend speedup "
-            f"{speedup:.2f}x below the {BACKEND_MIN_SPEEDUP:.1f}x floor",
-            file=sys.stderr,
-        )
-        return 1
-    if required:
-        print("bench-regression: OK")
     return 0
 
 

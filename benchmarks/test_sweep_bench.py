@@ -11,9 +11,8 @@ not a result.
 
 The acceptance bar is >= 1.6x at two workers (gated via
 ``check_regression.py --only sweep``); four-worker scaling is recorded
-as informational since CI core counts vary.  Like the compiled-backend
-gate on numpy-only machines, the speedup floor is only enforced when the
-host has at least two cores — compute-bound workers cannot scale past
+as informational since CI core counts vary.  The speedup floor is only
+enforced when the host has at least two cores — compute-bound workers cannot scale past
 the physical core count, and a single-core runner records the curve
 (and still asserts outcome identity) without failing the suite.
 

@@ -67,7 +67,6 @@ numerics::
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, fields, replace
 from typing import Any, Callable, Dict, Mapping, Optional, Sequence, Tuple
 
@@ -76,7 +75,6 @@ import numpy as np
 from repro.arch.compare import compare_architectures
 from repro.arch.registry import get_architecture
 from repro.arch.trace import ExecutionTrace, record_trace
-from repro.backend import BACKEND_CHOICES
 from repro.cache import load_dataset_cached
 from repro.cache.keys import canonical_key
 from repro.errors import ConfigError, KernelError
@@ -260,10 +258,6 @@ class PolicySpec:
         )
 
 
-#: One-shot flag for the bare-string ``RunSpec.policy`` deprecation.
-_warned_string_policy = False
-
-
 @dataclass(frozen=True, kw_only=True)
 class RunSpec:
     """Frozen description of one workload — the facade's value object.
@@ -281,46 +275,27 @@ class RunSpec:
     scale_shift: int = 0
     partitions: int = 8
     partitioner: Optional[str] = None
-    #: offload-policy selection (NDP-capable architectures).  A
-    #: :class:`PolicySpec`; plain strings and ``{"name": ..., "params":
-    #: ...}`` mappings are converted for back compatibility (strings with
-    #: a one-shot DeprecationWarning).
+    #: offload-policy selection (NDP-capable architectures); build one from
+    #: a string or mapping with :meth:`PolicySpec.parse`
     policy: Optional[PolicySpec] = None
     source: Optional[int] = None
     max_iterations: Optional[int] = None
     memory_budget_bytes: Optional[int] = None
     fault_seed: Optional[int] = None
     replication_factor: int = 1
-    #: execution backend for the engine hot loops — "auto" (numba when
-    #: importable, else numpy), "numpy" (the oracle), or "numba".
-    #: Bit-identical results either way; only speed changes.
-    backend: str = "auto"
 
     def __post_init__(self) -> None:
         if self.policy is not None and not isinstance(self.policy, PolicySpec):
-            if isinstance(self.policy, str):
-                global _warned_string_policy
-                if not _warned_string_policy:
-                    _warned_string_policy = True
-                    warnings.warn(
-                        "RunSpec(policy=<str>) is deprecated; pass a "
-                        "repro.PolicySpec (e.g. PolicySpec('threshold', "
-                        "{'min_avg_degree': 2.0}))",
-                        DeprecationWarning,
-                        stacklevel=3,
-                    )
-            object.__setattr__(self, "policy", PolicySpec.parse(self.policy))
+            raise ConfigError(
+                f"policy must be a PolicySpec, got {type(self.policy).__name__} "
+                f"{self.policy!r}; build one with PolicySpec.parse"
+            )
         if self.partitions < 1:
             raise ConfigError(f"partitions must be >= 1, got {self.partitions}")
         if self.replication_factor < 1:
             raise ConfigError(
                 "replication_factor must be >= 1, got "
                 f"{self.replication_factor}"
-            )
-        if self.backend not in BACKEND_CHOICES:
-            raise ConfigError(
-                f"backend must be one of {', '.join(BACKEND_CHOICES)}, "
-                f"got {self.backend!r}"
             )
 
     def digest(self) -> str:
@@ -335,6 +310,9 @@ class RunSpec:
         can share one execution.
         """
         payload = {f.name: getattr(self, f.name) for f in fields(self)}
+        # A fixed entry for the removed ``backend`` field keeps digests, and
+        # the result-cache keys built on them, unchanged.
+        payload["backend"] = "auto"
         if self.policy is not None:
             payload["policy"] = self.policy.to_json()
         return canonical_key("runspec", payload)
@@ -438,7 +416,6 @@ def _run_resolved(
     config = SystemConfig(
         num_memory_nodes=spec.partitions,
         memory_budget_bytes=spec.memory_budget_bytes,
-        backend=spec.backend,
     )
     kwargs: Dict[str, Any] = {}
     if spec.policy is not None:
@@ -491,7 +468,6 @@ def _compare_resolved(
     config = SystemConfig(
         num_memory_nodes=spec.partitions,
         memory_budget_bytes=spec.memory_budget_bytes,
-        backend=spec.backend,
     )
     return compare_architectures(
         graph,
@@ -529,7 +505,6 @@ class SweepSpec:
     keep_going: bool = False
     memory_budget_bytes: Optional[int] = None
     fault_seed: Optional[int] = None
-    backend: str = "auto"
     #: write-ahead journal file; arms crash-safe resumability
     journal_path: Optional[str] = None
     #: resume a journaled sweep instead of starting fresh
@@ -592,7 +567,6 @@ def sweep(
         keep_going=spec.keep_going,
         memory_budget_bytes=spec.memory_budget_bytes,
         fault_seed=spec.fault_seed,
-        backend=spec.backend,
         journal_path=spec.journal_path,
         resume=spec.resume,
         poison_threshold=spec.poison_threshold,

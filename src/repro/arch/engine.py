@@ -49,18 +49,12 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from repro.backend.base import ExecutionBackend
-from repro.backend.numpy_backend import NumpyBackend
 from repro.errors import SimulationError
 from repro.graph.csr import CSRGraph
+from repro.graph.traversal import _gather
 from repro.kernels.base import KernelState, VertexProgram
 from repro.obs.span import CATEGORY_PHASE
 from repro.partition.base import PartitionAssignment
-
-#: Default execution backend — the NumPy oracle.  Every entry point takes
-#: ``backend=None`` meaning "this": passing no backend runs the exact
-#: pre-seam code path.
-_NUMPY_BACKEND = NumpyBackend()
 
 #: Process-wide count of numeric kernel executions (traverse+reduce+apply).
 _numeric_executions = 0
@@ -459,18 +453,14 @@ def _iter_block_edges(
     all_vertices: bool,
     with_weights: bool,
     with_src: bool,
-    backend: Optional[ExecutionBackend] = None,
 ):
     """Yield ``(src, dst, weights, frontier_slice, lens)`` per streamed block.
 
     For the all-vertices frontier the per-block ``dst``/``weights`` are
     zero-copy views into the CSR arrays; the generic path gathers them.
     ``src`` and ``weights`` are ``None`` when not requested (the structural
-    pass keys edges by source *part*, never by source id).  Ragged gathers
-    on the generic path go through ``backend`` (numpy oracle by default).
+    pass keys edges by source *part*, never by source id).
     """
-    if backend is None:
-        backend = _NUMPY_BACKEND
     indptr = graph.indptr
     for b in range(bounds.size - 1):
         i0, i1 = int(bounds[b]), int(bounds[b + 1])
@@ -489,11 +479,11 @@ def _iter_block_edges(
         else:
             starts = indptr[fb]
             lens = indptr[fb + 1] - starts
-            dst = backend.gather_frontier_edges(graph.indices, starts, lens)
+            dst = _gather(graph.indices, starts, lens)
             weights = None
             if with_weights:
                 weights = (
-                    backend.gather_frontier_edges(graph.weights, starts, lens)
+                    _gather(graph.weights, starts, lens)
                     if graph.weights is not None
                     else _uniform_weights(dst.size)
                 )
@@ -510,7 +500,6 @@ def _streamed_structure(
     block_edges: int,
     scratch: ProfileScratch,
     telemetry: Optional[EngineTelemetry],
-    backend: Optional[ExecutionBackend] = None,
 ) -> FrontierStructure:
     """Blocked structural profiling: one streaming pass, bounded peak RSS.
 
@@ -538,7 +527,6 @@ def _streamed_structure(
         all_vertices=all_vertices,
         with_weights=False,
         with_src=False,
-        backend=backend,
     ):
         parts_b = np.repeat(parts[fb], lens_b)
         mark[dst_b] = epoch
@@ -599,7 +587,6 @@ def frontier_structure(
     cache: Optional[StructuralProfileCache] = None,
     memory_budget_bytes: Optional[int] = None,
     telemetry: Optional[EngineTelemetry] = None,
-    backend: Optional[ExecutionBackend] = None,
 ) -> FrontierStructure:
     """Structural profiling step: everything accounting needs except values.
 
@@ -607,12 +594,8 @@ def frontier_structure(
     reuses the previous iteration's arrays instead of re-gathering and
     re-scanning them.  With a ``memory_budget_bytes``, a frontier whose
     gathered edge set would exceed the budget is profiled block by block
-    (see :func:`_streamed_structure`) with identical outputs.  ``backend``
-    executes the ragged gathers (numpy oracle by default); the gathered
-    arrays are pure copies, so the choice never affects contents.
+    (see :func:`_streamed_structure`) with identical outputs.
     """
-    if backend is None:
-        backend = _NUMPY_BACKEND
     if cache is not None:
         entry = cache.lookup(graph, frontier, assignment)
         if entry is not None:
@@ -652,7 +635,6 @@ def frontier_structure(
             block_edges=int(block_edges),
             scratch=scratch,
             telemetry=telemetry,
-            backend=backend,
         )
         if cache is not None:
             cache.store(graph, assignment, entry)
@@ -672,7 +654,7 @@ def frontier_structure(
         src_parts = assignment.edge_source_parts(graph)
     else:
         src, dst, weights, src_parts = _gather_frontier_edges(
-            graph, frontier, assignment, backend=backend
+            graph, frontier, assignment
         )
     edges_traversed = int(dst.size)
 
@@ -734,7 +716,6 @@ def apply_numeric(
     *,
     telemetry: Optional[EngineTelemetry] = None,
     tracer=None,
-    backend: Optional[ExecutionBackend] = None,
 ) -> np.ndarray:
     """Numeric execution step: traverse → reduce → apply; returns ``changed``.
 
@@ -749,17 +730,10 @@ def apply_numeric(
     floating-point accumulation order — and thus the results — exactly
     unchanged.
 
-    ``backend`` executes the reduce (and, when it can fuse the kernel's
-    declared edge op, the message generation too); the numpy oracle runs
-    by default.  Backends are order-preserving by contract, so results are
-    bit-identical across them.
-
     An enabled ``tracer`` wraps the reduce in a ``traverse`` span and the
     kernel apply in an ``apply`` span; the cost when disabled is a single
     truthiness check — never per-edge work.
     """
-    if backend is None:
-        backend = _NUMPY_BACKEND
     if tracer is not None and tracer.enabled:
         with tracer.span(
             "traverse",
@@ -767,10 +741,9 @@ def apply_numeric(
             edges=structure.edges_traversed,
             streamed=structure.streamed,
             blocks=structure.num_blocks,
-            backend=backend.name,
         ):
             touched, reduced = _traverse_reduce(
-                kernel, state, structure, telemetry, backend
+                kernel, state, structure, telemetry
             )
         with tracer.span(
             "apply", category=CATEGORY_PHASE, touched=int(touched.size)
@@ -780,9 +753,7 @@ def apply_numeric(
             )
             span.set_attr("changed", int(changed.size))
         return changed
-    touched, reduced = _traverse_reduce(
-        kernel, state, structure, telemetry, backend
-    )
+    touched, reduced = _traverse_reduce(kernel, state, structure, telemetry)
     return np.asarray(kernel.apply(state, touched, reduced), dtype=np.int64)
 
 
@@ -791,21 +762,18 @@ def _traverse_reduce(
     state: KernelState,
     structure: FrontierStructure,
     telemetry: Optional[EngineTelemetry],
-    backend: ExecutionBackend,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """The traverse → reduce halves of :func:`apply_numeric`.
 
-    Each edge batch first offers the backend its fused
-    ``apply_numeric`` primitive; when the backend declines (numpy always
-    does), messages are materialized through the kernel's
-    ``edge_messages`` oracle hook and reduced with ``segment_reduce``.
+    Each edge batch's messages come from the kernel's ``edge_messages``
+    hook and are reduced with :meth:`MessageSpec.combine_at`.
     """
     global _numeric_executions
     _numeric_executions += 1
 
     touched = structure.touched
-    identity = kernel.message.identity
-    reduce_op = kernel.message.reduce
+    message = kernel.message
+    identity = message.identity
     if structure.edges_traversed and structure.streamed:
         graph = state.graph
         acc = state.scratch_accumulator(identity)
@@ -819,39 +787,29 @@ def _traverse_reduce(
             all_vertices=structure.all_vertices,
             with_weights=True,
             with_src=True,
-            backend=backend,
         ):
-            if backend.apply_numeric(
-                kernel, state, acc, src_b, dst_b, weights_b
-            ):
-                if telemetry is not None:
-                    telemetry.track(src_b.nbytes + 8 * dst_b.size)
-                continue
             values = kernel.edge_messages(state, src_b, dst_b, weights_b)
             if values.shape != dst_b.shape:
                 raise SimulationError(
                     f"kernel {kernel.name!r} returned {values.shape} message "
                     f"values for {dst_b.shape} edges"
                 )
-            backend.segment_reduce(acc, dst_b, values, reduce_op)
+            message.combine_at(acc, dst_b, values)
             if telemetry is not None:
                 telemetry.track(src_b.nbytes + values.nbytes)
         reduced = acc[touched]
         acc[touched] = identity
     elif structure.edges_traversed:
         acc = state.scratch_accumulator(identity)
-        if not backend.apply_numeric(
-            kernel, state, acc, structure.src, structure.dst, structure.weights
-        ):
-            values = kernel.edge_messages(
-                state, structure.src, structure.dst, structure.weights
+        values = kernel.edge_messages(
+            state, structure.src, structure.dst, structure.weights
+        )
+        if values.shape != structure.dst.shape:
+            raise SimulationError(
+                f"kernel {kernel.name!r} returned {values.shape} message values "
+                f"for {structure.dst.shape} edges"
             )
-            if values.shape != structure.dst.shape:
-                raise SimulationError(
-                    f"kernel {kernel.name!r} returned {values.shape} message values "
-                    f"for {structure.dst.shape} edges"
-                )
-            backend.segment_reduce(acc, structure.dst, values, reduce_op)
+        message.combine_at(acc, structure.dst, values)
         reduced = acc[touched]
         # Restore the touched slots so the persistent scratch buffer is
         # all-identity again for the next iteration.
@@ -872,7 +830,6 @@ def execute_iteration(
     memory_budget_bytes: Optional[int] = None,
     telemetry: Optional[EngineTelemetry] = None,
     tracer=None,
-    backend: Optional[ExecutionBackend] = None,
 ) -> IterationProfile:
     """Run one iteration and return its structural profile.
 
@@ -880,9 +837,7 @@ def execute_iteration(
     kernel's own hooks.  ``cache`` enables structural-profile reuse across
     iterations with identical frontiers; ``memory_budget_bytes`` bounds the
     per-iteration working set via blocked edge streaming; ``telemetry``
-    collects peak tracked bytes and block counts; ``backend`` selects the
-    execution backend for the gather/reduce hot loops (numpy oracle when
-    ``None``).  An enabled ``tracer`` records ``profile`` / ``traverse`` /
+    collects peak tracked bytes and block counts.  An enabled ``tracer`` records ``profile`` / ``traverse`` /
     ``apply`` phase spans; ``None`` (or a disabled tracer) costs one
     truthiness check per phase.
     """
@@ -908,7 +863,6 @@ def execute_iteration(
                 cache=cache,
                 memory_budget_bytes=memory_budget_bytes,
                 telemetry=telemetry,
-                backend=backend,
             )
             span.set_attrs(
                 edges=structure.edges_traversed,
@@ -924,15 +878,9 @@ def execute_iteration(
             cache=cache,
             memory_budget_bytes=memory_budget_bytes,
             telemetry=telemetry,
-            backend=backend,
         )
     changed = apply_numeric(
-        kernel,
-        state,
-        structure,
-        telemetry=telemetry,
-        tracer=tracer,
-        backend=backend,
+        kernel, state, structure, telemetry=telemetry, tracer=tracer
     )
 
     changed_mirror_pairs = 0
@@ -970,7 +918,6 @@ def _gather_frontier_edges(
     graph: CSRGraph,
     frontier: np.ndarray,
     assignment: Optional[PartitionAssignment] = None,
-    backend: Optional[ExecutionBackend] = None,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, Optional[np.ndarray]]:
     """All out-edges of the frontier as (src, dst, weight, src_part) arrays.
 
@@ -980,8 +927,6 @@ def _gather_frontier_edges(
     given.  The all-vertices case never reaches here — it reuses the
     assignment's precomputed per-edge part array directly.
     """
-    if backend is None:
-        backend = _NUMPY_BACKEND
     if frontier.size == 0:
         empty = np.empty(0, dtype=np.int64)
         return empty, empty, np.empty(0), (
@@ -989,10 +934,10 @@ def _gather_frontier_edges(
         )
     starts = graph.indptr[frontier]
     lens = graph.indptr[frontier + 1] - starts
-    dst = backend.gather_frontier_edges(graph.indices, starts, lens)
+    dst = _gather(graph.indices, starts, lens)
     src = np.repeat(frontier, lens)
     if graph.weights is not None:
-        weights = backend.gather_frontier_edges(graph.weights, starts, lens)
+        weights = _gather(graph.weights, starts, lens)
     else:
         weights = _uniform_weights(dst.size)
     src_parts = None

@@ -92,7 +92,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
     from repro.experiments.worker import ForkedFleet
 
 #: wire protocol version; a mismatched worker is rejected at handshake
-PROTOCOL_VERSION = 1
+PROTOCOL_VERSION = 2
 
 #: per-line read ceiling — control messages only (artifacts are shipped
 #: as length-prefixed binary after an ``artifact`` header, not as lines)

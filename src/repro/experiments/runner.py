@@ -19,11 +19,8 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from repro.cli_common import (
-    add_backend_arg,
-    add_cache_dir_alias,
     add_fault_seed_arg,
     add_jobs_arg,
-    add_memory_budget_alias,
     add_observability_args,
     add_policy_arg,
 )
@@ -42,7 +39,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub.add_parser("list", help="list experiment ids")
 
-    run_p = sub.add_parser("run", help="run one experiment (or 'all')")
+    run_p = sub.add_parser(
+        "run", help="run one experiment (or 'all')", allow_abbrev=False
+    )
     run_p.add_argument("experiment", help="experiment id or 'all'")
     run_p.add_argument(
         "--tier",
@@ -67,8 +66,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     add_jobs_arg(run_p)
     add_fault_seed_arg(run_p)
-    add_backend_arg(run_p)
-    add_memory_budget_alias(run_p)
     add_observability_args(run_p)
     add_policy_arg(run_p)
     run_p.add_argument(
@@ -100,7 +97,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="regenerate everything, ignoring $REPRO_CACHE_DIR",
     )
-    add_cache_dir_alias(cache_mode)
     fail_mode = run_p.add_mutually_exclusive_group()
     fail_mode.add_argument(
         "--keep-going",
@@ -235,7 +231,6 @@ def run_experiment(
     keep_going: bool = False,
     memory_budget_bytes: Optional[int] = None,
     fault_seed: Optional[int] = None,
-    backend: str = "auto",
     journal_path: Optional[str] = None,
     resume: bool = False,
     poison_threshold: Optional[int] = None,
@@ -271,7 +266,6 @@ def run_experiment(
             keep_going=keep_going,
             memory_budget_bytes=memory_budget_bytes,
             fault_seed=fault_seed,
-            backend=backend,
             journal_path=journal_path,
             resume=resume,
             poison_threshold=poison_threshold,
@@ -397,7 +391,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                     keep_going=args.keep_going,
                     memory_budget_bytes=budget,
                     fault_seed=args.fault_seed,
-                    backend=args.backend,
                     journal_path=args.journal,
                     resume=args.resume,
                     poison_threshold=args.quarantine_after,

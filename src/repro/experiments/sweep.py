@@ -94,9 +94,6 @@ class SweepTask:
     #: optional engine memory budget; over it, edge transients stream in
     #: blocks (bit-identical profiles/numerics, see the engine docs)
     memory_budget_bytes: Optional[int] = None
-    #: execution backend for the engine hot loops ("auto" picks numba when
-    #: installed; results are bit-identical across backends)
-    backend: str = "auto"
     #: optional offload policy for the disaggregated-NDP replay
     #: (:class:`repro.api.PolicySpec`; default keeps AlwaysOffload)
     policy: Optional["PolicySpec"] = None
@@ -198,7 +195,6 @@ def _task_body(task: SweepTask, graph: CSRGraph, graph_name: str) -> SweepOutcom
     config = SystemConfig(
         num_memory_nodes=task.partitions,
         memory_budget_bytes=task.memory_budget_bytes,
-        backend=task.backend,
     )
     trace = record_trace(
         graph,
@@ -210,7 +206,6 @@ def _task_body(task: SweepTask, graph: CSRGraph, graph_name: str) -> SweepOutcom
         seed=task.seed,
         with_mirrors=False,
         memory_budget_bytes=task.memory_budget_bytes,
-        backend=task.backend,
     )
     # One schedule built up front serves both replays — identical events.
     faults = (
@@ -524,13 +519,13 @@ def _dry_run_result(tasks: Sequence[SweepTask], *, jobs: int) -> ExperimentResul
     """
     digest = sweep_digest(tasks)
     table = TextTable(
-        ["#", "workload", "tier", "seed", "backend", "task digest"],
+        ["#", "workload", "tier", "seed", "task digest"],
         title=f"Sweep dry run — {len(tasks)} workloads, jobs={max(jobs, 1)}",
     )
     tasks_data: Dict[str, object] = {}
     for idx, task in enumerate(tasks):
         tdig = task_digest(task)
-        table.add_row(idx, task.label, task.tier, task.seed, task.backend, tdig[:12])
+        table.add_row(idx, task.label, task.tier, task.seed, tdig[:12])
         tasks_data[task.label] = {
             "index": idx,
             "dataset": task.dataset,
@@ -564,7 +559,6 @@ def run(
     keep_going: bool = False,
     memory_budget_bytes: Optional[int] = None,
     fault_seed: Optional[int] = None,
-    backend: str = "auto",
     journal_path: Optional[str] = None,
     resume: bool = False,
     poison_threshold: Optional[int] = None,
@@ -577,10 +571,7 @@ def run(
     """Sweep experiment entry point (``repro-experiments sweep``).
 
     ``fault_seed`` injects the standard mixed-fault schedule (see
-    :meth:`FaultSpec.standard`) into every workload.  ``backend`` selects
-    the engine execution backend for every workload's recording pass;
-    workers inherit the choice through the task, and numba's on-disk JIT
-    cache keeps the per-worker compile cost a one-time bill.  When a
+    :meth:`FaultSpec.standard`) into every workload.  When a
     tracer is active (``repro-experiments --trace-out``), each task
     records its own span batch — in-process or on a worker — and the
     batches are adopted into one parent ``sweep`` span, so the timeline
@@ -609,8 +600,6 @@ def run(
             replace(task, memory_budget_bytes=memory_budget_bytes)
             for task in chosen
         ]
-    if backend != "auto":
-        chosen = [replace(task, backend=backend) for task in chosen]
     if fault_seed is not None:
         chosen = [
             replace(

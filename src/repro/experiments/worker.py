@@ -44,7 +44,6 @@ from typing import Any, Dict, Mapping, Optional, Sequence, Set, Tuple
 import numpy as np
 
 from repro import chaos as chaos_mod
-from repro.backend import numba_available
 from repro.cache import ArtifactCache, get_cache
 from repro.cache.artifacts import graph_from_arrays, load_dataset_cached
 from repro.errors import WorkerAuthError
@@ -388,9 +387,6 @@ class ForkedFleet:
         self, host: str, port: int, token: str, graphs: Mapping[Any, Any]
     ) -> None:
         self._target = (host, port, token, graphs)
-        # A task's first run probes for numba; probe here, so the forked
-        # children inherit the answer and import nothing after the fork.
-        numba_available()
         for _ in range(self.size):
             self._fork()
 

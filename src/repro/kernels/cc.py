@@ -16,7 +16,6 @@ import numpy as np
 from repro.graph.csr import CSRGraph
 from repro.kernels.base import (
     ComputeProfile,
-    EdgeOp,
     KernelState,
     MessageSpec,
     VertexProgram,
@@ -38,8 +37,6 @@ class ConnectedComponents(VertexProgram):
         needs_int_muldiv=False,
     )
     requires_symmetric = True
-    backend_primitives = ("gather_frontier_edges", "segment_reduce", "apply_numeric")
-    edge_op = EdgeOp("src_prop", ("label",))
 
     def initial_state(
         self, graph: CSRGraph, *, source: Optional[int] = None

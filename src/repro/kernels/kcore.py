@@ -16,7 +16,6 @@ import numpy as np
 from repro.graph.csr import CSRGraph
 from repro.kernels.base import (
     ComputeProfile,
-    EdgeOp,
     KernelState,
     MessageSpec,
     VertexProgram,
@@ -45,8 +44,6 @@ class KCore(VertexProgram):
         needs_int_muldiv=False,
     )
     requires_symmetric = True
-    backend_primitives = ("gather_frontier_edges", "segment_reduce", "apply_numeric")
-    edge_op = EdgeOp("ones")
 
     def __init__(self, k: int = 3) -> None:
         if k < 1:

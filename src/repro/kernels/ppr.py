@@ -15,7 +15,6 @@ import numpy as np
 from repro.graph.csr import CSRGraph
 from repro.kernels.base import (
     ComputeProfile,
-    EdgeOp,
     KernelState,
     MessageSpec,
     VertexProgram,
@@ -40,8 +39,6 @@ class PersonalizedPageRank(VertexProgram):
         needs_int_muldiv=False,
     )
     needs_source = True
-    backend_primitives = ("gather_frontier_edges", "segment_reduce", "apply_numeric")
-    edge_op = EdgeOp("src_prop_product", ("rank", "inv_out_degree"))
 
     def __init__(
         self,

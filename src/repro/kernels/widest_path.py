@@ -15,7 +15,6 @@ import numpy as np
 from repro.graph.csr import CSRGraph
 from repro.kernels.base import (
     ComputeProfile,
-    EdgeOp,
     KernelState,
     MessageSpec,
     VertexProgram,
@@ -38,8 +37,6 @@ class WidestPath(VertexProgram):
     )
     needs_source = True
     uses_weights = True
-    backend_primitives = ("gather_frontier_edges", "segment_reduce", "apply_numeric")
-    edge_op = EdgeOp("src_prop_min_weight", ("width",))
 
     def initial_state(
         self, graph: CSRGraph, *, source: Optional[int] = None

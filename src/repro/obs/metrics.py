@@ -10,9 +10,6 @@ series that no report ever reads.
 The registry also hands out process-wide typed instruments —
 :class:`Counter`, :class:`Gauge`, :class:`Histogram` — keyed by declared
 name, for code that wants a handle instead of a string.
-
-:class:`CounterSet` used to live at ``repro.telemetry.counters``; that
-module is now a deprecation shim re-exporting this one.
 """
 
 from __future__ import annotations
@@ -321,16 +318,6 @@ class M:
     INC_PASSTHROUGH_UPDATES = METRICS.declare(
         "inc-passthrough-updates",
         description="updates the switch passed through unmerged",
-    )
-
-    # Execution-backend plan cache.
-    BACKEND_PLAN_HITS = METRICS.declare(
-        "backend.plan-cache.hits",
-        description="execution plans served from the in-process plan cache",
-    )
-    BACKEND_PLAN_MISSES = METRICS.declare(
-        "backend.plan-cache.misses",
-        description="execution plans built (and cached) on first use",
     )
 
     # Artifact cache (kinds × outcomes).

@@ -42,11 +42,6 @@ class SystemConfig:
         streams edges in CSR-ordered blocks instead of materializing them
         all at once; profiles and numerics are bit-identical either way.
         ``None`` disables streaming.
-    backend:
-        execution backend for the engine's gather/reduce hot loops —
-        ``"auto"`` (numba when importable, else numpy), ``"numpy"`` (the
-        oracle), or ``"numba"``.  Backends are bit-identical by contract;
-        this knob only changes how fast the numerics run.
     """
 
     num_compute_nodes: int = 1
@@ -60,7 +55,6 @@ class SystemConfig:
     enable_inc: bool = False
     overlap_fraction: float = 0.8
     memory_budget_bytes: Optional[int] = None
-    backend: str = "auto"
 
     def __post_init__(self) -> None:
         if self.num_compute_nodes < 1:
@@ -87,13 +81,6 @@ class SystemConfig:
             raise ConfigError(
                 f"memory_budget_bytes must be >= 1 when set, "
                 f"got {self.memory_budget_bytes}"
-            )
-        from repro.backend import BACKEND_CHOICES
-
-        if self.backend not in BACKEND_CHOICES:
-            raise ConfigError(
-                f"backend must be one of {', '.join(BACKEND_CHOICES)}, "
-                f"got {self.backend!r}"
             )
 
     # ------------------------------------------------------------------ #

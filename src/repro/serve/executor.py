@@ -1,4 +1,4 @@
-"""Execution backend of the serving daemon.
+"""Request execution for the serving daemon.
 
 A small thread pool runs admitted requests.  Each kind maps onto the
 facade's single source of truth:
@@ -23,7 +23,6 @@ from concurrent.futures import Future, ThreadPoolExecutor
 from typing import Any, Callable, Dict, Mapping, Optional
 
 from repro import api
-from repro.backend import numba_available
 # Loaded now rather than by the first sweep request, which forks from it.
 from repro.experiments import worker as _sweep_workers  # noqa: F401
 from repro.experiments.sweep import run_sweep
@@ -59,9 +58,6 @@ class ServeExecutor:
         )
         self._executions = 0
         self._lock = threading.Lock()
-        # The first run probes for numba; probe now, so the daemon reports
-        # ready with its whole execution path imported.
-        numba_available()
 
     def submit(self, request: ServeRequest) -> "Future[bytes]":
         """Schedule a request; the future resolves to canonical bytes."""

@@ -41,7 +41,7 @@ _ENVELOPE_FIELDS = frozenset({"tenant", "priority"})
 #: SweepTask fields a sweep request may set per task.
 _TASK_FIELDS = frozenset(
     {"dataset", "kernel", "partitions", "tier", "seed", "max_iterations",
-     "memory_budget_bytes", "backend", "policy"}
+     "memory_budget_bytes", "policy"}
 )
 
 _SWEEP_FIELDS = frozenset({"tasks", "jobs"}) | _ENVELOPE_FIELDS
@@ -101,7 +101,6 @@ def _task_payload(task: SweepTask) -> Dict[str, Any]:
         "seed": task.seed,
         "max_iterations": task.max_iterations,
         "memory_budget_bytes": task.memory_budget_bytes,
-        "backend": task.backend,
     }
     if task.policy is not None:
         # Absent when unset so pre-policy sweep digests stay stable.
@@ -168,9 +167,8 @@ def parse_request(kind: str, payload: Any) -> ServeRequest:
             f"valid fields: {sorted(_SPEC_FIELDS)}"
         )
     if spec_fields.get("policy") is not None:
-        # Strings/objects are the wire format for policies, not a deprecated
-        # API use — convert before RunSpec sees them so the one-shot
-        # DeprecationWarning stays reserved for Python callers.
+        # Strings and objects are the wire format for policies; RunSpec
+        # takes only a PolicySpec.
         spec_fields["policy"] = PolicySpec.parse(spec_fields["policy"])
     try:
         spec = RunSpec(**spec_fields)

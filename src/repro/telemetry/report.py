@@ -29,7 +29,7 @@ def fault_table(
 ) -> TextTable:
     """Render a run's fault/recovery counters plus recovery movement.
 
-    ``counters`` is a :class:`~repro.telemetry.counters.CounterSet` (or any
+    ``counters`` is a :class:`~repro.obs.metrics.CounterSet` (or any
     mapping) holding the ``fault-*`` / ``recovery-*`` / ``checkpoint-*``
     counters the simulators emit while a fault schedule is active.
     """
@@ -52,7 +52,7 @@ def cache_table(
 ) -> TextTable:
     """Render the artifact cache's hit/miss/write counters.
 
-    ``counters`` is a :class:`~repro.telemetry.counters.CounterSet` (or any
+    ``counters`` is a :class:`~repro.obs.metrics.CounterSet` (or any
     mapping) holding the ``cache.*`` counters an
     :class:`~repro.cache.ArtifactCache` accumulates; pass
     ``cache.counters`` directly.

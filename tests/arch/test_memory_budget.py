@@ -8,6 +8,8 @@ with and without the budget.  Telemetry records what streaming happened.
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -161,6 +163,45 @@ class TestBudgetedExecution:
         assert budgeted.edge_blocks >= budgeted.streamed_iterations
         assert plain.streamed_iterations == 0
         assert plain.edge_blocks == 0
+
+    @pytest.mark.parametrize("kernel_name", ("pagerank", "bfs", "sssp"))
+    def test_tight_budget_matches_unstreamed(self, kernel_name):
+        # Streaming under a realistic budget on a larger graph, rather
+        # than under the 1-byte budget above.
+        graph = rmat(12, 16, seed=11)
+        kernel = get_kernel(kernel_name)
+        source = int(graph.out_degrees.argmax()) if kernel.needs_source else None
+
+        def record(budget):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                return record_trace(
+                    graph,
+                    kernel,
+                    num_parts=8,
+                    source=source,
+                    max_iterations=5,
+                    seed=3,
+                    with_mirrors=False,
+                    memory_budget_bytes=budget,
+                )
+
+        streamed = record(TIGHT_BUDGET)
+        unstreamed = record(None)
+        assert streamed.streamed_iterations > 0
+        assert streamed.edge_blocks >= streamed.streamed_iterations
+        assert unstreamed.streamed_iterations == 0
+        assert streamed.num_iterations == unstreamed.num_iterations
+        np.testing.assert_array_equal(
+            kernel.result(streamed.final_state),
+            kernel.result(unstreamed.final_state),
+        )
+        for sp, up in zip(streamed.profiles, unstreamed.profiles):
+            assert sp.edges_traversed == up.edges_traversed
+            np.testing.assert_array_equal(sp.touched, up.touched)
+            np.testing.assert_array_equal(sp.changed, up.changed)
+            np.testing.assert_array_equal(sp.pair_dst, up.pair_dst)
+            np.testing.assert_array_equal(sp.pair_part, up.pair_part)
 
     def test_streamed_structure_reusable_from_cache(self):
         # A cached streamed structure must re-stream correctly on replay

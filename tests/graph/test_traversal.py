@@ -8,6 +8,7 @@ from repro.errors import GraphError
 from repro.graph.csr import CSRGraph
 from repro.graph.generators import erdos_renyi, path_graph, ring_graph, star_graph
 from repro.graph.traversal import (
+    _gather,
     bfs_levels,
     bfs_parents,
     connected_component_sizes,
@@ -42,6 +43,48 @@ class TestGather:
         g = CSRGraph.from_edges([0], [1], 4)
         out = gather_neighbor_slices(g, np.array([1, 2, 3]))
         assert out.size == 0
+
+
+INDEX_DTYPES = (np.uint32, np.int64)
+
+
+def ragged_case(seed, *, index_dtype, n_values=500, n_slices=60):
+    """Random (values, starts, lens) triple simulating CSR frontier slices."""
+    rng = np.random.default_rng(seed)
+    values = rng.standard_normal(n_values)
+    starts = rng.integers(0, n_values, size=n_slices)
+    lens = rng.integers(0, 12, size=n_slices)
+    lens = np.minimum(lens, n_values - starts)
+    return values, starts.astype(index_dtype), lens.astype(np.int64)
+
+
+class TestRaggedGather:
+    """``_gather`` is the engine's frontier gather: an exact, in-order
+    concatenation of the CSR slices, whatever the index dtype."""
+
+    @pytest.mark.parametrize("index_dtype", INDEX_DTYPES)
+    @pytest.mark.parametrize("seed", range(5))
+    def test_matches_slice_concatenation(self, seed, index_dtype):
+        values, starts, lens = ragged_case(seed, index_dtype=index_dtype)
+        want = np.concatenate(
+            [values[int(s) : int(s) + int(n)] for s, n in zip(starts, lens)]
+        )
+        np.testing.assert_array_equal(_gather(values, starts, lens), want)
+
+    def test_empty_frontier(self):
+        empty = np.empty(0, dtype=np.int64)
+        out = _gather(np.arange(10.0), empty, empty)
+        assert out.size == 0
+        assert out.dtype == np.float64
+
+    @pytest.mark.parametrize("index_dtype", INDEX_DTYPES)
+    def test_preserves_value_dtype(self, index_dtype):
+        values = np.arange(20, dtype=np.uint32)
+        starts = np.asarray([0, 10], dtype=index_dtype)
+        lens = np.asarray([5, 5], dtype=np.int64)
+        out = _gather(values, starts, lens)
+        assert out.dtype == np.uint32
+        np.testing.assert_array_equal(out, [0, 1, 2, 3, 4, 10, 11, 12, 13, 14])
 
 
 class TestBFS:

@@ -11,6 +11,38 @@ from repro.kernels.pagerank import PageRank
 from repro.kernels.registry import PAPER_KERNELS, get_kernel, list_kernels
 
 
+_UFUNCS = {"sum": np.add, "min": np.minimum, "max": np.maximum}
+
+
+def _ufunc_at_case(seed, reduce_op, index_dtype, *, n=64, edges=900):
+    """Random messages into ``n`` slots, reduced by the plain ``ufunc.at``."""
+    rng = np.random.default_rng(seed)
+    idx = rng.integers(0, n, size=edges).astype(index_dtype)
+    vals = rng.standard_normal(edges)
+    want = np.full(n, MessageSpec(8, reduce_op).identity)
+    _UFUNCS[reduce_op].at(want, idx, vals)
+    return pytest.param(
+        reduce_op, idx, vals, want,
+        id=f"ufunc-at-{seed}-{reduce_op}-{np.dtype(index_dtype).name}",
+    )
+
+
+#: hand-checked cases, then fuzzed ones whose reference is the unbuffered
+#: ``ufunc.at`` in array order (float64 sums are order-sensitive)
+COMBINE_CASES = [
+    pytest.param(op, np.array([0, 0, 1]), np.array([1.0, 2.0, 4.0]), want,
+                 id=f"{op}-expected{i}")
+    for i, (op, want) in enumerate(
+        [("sum", [3.0, 4.0]), ("min", [1.0, 4.0]), ("max", [2.0, 4.0])]
+    )
+] + [
+    _ufunc_at_case(seed, op, dtype)
+    for seed in range(3)
+    for op in ("sum", "min", "max")
+    for dtype in (np.uint32, np.int64)
+]
+
+
 class TestMessageSpec:
     def test_wire_bytes(self):
         spec = MessageSpec(value_bytes=8, reduce="sum")
@@ -29,20 +61,22 @@ class TestMessageSpec:
         with pytest.raises(KernelError):
             MessageSpec(8, "xor")
 
+    def test_unknown_reduce_op_is_named(self):
+        # combine_at dispatches on a validated op, so an unknown one is
+        # refused when the spec is built, and the error names it.
+        with pytest.raises(KernelError, match="got 'prod'"):
+            MessageSpec(8, "prod")
+
     def test_negative_bytes(self):
         with pytest.raises(KernelError):
             MessageSpec(-1, "sum")
 
-    @pytest.mark.parametrize("reduce_op,expected", [
-        ("sum", [3.0, 4.0]),
-        ("min", [1.0, 4.0]),
-        ("max", [2.0, 4.0]),
-    ])
-    def test_combine_at(self, reduce_op, expected):
+    @pytest.mark.parametrize("reduce_op,idx,vals,expected", COMBINE_CASES)
+    def test_combine_at(self, reduce_op, idx, vals, expected):
         spec = MessageSpec(8, reduce_op)
-        acc = np.full(2, spec.identity)
-        spec.combine_at(acc, np.array([0, 0, 1]), np.array([1.0, 2.0, 4.0]))
-        assert list(acc) == expected
+        acc = np.full(len(expected), spec.identity)
+        spec.combine_at(acc, idx, vals)
+        np.testing.assert_array_equal(acc, expected)
 
     def test_combine_at_duplicate_indices_unbuffered(self):
         # np.add.at semantics: every occurrence contributes.

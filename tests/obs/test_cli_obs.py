@@ -1,8 +1,10 @@
-"""CLI observability flags and deprecated-alias behavior on both CLIs."""
+"""CLI observability flags and shared flag spellings on both CLIs."""
 
 from __future__ import annotations
 
 import json
+
+import pytest
 
 from repro.cli import build_parser as run_parser
 from repro.cli import main as run_main
@@ -87,65 +89,52 @@ class TestRunTracing:
         }
 
 
-class TestDeprecatedAliases:
-    def test_run_cli_aliases_map_and_warn(self, tmp_path, capsys):
-        args = run_parser().parse_args(
-            [
-                "--dataset", "wikitalk-sim",
-                "--kernel", "pagerank",
-                "--workers", "2",
-                "--faults-seed", "5",
-                "--budget", "1G",
-                "--cache", str(tmp_path / "cache"),
-            ]
-        )
-        assert args.jobs == 2
-        assert args.fault_seed == 5
-        assert args.memory_budget == "1G"
-        assert args.cache_dir == str(tmp_path / "cache")
-        err = capsys.readouterr().err
-        assert "warning: --workers is deprecated; use --jobs" in err
-        assert "warning: --faults-seed is deprecated; use --fault-seed" in err
-        assert "warning: --budget is deprecated; use --memory-budget" in err
-        assert "warning: --cache is deprecated; use --cache-dir" in err
+#: old spellings whose hidden aliases were removed; with prefix matching
+#: off, ``--cache`` no longer resolves to ``--cache-dir`` either
+REMOVED_SPELLINGS = [
+    ("--workers", "2"),
+    ("--faults-seed", "5"),
+    ("--budget", "1G"),
+    ("--cache", "cache-dir"),
+]
 
-    def test_experiments_cli_aliases_map_and_warn(self, tmp_path, capsys):
-        args = exp_parser().parse_args(
-            [
-                "run", "sweep",
-                "--workers", "3",
-                "--faults-seed", "9",
-                "--budget", "2G",
-                "--cache", str(tmp_path / "cache"),
-            ]
-        )
-        assert args.jobs == 3
-        assert args.fault_seed == 9
-        assert args.memory_budget == "2G"
-        assert args.cache_dir == str(tmp_path / "cache")
-        err = capsys.readouterr().err
-        assert "warning: --workers is deprecated; use --jobs" in err
-        assert "warning: --faults-seed is deprecated; use --fault-seed" in err
-        assert "warning: --budget is deprecated; use --memory-budget" in err
-        assert "warning: --cache is deprecated; use --cache-dir" in err
+PARSERS = {
+    "repro-run": (
+        run_parser, ["--dataset", "wikitalk-sim", "--kernel", "pagerank"]
+    ),
+    "repro-experiments": (exp_parser, ["run", "sweep"]),
+}
 
-    def test_canonical_flags_stay_silent(self, capsys):
-        args = run_parser().parse_args(
-            [
-                "--dataset", "wikitalk-sim",
-                "--kernel", "pagerank",
-                "--jobs", "2",
-                "--fault-seed", "5",
-            ]
-        )
-        assert args.jobs == 2 and args.fault_seed == 5
-        assert "deprecated" not in capsys.readouterr().err
 
-    def test_alias_end_to_end_still_runs(self, capsys):
-        rc = run_main(RUN_ARGS + ["--workers", "1"])
-        assert rc == 0
+class TestRemovedSpellings:
+    @pytest.mark.parametrize("cli", sorted(PARSERS))
+    @pytest.mark.parametrize("flag,value", REMOVED_SPELLINGS)
+    def test_old_spelling_exits_2(self, cli, flag, value, capsys):
+        build, base = PARSERS[cli]
+        with pytest.raises(SystemExit) as exc:
+            build().parse_args(base + [flag, value])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+    def test_old_spelling_end_to_end_exits_2(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_main(RUN_ARGS + ["--workers", "1"])
+        assert exc.value.code == 2
         captured = capsys.readouterr()
-        assert "warning: --workers is deprecated" in captured.err
+        assert "unrecognized arguments: --workers" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("cli", sorted(PARSERS))
+    def test_canonical_flags_parse(self, cli, capsys):
+        build, base = PARSERS[cli]
+        args = build().parse_args(
+            base
+            + ["--jobs", "2", "--fault-seed", "5", "--memory-budget", "1G",
+               "--cache-dir", "cache-dir"]
+        )
+        assert (args.jobs, args.fault_seed) == (2, 5)
+        assert (args.memory_budget, args.cache_dir) == ("1G", "cache-dir")
+        assert capsys.readouterr().err == ""
 
 
 class TestUnifiedFlags:

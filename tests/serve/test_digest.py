@@ -59,24 +59,33 @@ def test_digest_default_vs_explicit_identical():
     assert implicit.digest() == explicit.digest()
 
 
-@pytest.mark.parametrize(
-    "change",
-    [
-        {"dataset": "livejournal-sim"},
-        {"kernel": "bfs"},
-        {"tier": "tiny"},
-        {"seed": 8},
-        {"scale_shift": 1},
-        {"partitions": 4},
-        {"partitioner": "edge-balanced"},
-        {"architecture": "host-dram"},
-        {"max_iterations": 3},
-        {"backend": "numpy"},
-        {"policy": PolicySpec("adaptive")},
-    ],
-)
+#: one changed value per RunSpec field
+FIELD_CHANGES = [
+    {"dataset": "livejournal-sim"},
+    {"kernel": "bfs"},
+    {"tier": "tiny"},
+    {"seed": 8},
+    {"scale_shift": 1},
+    {"partitions": 4},
+    {"partitioner": "edge-balanced"},
+    {"architecture": "host-dram"},
+    {"max_iterations": 3},
+    {"policy": PolicySpec("adaptive")},
+    {"source": 0},
+    {"memory_budget_bytes": 1 << 20},
+    {"fault_seed": 1},
+    {"replication_factor": 2},
+]
+
+
+@pytest.mark.parametrize("change", FIELD_CHANGES)
 def test_digest_sensitive_to_every_field(change):
     assert replace(_reference_spec(), **change).digest() != PINNED_SPEC_DIGEST
+
+
+def test_field_changes_name_every_field():
+    changed = {name for change in FIELD_CHANGES for name in change}
+    assert changed == {f.name for f in fields(RunSpec)}
 
 
 def test_digest_is_hex_sha256():

@@ -37,11 +37,14 @@ def test_parse_rejects_non_object_body():
 
 
 def test_parse_rejects_unknown_field():
-    with pytest.raises(ConfigError, match="unknown RunSpec field"):
-        parse_request(
-            "run",
-            {"dataset": "wikitalk-sim", "kernel": "pagerank", "kernle": "x"},
-        )
+    # "backend" was a RunSpec field once; a client still sending it must
+    # get a typed 400, not a silently different workload.
+    for field in ("kernle", "backend"):
+        with pytest.raises(ConfigError, match="unknown RunSpec field"):
+            parse_request(
+                "run",
+                {"dataset": "wikitalk-sim", "kernel": "pagerank", field: "x"},
+            )
 
 
 def test_parse_rejects_unknown_dataset_and_kernel():
@@ -83,20 +86,21 @@ def test_parse_sweep_rejects_empty_and_malformed_tasks():
         parse_request("sweep", {})
     with pytest.raises(ConfigError, match="missing required field"):
         parse_request("sweep", {"tasks": [{"dataset": "wikitalk-sim"}]})
-    with pytest.raises(ConfigError, match="unknown sweep task field"):
-        parse_request(
-            "sweep",
-            {
-                "tasks": [
-                    {
-                        "dataset": "wikitalk-sim",
-                        "kernel": "cc",
-                        "partitions": 4,
-                        "bogus": 1,
-                    }
-                ]
-            },
-        )
+    for field in ("bogus", "backend"):
+        with pytest.raises(ConfigError, match="unknown sweep task field"):
+            parse_request(
+                "sweep",
+                {
+                    "tasks": [
+                        {
+                            "dataset": "wikitalk-sim",
+                            "kernel": "cc",
+                            "partitions": 4,
+                            field: 1,
+                        }
+                    ]
+                },
+            )
 
 
 def test_parse_wraps_bad_types_as_config_error():
@@ -115,22 +119,18 @@ def test_parse_wraps_bad_types_as_config_error():
 
 def test_parse_run_policy_string_is_wire_format_not_deprecated():
     """The request body's ``policy`` string is the wire spelling of a
-    PolicySpec, not a use of the deprecated string API: it must parse
-    without a DeprecationWarning."""
-    import warnings
-
+    PolicySpec: the parser converts it, although ``RunSpec`` itself
+    rejects a bare string."""
     from repro.api import PolicySpec
 
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", DeprecationWarning)
-        request = parse_request(
-            "run",
-            {
-                "dataset": "wikitalk-sim",
-                "kernel": "pagerank",
-                "policy": "threshold:min_avg_degree=2.0",
-            },
-        )
+    request = parse_request(
+        "run",
+        {
+            "dataset": "wikitalk-sim",
+            "kernel": "pagerank",
+            "policy": "threshold:min_avg_degree=2.0",
+        },
+    )
     assert request.spec.policy == PolicySpec(
         "threshold", {"min_avg_degree": 2.0}
     )

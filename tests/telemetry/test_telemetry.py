@@ -5,7 +5,7 @@ import json
 import pytest
 
 from repro.net.link import LinkClass
-from repro.telemetry.counters import CounterSet
+from repro.obs.metrics import CounterSet
 from repro.telemetry.movement import MovementLedger
 from repro.telemetry.report import movement_table, to_csv, to_json
 from repro.telemetry.utilization import (

@@ -1,17 +1,15 @@
 """The typed PolicySpec API: parse grammar, normalization, digest
-participation, the string-policy deprecation shim, and the facade
+participation, the rejection of untyped policies, and the facade
 actually honouring ``spec.policy`` (it used to be silently ignored by
 ``compare``)."""
 
 from __future__ import annotations
 
 import dataclasses
-import warnings
 
 import pytest
 
 import repro
-import repro.api
 from repro.api import PolicySpec, RunSpec
 from repro.errors import ConfigError
 from repro.runtime.offload import AdaptiveOffloadPolicy, ThresholdPolicy
@@ -168,33 +166,20 @@ class TestDigestParticipation:
         assert a.digest() == b.digest()
 
 
-class TestStringPolicyShim:
-    def test_string_policy_warns_once_and_converts(self):
-        repro.api._warned_string_policy = False
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            spec = RunSpec(
-                dataset="wikitalk-sim", policy="threshold:min_avg_degree=2"
-            )
-        assert spec.policy == PolicySpec(
-            "threshold", {"min_avg_degree": 2}
-        )
-        deprecations = [
-            w for w in caught if issubclass(w.category, DeprecationWarning)
-        ]
-        assert len(deprecations) == 1
-        assert "PolicySpec" in str(deprecations[0].message)
-        # One-shot: a second string construction stays silent.
-        with warnings.catch_warnings(record=True) as again:
-            warnings.simplefilter("always")
-            RunSpec(dataset="wikitalk-sim", policy="never")
-        assert not [
-            w for w in again if issubclass(w.category, DeprecationWarning)
-        ]
+class TestStringPolicyRejected:
+    @pytest.mark.parametrize(
+        "policy", ["threshold:min_avg_degree=2", {"name": "adaptive"}]
+    )
+    def test_non_spec_policy_raises_naming_parse(self, policy):
+        with pytest.raises(ConfigError, match=r"PolicySpec\.parse"):
+            RunSpec(dataset="wikitalk-sim", policy=policy)
 
-    def test_string_and_spec_digest_identically(self):
-        repro.api._warned_string_policy = True  # silence the shim
-        as_string = RunSpec(dataset="wikitalk-sim", policy="adaptive")
+    def test_parsed_string_digests_like_spec(self):
+        # The CLIs and serve parse the string spelling before they build
+        # a RunSpec; the parse must not split the digest.
+        as_string = RunSpec(
+            dataset="wikitalk-sim", policy=PolicySpec.parse("adaptive")
+        )
         as_spec = RunSpec(
             dataset="wikitalk-sim", policy=PolicySpec("adaptive")
         )
