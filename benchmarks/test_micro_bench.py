@@ -198,8 +198,8 @@ def test_structural_profile_fast_vs_oracle(bench_out_dir):
     """The O(E) flag-array profiler must beat the sort oracle >= 3x.
 
     Measured on BFS's widest frontier at the large preset — the
-    profiling-dominated regime where the old triple ``np.unique`` pipeline
-    paid three |E| log |E| sorts per iteration.
+    profiling-dominated regime where the sort oracle pays two |E| log |E|
+    ``np.unique`` sorts per iteration.
     """
     from repro.arch.engine import prepare_graph
     from repro.kernels.registry import get_kernel

@@ -2,11 +2,14 @@
 
 Times the vectorized streaming partitioners against their scalar reference
 implementations (which are kept, verbatim, in
-``repro.partition.reference``), plus the artifact cache on the full sweep
-setup path (dataset generation -> partition -> mirror table).  The
-execute-once benchmarks emit machine-readable numbers to
-``benchmarks/out/BENCH_partition.json`` and assert the PR's acceptance
-bars: >= 3x on both partitioners at the largest scale, >= 5x on warm-cache
+``repro.partition.reference``), the graph-preparation primitives against
+the sort-based code they replaced (kept here), plus the artifact cache on
+the full sweep setup path (dataset generation -> partition -> mirror
+table).  The execute-once benchmarks emit machine-readable numbers to
+``benchmarks/out/BENCH_partition.json`` and assert same-process ratio
+bars at the largest scale: >= 3x on both partitioners, >= 5x for the
+flag-pass mirror table over ``np.unique``, >= 3x for the one-key CSR
+sort over ``np.lexsort`` in ``symmetrized()``, and >= 5x on warm-cache
 setup.
 """
 
@@ -17,7 +20,9 @@ import numpy as np
 
 from repro import cache as repro_cache
 from repro.cache.store import ArtifactCache
+from repro.graph.csr import CSRGraph
 from repro.graph.datasets import load_dataset
+from repro.partition.base import PartitionAssignment
 from repro.partition.bfs_grow import BFSGrowPartitioner
 from repro.partition.mirrors import build_mirror_table
 from repro.partition.reference import bfs_grow_reference, ldg_reference
@@ -115,25 +120,105 @@ def test_bfs_grow_vectorized_vs_reference(bench_out_dir):
     )
 
 
+def _unique_mirror_pairs(graph, assignment):
+    """The sort-based push mirror table: ``edge_array()`` + ``np.unique``."""
+    src, dst = graph.edge_array()
+    p_src = assignment.parts[src]
+    p_dst = assignment.parts[dst]
+    cross = p_src != p_dst
+    keys = np.unique(dst[cross] * np.int64(assignment.num_parts) + p_src[cross])
+    return keys // assignment.num_parts, keys % assignment.num_parts
+
+
+def _lexsort_symmetrized(graph):
+    """The two-key ``np.lexsort`` closure ``symmetrized()`` used to build."""
+    src, dst = graph.edge_array()
+    s = np.concatenate([src, dst])
+    d = np.concatenate([dst, src]).astype(np.int64)
+    order = np.lexsort((d, s))
+    s, d = s[order], d[order]
+    keep = np.empty(s.size, dtype=bool)
+    keep[0] = True
+    np.logical_or(s[1:] != s[:-1], d[1:] != d[:-1], out=keep[1:])
+    s, d = s[keep], d[keep]
+    indptr = np.zeros(graph.num_vertices + 1, dtype=np.int64)
+    np.cumsum(np.bincount(s, minlength=graph.num_vertices), out=indptr[1:])
+    return CSRGraph(indptr, d, validate=False)
+
+
 def test_mirror_build(bench_out_dir):
-    """Mirror-table construction timing at both scales (tracking only)."""
+    """Flag-pass mirror tables: equal to the ``np.unique`` oracle, >= 5x at scale.
+
+    Each round builds for a fresh assignment object, as every simulator
+    run does, so the cached per-edge source parts are paid inside the
+    timed region.
+    """
     payload = {}
     for label, tier in SCALES:
         graph = _graph(tier)
-        assignment = LDGStreamingPartitioner().partition(
-            graph, NUM_PARTS, seed=SEED
+        parts = LDGStreamingPartitioner().partition(graph, NUM_PARTS, seed=SEED).parts
+
+        def fresh():
+            return PartitionAssignment(parts, NUM_PARTS)
+
+        seconds, table = _min_of(lambda: build_mirror_table(graph, fresh()))
+        oracle_seconds, (vert, part) = _min_of(
+            lambda: _unique_mirror_pairs(graph, fresh())
         )
-        seconds, table = _min_of(
-            lambda: build_mirror_table(graph, assignment)
-        )
+        np.testing.assert_array_equal(table.mirror_vertices, vert)
+        np.testing.assert_array_equal(table.mirror_parts, part)
         payload[label] = {
             "dataset": f"{DATASET}/{tier}",
             "partitions": NUM_PARTS,
             "num_mirrors": int(table.num_mirrors),
             "seconds": seconds,
+            "oracle_seconds": oracle_seconds,
+            "speedup": oracle_seconds / seconds,
+            "bit_identical": True,
         }
     _write_bench(bench_out_dir, "mirror_build", payload)
-    assert payload[SCALES[-1][0]]["num_mirrors"] > 0
+    largest = payload[SCALES[-1][0]]
+    assert largest["num_mirrors"] > 0
+    assert largest["speedup"] >= 5.0, (
+        f"mirror-table speedup {largest['speedup']:.2f}x below the 5x bar at "
+        f"{largest['dataset']} ({largest['seconds'] * 1e3:.1f} ms vs "
+        f"{largest['oracle_seconds'] * 1e3:.1f} ms)"
+    )
+
+
+def test_csr_build(bench_out_dir):
+    """One-key ``symmetrized()``: equal to the ``np.lexsort`` oracle, >= 3x at scale.
+
+    Each round symmetrizes a fresh view of the graph, so the cached
+    closure never answers.
+    """
+    payload = {}
+    for label, tier in SCALES:
+        graph = _graph(tier)
+
+        def fresh():
+            return CSRGraph(graph.indptr, graph.indices, validate=False)
+
+        seconds, closure = _min_of(lambda: fresh().symmetrized())
+        oracle_seconds, expected = _min_of(lambda: _lexsort_symmetrized(fresh()))
+        assert closure == expected
+        payload[label] = {
+            "dataset": f"{DATASET}/{tier}",
+            "num_vertices": graph.num_vertices,
+            "num_edges": graph.num_edges,
+            "closure_edges": closure.num_edges,
+            "seconds": seconds,
+            "oracle_seconds": oracle_seconds,
+            "speedup": oracle_seconds / seconds,
+            "bit_identical": True,
+        }
+    _write_bench(bench_out_dir, "csr_build", payload)
+    largest = payload[SCALES[-1][0]]
+    assert largest["speedup"] >= 3.0, (
+        f"one-key symmetrize speedup {largest['speedup']:.2f}x below the 3x bar "
+        f"at {largest['dataset']} ({largest['seconds'] * 1e3:.1f} ms vs "
+        f"{largest['oracle_seconds'] * 1e3:.1f} ms)"
+    )
 
 
 def test_dataset_generation_cold_vs_warm(tmp_path, bench_out_dir):

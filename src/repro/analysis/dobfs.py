@@ -27,7 +27,7 @@ from repro.graph.csr import CSRGraph
 from repro.graph.traversal import gather_neighbor_slices
 from repro.kernels.base import VERTEX_ID_BYTES
 from repro.kernels.bfs import BFS
-from repro.partition.base import PartitionAssignment
+from repro.partition.base import PartitionAssignment, ProfileScratch, distinct_pairs
 from repro.partition.random_hash import HashPartitioner
 
 _DIRECTIONS = ("auto", "push", "pull")
@@ -170,12 +170,14 @@ def _push_cost(graph, frontier, parts, num_parts, kernel):
     from repro.graph.traversal import _gather
 
     dst = _gather(graph.indices, starts, lens)
-    src = np.repeat(frontier, lens)
-    if dst.size:
-        keys = np.unique(dst * np.int64(num_parts) + parts[src])
-        pairs = int(keys.size)
-    else:
-        pairs = 0
+    _, pair_dst, _, _ = distinct_pairs(
+        dst,
+        np.repeat(parts[frontier], lens),
+        num_parts,
+        graph.num_vertices,
+        ProfileScratch(),
+    )
+    pairs = int(pair_dst.size)
     from repro.runtime.cost_model import frontier_push_bytes
 
     push = frontier_push_bytes(

@@ -16,6 +16,7 @@ from repro.arch.engine import IterationProfile
 from repro.arch.results import IterationStats
 from repro.kernels.base import VERTEX_ID_BYTES
 from repro.net.link import LinkClass
+from repro.partition.base import ProfileScratch, distinct_pairs
 from repro.runtime.cost_model import edge_record_bytes
 
 
@@ -129,7 +130,11 @@ class DisaggregatedSimulator(ArchitectureSimulator):
         cross = src_host != dst_host
         if not cross.any():
             return 0
-        keys = np.unique(
-            profile.pair_dst[cross] * np.int64(hosts) + src_host[cross]
+        _, shuffled, _, _ = distinct_pairs(
+            profile.pair_dst[cross],
+            src_host[cross],
+            hosts,
+            parts.size,
+            ProfileScratch(),
         )
-        return int(keys.size) * ctx.kernel.message.wire_bytes
+        return int(shuffled.size) * ctx.kernel.message.wire_bytes

@@ -14,9 +14,10 @@ The per-iteration work is split into two halves:
   destinations per partition (``|D_p|``, the partial-update counts), the
   global distinct-destination set, and the per-destination fan-in histogram
   the switch model consumes.  The distinct sets are computed in O(|E| +
-  |V|) with epoch-stamped mark arrays and ``bincount`` passes over
-  persistent scratch buffers (:class:`ProfileScratch`) — no sorting of |E|
-  keys anywhere on the hot path.  The sort-based formulation survives as a
+  |V|) with flag arrays and ``bincount`` passes over persistent scratch
+  buffers (:func:`repro.partition.base.distinct_pairs`, the same pass
+  mirror tables and communication volume use) — no sorting of |E| keys
+  anywhere on the hot path.  The sort-based formulation survives as a
   differential oracle in :mod:`repro.arch.reference`, and the structure can
   be cached across iterations whose frontier is unchanged
   (:class:`StructuralProfileCache`) — the common case for topology-driven
@@ -54,7 +55,7 @@ from repro.graph.csr import CSRGraph
 from repro.graph.traversal import _gather
 from repro.kernels.base import KernelState, VertexProgram
 from repro.obs.span import CATEGORY_PHASE
-from repro.partition.base import PartitionAssignment
+from repro.partition.base import PartitionAssignment, ProfileScratch, distinct_pairs
 
 #: Process-wide count of numeric kernel executions (traverse+reduce+apply).
 _numeric_executions = 0
@@ -105,49 +106,6 @@ class EngineTelemetry:
         """Record one working-set observation; keeps the maximum."""
         if nbytes > self.peak_tracked_bytes:
             self.peak_tracked_bytes = int(nbytes)
-
-
-class ProfileScratch:
-    """Persistent scratch for O(|E| + |V|) structural profiling.
-
-    ``marks`` hands out an epoch-stamped int64 mark array plus a rank
-    array, both sized to the graph: bumping the epoch invalidates every
-    stale entry at once, so there is no O(|V|) clearing between iterations.
-    ``pair_flags`` is a growable bool array kept all-``False`` between
-    calls — users set the flags they need and clear exactly those back
-    (a targeted O(|pairs|) clear, not O(capacity)).
-    """
-
-    __slots__ = ("_mark", "_rank", "_epoch", "_pair_seen")
-
-    def __init__(self) -> None:
-        self._mark: Optional[np.ndarray] = None
-        self._rank: Optional[np.ndarray] = None
-        self._epoch = 0
-        self._pair_seen: Optional[np.ndarray] = None
-
-    def marks(self, n: int) -> Tuple[np.ndarray, np.ndarray, int]:
-        """Return ``(mark, rank, epoch)`` sized for ``n`` vertices."""
-        if self._mark is None or self._mark.size < n:
-            self._mark = np.zeros(max(n, 1), dtype=np.int64)
-            self._rank = np.empty(max(n, 1), dtype=np.int64)
-            self._epoch = 0
-        self._epoch += 1
-        return self._mark, self._rank, self._epoch
-
-    def pair_flags(self, capacity: int) -> np.ndarray:
-        """All-``False`` bool scratch with at least ``capacity`` slots."""
-        if self._pair_seen is None or self._pair_seen.size < capacity:
-            self._pair_seen = np.zeros(max(capacity, 1), dtype=bool)
-        return self._pair_seen
-
-    def tracked_nbytes(self) -> int:
-        """Bytes currently held by the scratch buffers."""
-        total = 0
-        for arr in (self._mark, self._rank, self._pair_seen):
-            if arr is not None:
-                total += arr.nbytes
-        return total
 
 
 #: Fallback scratch for direct :func:`frontier_structure` calls without a
@@ -365,42 +323,6 @@ def prepare_graph(graph: CSRGraph, kernel: VertexProgram) -> CSRGraph:
     if kernel.uses_weights and not g.has_weights:
         g = g.with_uniform_weights(1.0)
     return g
-
-
-def _distinct_pairs(
-    dst: np.ndarray,
-    src_parts: np.ndarray,
-    num_parts: int,
-    n: int,
-    scratch: ProfileScratch,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """O(|E| + |V|) distinct destinations and (dst, part) pairs.
-
-    Returns ``(touched, pair_dst, pair_part, updates_per_destination)``,
-    all int64 and ordered exactly as the sort-based oracle orders them:
-    ``touched`` ascending, pairs lexicographic by ``(dst, part)``.  The
-    equivalence holds because ranks are assigned in ascending ``touched``
-    order, so ascending compressed keys ``rank * P + part`` enumerate the
-    same sequence as ascending ``dst * P + part`` keys.
-    """
-    mark, rank, epoch = scratch.marks(n)
-    mark[dst] = epoch
-    touched = np.flatnonzero(mark[:n] == epoch).astype(np.int64, copy=False)
-    t = touched.size
-    rank[touched] = np.arange(t, dtype=np.int64)
-    keys = rank[dst] * np.int64(num_parts) + src_parts
-    seen = scratch.pair_flags(t * num_parts)
-    seen[keys] = True
-    pair_idx = np.flatnonzero(seen[: t * num_parts])
-    # Targeted clear: restore the all-False invariant in O(|pairs|).
-    seen[pair_idx] = False
-    pair_rank = pair_idx // num_parts
-    pair_dst = touched[pair_rank]
-    pair_part = pair_idx % num_parts
-    # Every touched vertex contributes >= 1 pair, so the per-rank counts
-    # are exactly the per-destination fan-in, already in touched order.
-    updates_per_destination = np.bincount(pair_rank, minlength=t)
-    return touched, pair_dst, pair_part, updates_per_destination
 
 
 def _estimated_edge_transient_bytes(graph: CSRGraph, all_vertices: bool) -> int:
@@ -666,7 +588,7 @@ def frontier_structure(
     ).astype(np.int64) if edges_traversed else np.zeros(num_parts, dtype=np.int64)
 
     if edges_traversed:
-        touched, pair_dst, pair_part, updates_per_destination = _distinct_pairs(
+        touched, pair_dst, pair_part, updates_per_destination = distinct_pairs(
             dst, src_parts, num_parts, n, scratch
         )
         partials_per_part = np.bincount(

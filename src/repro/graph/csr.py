@@ -32,6 +32,10 @@ _INDEX_DTYPE = np.int64
 #: footprint and gather bandwidth of the dominant ``indices`` array.
 _NARROW_DTYPE = np.uint32
 
+#: Largest vertex count whose one-key edge sort key ``src * n + dst`` (at
+#: most ``n**2 - 1``) fits in int64; larger graphs sort on two keys.
+_MAX_KEY_VERTICES = 3_037_000_499
+
 _uid_counter = itertools.count()
 
 
@@ -40,6 +44,60 @@ def index_dtype_for(num_vertices: int) -> np.dtype:
     if num_vertices < 2**32:
         return np.dtype(_NARROW_DTYPE)
     return np.dtype(_INDEX_DTYPE)
+
+
+def _key_sort(
+    src: np.ndarray,
+    dst: np.ndarray,
+    n: int,
+    weights: Optional[np.ndarray],
+    dedup: bool,
+) -> Tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
+    """Sort edges by ``(src, dst)`` through the one int64 key ``src * n + dst``.
+
+    A plain in-place sort when unweighted; a stable argsort when weights
+    ride along, so that ``dedup`` keeps each pair's first weight exactly as
+    the two-key :func:`_lexsort` does.
+    """
+    if src.size == 0:
+        return src, dst, weights
+    key = src * np.int64(n) + dst
+    if weights is None:
+        key.sort()
+    else:
+        order = np.argsort(key, kind="stable")
+        key = key[order]
+        weights = weights[order]
+    if dedup:
+        keep = np.empty(key.size, dtype=bool)
+        keep[0] = True
+        np.not_equal(key[1:], key[:-1], out=keep[1:])
+        key = key[keep]
+        if weights is not None:
+            weights = weights[keep]
+    src = key // n
+    return src, key - src * n, weights
+
+
+def _lexsort(
+    src: np.ndarray,
+    dst: np.ndarray,
+    weights: Optional[np.ndarray],
+    dedup: bool,
+) -> Tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
+    """Two-key :func:`_key_sort`, kept for ``n`` whose one key would overflow."""
+    order = np.lexsort((dst, src))
+    src, dst = src[order], dst[order]
+    if weights is not None:
+        weights = weights[order]
+    if dedup and src.size:
+        keep = np.empty(src.size, dtype=bool)
+        keep[0] = True
+        np.logical_or(src[1:] != src[:-1], dst[1:] != dst[:-1], out=keep[1:])
+        src, dst = src[keep], dst[keep]
+        if weights is not None:
+            weights = weights[keep]
+    return src, dst, weights
 
 
 class CSRGraph:
@@ -158,17 +216,10 @@ class CSRGraph:
             )
 
         if sort_neighbors or dedup:
-            order = np.lexsort((dst, src))
-            src, dst = src[order], dst[order]
-            if weights is not None:
-                weights = weights[order]
-            if dedup and src.size:
-                keep = np.empty(src.size, dtype=bool)
-                keep[0] = True
-                np.logical_or(src[1:] != src[:-1], dst[1:] != dst[:-1], out=keep[1:])
-                src, dst = src[keep], dst[keep]
-                if weights is not None:
-                    weights = weights[keep]
+            if n <= _MAX_KEY_VERTICES:
+                src, dst, weights = _key_sort(src, dst, n, weights, dedup)
+            else:
+                src, dst, weights = _lexsort(src, dst, weights, dedup)
         else:
             order = np.argsort(src, kind="stable")
             src, dst = src[order], dst[order]
@@ -178,7 +229,10 @@ class CSRGraph:
         counts = np.bincount(src, minlength=n) if src.size else np.zeros(n, dtype=np.int64)
         indptr = np.zeros(n + 1, dtype=_INDEX_DTYPE)
         np.cumsum(counts, out=indptr[1:])
-        return cls(indptr, dst, weights, validate=False)
+        # Every id is < n, so the narrowing cast needs no range check.
+        return cls(
+            indptr, dst.astype(index_dtype_for(n), copy=False), weights, validate=False
+        )
 
     @classmethod
     def empty(cls, num_vertices: int = 0) -> "CSRGraph":

@@ -12,7 +12,7 @@ from __future__ import annotations
 import abc
 import itertools
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -137,6 +137,23 @@ class Partitioner(abc.ABC):
         return f"{type(self).__name__}()"
 
 
+def symmetrized_structure(graph: CSRGraph) -> CSRGraph:
+    """The undirected closure of ``graph``, without its edge weights.
+
+    For partitioners that read only ``indptr``/``indices`` of the closure.
+    A weighted input (sssp's prepared graph carries uniform weights) would
+    otherwise push |E| weights through the closure's stable sort, about
+    twice the cost of the structure-only sort.  Unweighted inputs keep the
+    cached :meth:`CSRGraph.symmetrized` closure.
+    """
+    if graph.weights is None:
+        return graph.symmetrized()
+    structure = CSRGraph(
+        graph.indptr, graph.indices, validate=False, index_dtype=graph.index_dtype
+    )
+    return structure.symmetrized()
+
+
 # ---------------------------------------------------------------------- #
 # Balance helpers
 # ---------------------------------------------------------------------- #
@@ -202,6 +219,139 @@ def fill_lightest(sizes: np.ndarray, count: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------- #
+# Distinct (vertex, part) pairs
+# ---------------------------------------------------------------------- #
+
+#: :func:`distinct_pairs` flags pairs in the direct ``n * P`` grid while it
+#: holds at most this many bool slots per input pair (half the bytes of the
+#: int64 key array the pass builds anyway); sparser inputs rank first.
+_DIRECT_GRID_SLOTS_PER_PAIR = 4
+
+
+class ProfileScratch:
+    """Reusable scratch for the O(|E| + |V|) :func:`distinct_pairs` pass.
+
+    ``marks`` hands out an epoch-stamped int64 mark array plus a rank
+    array, both sized to the graph: bumping the epoch invalidates every
+    stale entry at once, so there is no O(|V|) clearing between calls.
+    ``pair_flags`` is a growable bool array kept all-``False`` between
+    calls — users set the flags they need and clear exactly those back
+    (a targeted O(|pairs|) clear, not O(capacity)).  The engine keeps one
+    per run; one-off callers pass a fresh instance.
+    """
+
+    __slots__ = ("_mark", "_rank", "_epoch", "_pair_seen")
+
+    def __init__(self) -> None:
+        self._mark: Optional[np.ndarray] = None
+        self._rank: Optional[np.ndarray] = None
+        self._epoch = 0
+        self._pair_seen: Optional[np.ndarray] = None
+
+    def marks(self, n: int) -> Tuple[np.ndarray, np.ndarray, int]:
+        """Return ``(mark, rank, epoch)`` sized for ``n`` vertices."""
+        if self._mark is None or self._mark.size < n:
+            self._mark = np.zeros(max(n, 1), dtype=np.int64)
+            self._rank = np.empty(max(n, 1), dtype=np.int64)
+            self._epoch = 0
+        self._epoch += 1
+        return self._mark, self._rank, self._epoch
+
+    def pair_flags(self, capacity: int) -> np.ndarray:
+        """All-``False`` bool scratch with at least ``capacity`` slots."""
+        if self._pair_seen is None or self._pair_seen.size < capacity:
+            self._pair_seen = np.zeros(max(capacity, 1), dtype=bool)
+        return self._pair_seen
+
+    def tracked_nbytes(self) -> int:
+        """Bytes currently held by the scratch buffers."""
+        total = 0
+        for arr in (self._mark, self._rank, self._pair_seen):
+            if arr is not None:
+                total += arr.nbytes
+        return total
+
+
+def distinct_pairs(
+    vertices: np.ndarray,
+    vertex_parts: np.ndarray,
+    num_parts: int,
+    n: int,
+    scratch: ProfileScratch,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """O(|E| + |V|) distinct vertices and distinct ``(vertex, part)`` pairs.
+
+    ``vertices`` holds ids ``< n`` and ``vertex_parts`` the part in
+    ``[0, num_parts)`` paired with each; on every caller both are
+    |E|-sized and CSR-aligned (edge destinations with their source parts,
+    for the engine and push mirrors).  Returns ``(touched, pair_vertex,
+    pair_part, pairs_per_vertex)``, all int64 and ordered exactly as a
+    sort would order them: ``touched`` ascending, pairs lexicographic by
+    ``(vertex, part)``.  No |E|-sized array is sorted.
+
+    Each pair sets one flag at ``vertex * P + part`` when that ``n * P``
+    grid is small next to the input; flag positions in ascending order are
+    the lexicographic pairs.  Otherwise (a sparse frontier over a large
+    graph) the touched vertices are first ranked, and the flags live in a
+    ``|touched| * P`` grid at ``rank * P + part``: ranks are assigned in
+    ascending ``touched`` order, so ascending compressed keys enumerate the
+    same sequence.
+    """
+    grid = n * num_parts
+    if grid <= _DIRECT_GRID_SLOTS_PER_PAIR * vertices.size:
+        seen = scratch.pair_flags(grid)
+        seen[vertices * np.int64(num_parts) + vertex_parts] = True
+        pair_idx = np.flatnonzero(seen[:grid])
+        # Targeted clear: restore the all-False invariant in O(|pairs|).
+        seen[pair_idx] = False
+        pair_vertex = pair_idx // num_parts
+        pair_part = pair_idx - pair_vertex * num_parts
+        counts = np.bincount(pair_vertex, minlength=n)
+        touched = np.flatnonzero(counts)
+        return touched, pair_vertex, pair_part, counts[touched]
+    mark, rank, epoch = scratch.marks(n)
+    mark[vertices] = epoch
+    touched = np.flatnonzero(mark[:n] == epoch).astype(np.int64, copy=False)
+    t = touched.size
+    rank[touched] = np.arange(t, dtype=np.int64)
+    keys = rank[vertices] * np.int64(num_parts) + vertex_parts
+    seen = scratch.pair_flags(t * num_parts)
+    seen[keys] = True
+    pair_idx = np.flatnonzero(seen[: t * num_parts])
+    seen[pair_idx] = False
+    pair_rank = pair_idx // num_parts
+    pair_vertex = touched[pair_rank]
+    pair_part = pair_idx - pair_rank * num_parts
+    # Every touched vertex contributes >= 1 pair, so the per-rank counts
+    # are exactly the per-vertex pair counts, already in touched order.
+    pairs_per_vertex = np.bincount(pair_rank, minlength=t)
+    return touched, pair_vertex, pair_part, pairs_per_vertex
+
+
+def remote_pairs(
+    vertices: np.ndarray,
+    vertex_parts: np.ndarray,
+    assignment: PartitionAssignment,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Distinct ``(vertex, part)`` pairs whose part does not own the vertex.
+
+    Returns ``(pair_vertex, pair_part)``, int64 and sorted by vertex then
+    part: the master/mirror pairs of
+    :func:`~repro.partition.mirrors.build_mirror_table` and the messages
+    :func:`communication_volume` counts.
+    """
+    _, pair_vertex, pair_part, _ = distinct_pairs(
+        vertices,
+        vertex_parts,
+        assignment.num_parts,
+        assignment.num_vertices,
+        ProfileScratch(),
+    )
+    remote = np.flatnonzero(assignment.parts[pair_vertex] != pair_part)
+    return pair_vertex[remote], pair_part[remote]
+
+
+# ---------------------------------------------------------------------- #
 # Quality metrics
 # ---------------------------------------------------------------------- #
 
@@ -221,16 +371,10 @@ def communication_volume(graph: CSRGraph, assignment: PartitionAssignment) -> in
     message count when all vertices are active (PageRank steady state).
     """
     assignment._check_graph(graph)
-    src, dst = graph.edge_array()
-    p_src = assignment.parts[src]
-    p_dst = assignment.parts[dst]
-    cross = p_src != p_dst
-    if not cross.any():
-        return 0
-    pairs = np.unique(
-        dst[cross] * np.int64(assignment.num_parts) + p_src[cross]
+    pair_vertex, _ = remote_pairs(
+        graph.indices, assignment.edge_source_parts(graph), assignment
     )
-    return int(pairs.size)
+    return int(pair_vertex.size)
 
 
 def balance_ratio(assignment: PartitionAssignment) -> float:

@@ -30,7 +30,12 @@ import numpy as np
 
 from repro.graph.csr import CSRGraph
 from repro.graph.traversal import gather_neighbor_slices
-from repro.partition.base import PartitionAssignment, Partitioner, fill_lightest
+from repro.partition.base import (
+    PartitionAssignment,
+    Partitioner,
+    fill_lightest,
+    symmetrized_structure,
+)
 from repro.utils.rng import SeedLike, ensure_rng
 
 #: Block length for the next-unassigned-seed scan.
@@ -102,7 +107,7 @@ class BFSGrowPartitioner(Partitioner):
         n = graph.num_vertices
         if n == 0:
             return PartitionAssignment(np.empty(0, dtype=np.int64), num_parts)
-        und = graph.symmetrized()
+        und = symmetrized_structure(graph)
         parts = np.full(n, -1, dtype=np.int64)
         budget = _budgets(n, num_parts).tolist()
         unvisited_order = rng.permutation(n)

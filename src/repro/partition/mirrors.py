@@ -17,7 +17,7 @@ import numpy as np
 
 from repro.errors import PartitionError
 from repro.graph.csr import CSRGraph
-from repro.partition.base import PartitionAssignment
+from repro.partition.base import PartitionAssignment, remote_pairs
 
 
 @dataclass(frozen=True)
@@ -81,21 +81,18 @@ def build_mirror_table(
     assignment._check_graph(graph)
     if direction not in ("push", "pull"):
         raise PartitionError(f"direction must be 'push' or 'pull', got {direction!r}")
-    src, dst = graph.edge_array()
-    p_src = assignment.parts[src]
-    p_dst = assignment.parts[dst]
-    cross = p_src != p_dst
     if direction == "push":
-        vert, part = dst[cross], p_src[cross]
+        vert, part = remote_pairs(
+            graph.indices, assignment.edge_source_parts(graph), assignment
+        )
     else:
-        vert, part = src[cross], p_dst[cross]
-    if vert.size:
-        keys = np.unique(vert * np.int64(assignment.num_parts) + part)
-        vert = keys // assignment.num_parts
-        part = keys % assignment.num_parts
+        src = np.repeat(
+            np.arange(graph.num_vertices, dtype=np.int64), np.diff(graph.indptr)
+        )
+        vert, part = remote_pairs(src, assignment.parts[graph.indices], assignment)
     return MirrorTable(
-        mirror_vertices=vert.astype(np.int64),
-        mirror_parts=part.astype(np.int64),
+        mirror_vertices=vert,
+        mirror_parts=part,
         num_vertices=graph.num_vertices,
         num_parts=assignment.num_parts,
         direction=direction,

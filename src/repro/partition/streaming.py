@@ -30,7 +30,12 @@ import numpy as np
 from repro.errors import PartitionError
 from repro.graph.csr import CSRGraph
 from repro.graph.traversal import gather_neighbor_slices
-from repro.partition.base import PartitionAssignment, Partitioner, fill_lightest
+from repro.partition.base import (
+    PartitionAssignment,
+    Partitioner,
+    fill_lightest,
+    symmetrized_structure,
+)
 from repro.utils.rng import SeedLike, ensure_rng
 
 
@@ -85,7 +90,7 @@ class LDGStreamingPartitioner(Partitioner):
         n = graph.num_vertices
         if n == 0:
             return PartitionAssignment(np.empty(0, dtype=np.int64), num_parts)
-        und = graph.symmetrized()
+        und = symmetrized_structure(graph)
         capacity = (1.0 + self.slack) * n / num_parts
         order = self._stream(und, rng)
         batch = self._resolve_batch(n)

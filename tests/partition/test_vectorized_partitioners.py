@@ -123,6 +123,19 @@ class TestPinnedDigests:
         a = part.partition(g, k, seed=seed)
         assert _digest(a) == PINNED_DIGESTS[(dataset, algo, k, seed)]
 
+    @pytest.mark.parametrize(
+        "dataset,algo,k,seed", sorted(PINNED_DIGESTS), ids=lambda v: str(v)
+    )
+    def test_weighted_input_keeps_digest(self, dataset, algo, k, seed):
+        # sssp hands the partitioners a weighted graph; they symmetrize
+        # only its structure, so the weights must not move a vertex.
+        g, _ = load_dataset(dataset, tier="tiny", seed=7)
+        part = (
+            LDGStreamingPartitioner() if algo == "ldg" else BFSGrowPartitioner()
+        )
+        a = part.partition(g.with_uniform_weights(2.5), k, seed=seed)
+        assert _digest(a) == PINNED_DIGESTS[(dataset, algo, k, seed)]
+
 
 class TestChunkedLDG:
     def test_quality_near_equivalent(self):

@@ -3,9 +3,13 @@
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
+from repro.arch.trace import record_trace
 from repro.graph.csr import CSRGraph
+from repro.kernels.pagerank import PageRank
 from repro.partition import (
+    BFSGrowPartitioner,
     HashPartitioner,
+    LDGStreamingPartitioner,
     MetisPartitioner,
     RandomPartitioner,
     RangePartitioner,
@@ -64,6 +68,28 @@ def test_metric_relationships(graph, k, partitioner):
     assert cv <= cut <= graph.num_edges
     # replication factor consistent with mirror count
     assert replication_factor(table) == 1.0 + cv / graph.num_vertices
+
+
+@given(
+    graphs(),
+    st.integers(1, 6),
+    st.sampled_from(
+        [HashPartitioner(), LDGStreamingPartitioner(), BFSGrowPartitioner()]
+    ),
+)
+@settings(max_examples=60, deadline=None)
+def test_full_frontier_cross_pairs_are_volume_and_mirrors(graph, k, partitioner):
+    # Fig. 6's closed form: when every vertex is active, the mirror->master
+    # updates of one iteration are the partition's communication volume,
+    # which is its push-mirror count.
+    trace = record_trace(
+        graph, PageRank(), num_parts=k, partitioner=partitioner, max_iterations=1
+    )
+    profile = trace.profiles[0]
+    assert profile.frontier_size == trace.graph.num_vertices
+    cross = profile.cross_update_pairs(trace.assignment.parts)
+    volume = communication_volume(trace.graph, trace.assignment)
+    assert cross == volume == trace.mirror_table.num_mirrors
 
 
 @given(graphs())
