@@ -54,8 +54,8 @@ __getattr__, __dir__, __all__ = lazy_exports(
             "AdaptiveCheckpoint",
         ),
         ".graph": (
-            "CSRGraph", "GraphBuilder", "rmat", "erdos_renyi",
-            "barabasi_albert", "list_datasets", "compute_stats",
+            "CSRGraph", "rmat", "erdos_renyi", "barabasi_albert",
+            "list_datasets", "compute_stats",
         ),
         ".partition": (
             "PartitionAssignment", "HashPartitioner", "RandomPartitioner",

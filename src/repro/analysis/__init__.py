@@ -5,10 +5,6 @@ from repro._lazy import lazy_exports
 __getattr__, __dir__, __all__ = lazy_exports(
     __name__,
     {
-        ".projection": (
-            "ProjectedMovement", "ScaleFactors", "project_phase_bytes",
-            "project_run", "project_trace",
-        ),
         ".direction": (
             "DirectionProfile", "direction_profile", "pull_iteration_bytes",
         ),

@@ -22,10 +22,10 @@ from typing import List, Optional
 
 import numpy as np
 
+from repro.analysis.direction import pull_iteration_bytes
 from repro.errors import ConfigError, SimulationError
 from repro.graph.csr import CSRGraph
 from repro.graph.traversal import gather_neighbor_slices
-from repro.kernels.base import VERTEX_ID_BYTES
 from repro.kernels.bfs import BFS
 from repro.partition.base import PartitionAssignment, ProfileScratch, distinct_pairs
 from repro.partition.random_hash import HashPartitioner
@@ -101,8 +101,6 @@ def run_direction_optimized_bfs(
     parts = assignment.parts
     reverse = graph.reverse()
     kernel = BFS()
-    wire = kernel.message.wire_bytes
-    bitmap_bytes = int(np.ceil(n / 8))
 
     levels = np.full(n, -1, dtype=np.int64)
     levels[source] = 0
@@ -118,7 +116,12 @@ def run_direction_optimized_bfs(
             np.unique(dst[levels[dst] < 0]) if dst.size else np.empty(0, dtype=np.int64)
         )
         discovered_count = int(fresh_push.size)
-        pull_cost = bitmap_bytes * num_parts + wire * discovered_count
+        pull_cost = pull_iteration_bytes(
+            num_vertices=n,
+            num_parts=num_parts,
+            discovered_next=discovered_count,
+            wire_bytes=kernel.message.wire_bytes,
+        )
 
         if direction == "push":
             chosen = "push"

@@ -117,11 +117,6 @@ class ArchitectureSimulator(abc.ABC):
             whose bytes are accounted alongside recovery traffic.  Faults
             never change the kernel numerics — only the accounting.
         """
-        if not kernel.supports_engine:
-            raise SimulationError(
-                f"kernel {kernel.name!r} is host-only and cannot run through "
-                "an architecture simulator"
-            )
         prepared = prepare_graph(graph, kernel)
         num_parts = self.num_partitions()
         if assignment is None:
@@ -281,10 +276,6 @@ class ArchitectureSimulator(abc.ABC):
         touch the accounting, so they compose naturally with replay.
         """
         kernel = trace.kernel
-        if not kernel.supports_engine:
-            raise SimulationError(
-                f"kernel {kernel.name!r} is host-only and cannot be replayed"
-            )
         num_parts = self.num_partitions()
         if trace.assignment.num_parts != num_parts:
             raise SimulationError(

@@ -113,11 +113,6 @@ def record_trace(
     transients; over budget, edges stream in blocks with bit-identical
     profiles and numerics (telemetry lands on the returned trace).
     """
-    if not kernel.supports_engine:
-        raise SimulationError(
-            f"kernel {kernel.name!r} is host-only and cannot be traced "
-            "through the shared engine"
-        )
     prepared = prepare_graph(graph, kernel)
     if assignment is None:
         if num_parts is None:

@@ -23,7 +23,6 @@ from typing import Optional, Sequence
 from repro import cache as repro_cache
 from repro.cli_common import (
     add_fault_seed_arg,
-    add_jobs_arg,
     add_observability_args,
     add_policy_arg,
 )
@@ -157,7 +156,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="regenerate everything, ignoring $REPRO_CACHE_DIR",
     )
-    add_jobs_arg(parser)
     add_observability_args(parser)
     parser.add_argument("--trace-csv", default=None, help="write per-iteration trace CSV")
     parser.add_argument("--trace-jsonl", default=None, help="write per-iteration trace JSONL")
@@ -237,10 +235,7 @@ def _run(args: argparse.Namespace) -> int:
         )
         graph_name = spec.name
     else:
-        weighted = args.kernel in ("sssp", "widest-path")
-        graph = graph_io.read_edge_list(args.graph_file, weighted=False)
-        if weighted:
-            graph = graph.with_uniform_weights(1.0)
+        graph = graph_io.read_edge_list(args.graph_file)
         graph_name = args.graph_file
 
     kernel = get_kernel(args.kernel)
@@ -257,19 +252,6 @@ def _run(args: argparse.Namespace) -> int:
             if args.source == "auto"
             else int(args.source)
         )
-
-    if not kernel.supports_engine:
-        # Host-only kernels (triangles, betweenness, scc) cannot offload;
-        # run them host-side and report the result summary.
-        state = kernel.run_host(graph)
-        values = kernel.result(state)
-        print(
-            f"host-only kernel {kernel.name!r} on {graph_name}: computed "
-            f"{values.size} values (min {values.min()}, max {values.max()})"
-        )
-        if args.result_sha:
-            print(f"result sha256: {result_sha256(values)}")
-        return 0
 
     memory_budget = None
     if args.memory_budget is not None:

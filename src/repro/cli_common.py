@@ -69,18 +69,6 @@ def add_policy_arg(parser: argparse.ArgumentParser, *, default=None) -> None:
     )
 
 
-def add_jobs_arg(parser: argparse.ArgumentParser, *, default: int = 1) -> None:
-    """``--jobs`` for both CLIs."""
-    parser.add_argument(
-        "--jobs",
-        type=int,
-        default=default,
-        metavar="N",
-        help="worker processes for multi-workload execution "
-        "(single-workload runs are serial regardless)",
-    )
-
-
 def add_fault_seed_arg(parser: argparse.ArgumentParser) -> None:
     """``--fault-seed`` for both CLIs."""
     parser.add_argument(

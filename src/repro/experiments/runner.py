@@ -20,7 +20,6 @@ from typing import Optional, Sequence
 
 from repro.cli_common import (
     add_fault_seed_arg,
-    add_jobs_arg,
     add_observability_args,
     add_policy_arg,
 )
@@ -64,7 +63,14 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="also write <DIR>/<experiment>.json with the raw series",
     )
-    add_jobs_arg(run_p)
+    run_p.add_argument(
+        "--jobs",
+        type=int,
+        default=1,
+        metavar="N",
+        help="worker processes for multi-workload execution "
+        "(single-workload runs are serial regardless)",
+    )
     add_fault_seed_arg(run_p)
     add_observability_args(run_p)
     add_policy_arg(run_p)

@@ -1,4 +1,4 @@
-"""Graph substrate: CSR representation, builders, generators, datasets, I/O."""
+"""Graph substrate: CSR representation, generators, datasets, I/O."""
 
 from repro._lazy import lazy_exports
 
@@ -6,14 +6,12 @@ __getattr__, __dir__, __all__ = lazy_exports(
     __name__,
     {
         ".csr": ("CSRGraph",),
-        ".builder": ("GraphBuilder", "from_edge_array"),
         ".generators": (
             "rmat", "erdos_renyi", "barabasi_albert", "watts_strogatz",
             "grid_graph", "ring_graph", "star_graph", "path_graph",
             "complete_graph",
         ),
         ".datasets": ("DatasetSpec", "load_dataset", "list_datasets"),
-        ".properties": ("VertexPropertyStore",),
         ".stats": ("GraphStats", "compute_stats", "degree_histogram"),
         ".io": ("io",),
         ".traversal": (

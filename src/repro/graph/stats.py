@@ -1,7 +1,8 @@
 """Graph statistics: degree distributions, skew, and frontier summaries.
 
-These feed the runtime's offload heuristics (Section IV.D uses frontier size
-and frontier degrees) and the dataset documentation in EXPERIMENTS.md.
+No simulator or policy reads these.  The tests use them to check that the
+dataset stand-ins keep the degree and skew properties EXPERIMENTS.md
+records.
 """
 
 from __future__ import annotations

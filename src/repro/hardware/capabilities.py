@@ -50,12 +50,6 @@ def check_offload(
         raise CapabilityError(f"unknown phase {phase!r}")
     reasons: list[str] = []
 
-    if not kernel.supports_engine and phase in ("traverse", "apply"):
-        reasons.append(
-            f"kernel {kernel.name!r} does not decompose into offloadable "
-            "traverse/apply operators (host-only)"
-        )
-
     if phase == "aggregate":
         # Reduction only: the operator must be expressible on the ALUs.
         if _reduce_needs_fp(kernel) and not device.supports_fp:

@@ -14,11 +14,8 @@ __getattr__, __dir__, __all__ = lazy_exports(
         ".cc": ("ConnectedComponents",),
         ".degree": ("DegreeCentrality",),
         ".kcore": ("KCore",),
-        ".triangle": ("TriangleCounting",),
-        ".betweenness": ("ApproxBetweenness",),
         ".ppr": ("PersonalizedPageRank",),
         ".widest_path": ("WidestPath",),
-        ".scc": ("StronglyConnectedComponents",),
         ".registry": ("get_kernel", "list_kernels"),
         ".reference": ("reference",),
     },

@@ -165,8 +165,6 @@ class VertexProgram(abc.ABC):
     needs_source: bool = False
     #: safety valve for non-converging parameterizations
     max_iterations: int = 1000
-    #: can run through the scatter/gather engine (False = host-only kernel)
-    supports_engine: bool = True
 
     # ------------------------------------------------------------------ #
     # Numeric hooks

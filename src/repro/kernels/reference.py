@@ -7,8 +7,6 @@ the references against networkx/scipy where semantics align.
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 import scipy.sparse as sp
 
@@ -96,32 +94,6 @@ def kcore(graph: CSRGraph, k: int) -> np.ndarray:
             nbrs = und.neighbors(int(v))
             np.subtract.at(degree, nbrs[alive[nbrs]], 1)
     return alive
-
-
-def num_components(graph: CSRGraph) -> int:
-    """Number of weakly connected components."""
-    return int(np.unique(connected_components(graph)).size)
-
-
-def sssp_reachable(graph: CSRGraph, source: int) -> np.ndarray:
-    """Vertices at finite distance from ``source``."""
-    return np.nonzero(np.isfinite(sssp(graph, source)))[0]
-
-
-def scc(graph: CSRGraph) -> np.ndarray:
-    """Strong-component labels via scipy's Tarjan (min vertex id per SCC)."""
-    n = graph.num_vertices
-    if n == 0:
-        return np.empty(0, dtype=np.int64)
-    _, labels = sp.csgraph.connected_components(
-        _adjacency(graph), directed=True, connection="strong"
-    )
-    # Canonicalize: label each component by its minimum vertex id.
-    out = np.empty(n, dtype=np.int64)
-    for comp in np.unique(labels):
-        members = np.nonzero(labels == comp)[0]
-        out[members] = members.min()
-    return out
 
 
 def personalized_pagerank(

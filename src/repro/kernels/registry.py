@@ -6,16 +6,13 @@ from typing import Callable, Dict, Tuple
 
 from repro.errors import KernelError
 from repro.kernels.base import VertexProgram
-from repro.kernels.betweenness import ApproxBetweenness
 from repro.kernels.bfs import BFS
 from repro.kernels.cc import ConnectedComponents
 from repro.kernels.degree import DegreeCentrality
 from repro.kernels.kcore import KCore
 from repro.kernels.pagerank import PageRank
 from repro.kernels.ppr import PersonalizedPageRank
-from repro.kernels.scc import StronglyConnectedComponents
 from repro.kernels.sssp import SSSP
-from repro.kernels.triangle import TriangleCounting
 from repro.kernels.widest_path import WidestPath
 
 _REGISTRY: Dict[str, Callable[..., VertexProgram]] = {
@@ -25,11 +22,8 @@ _REGISTRY: Dict[str, Callable[..., VertexProgram]] = {
     "cc": ConnectedComponents,
     "degree": DegreeCentrality,
     "kcore": KCore,
-    "triangles": TriangleCounting,
-    "betweenness": ApproxBetweenness,
     "ppr": PersonalizedPageRank,
     "widest-path": WidestPath,
-    "scc": StronglyConnectedComponents,
 }
 
 #: The four kernels the paper evaluates (Fig. 4).

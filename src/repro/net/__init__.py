@@ -6,7 +6,6 @@ __getattr__, __dir__, __all__ = lazy_exports(
     __name__,
     {
         ".link": ("Link", "LinkClass"),
-        ".messages": ("Transfer",),
         ".switch": ("SwitchModel", "AggregationOutcome"),
         ".topology": ("ClusterTopology",),
     },

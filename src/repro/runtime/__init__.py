@@ -1,6 +1,5 @@
 """Runtime mechanisms the paper calls for: system configuration, offload
-policies, the analytic cost model, in-network aggregation planning, and
-provisioning (Section IV)."""
+policies, the analytic cost model, and provisioning (Section IV)."""
 
 from repro._lazy import lazy_exports
 
@@ -18,7 +17,6 @@ __getattr__, __dir__, __all__ = lazy_exports(
             "MovementEstimate", "estimate_movement", "exact_movement",
             "estimate_distinct_destinations",
         ),
-        ".aggregation": ("AggregationPlan", "plan_aggregation"),
         ".provision": (
             "ProvisionPlan", "provision_coupled", "provision_disaggregated",
             "workload_demands",

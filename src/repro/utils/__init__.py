@@ -1,4 +1,4 @@
-"""Shared utilities: RNG seeding, unit formatting, validation, tables."""
+"""Shared utilities: RNG seeding, unit formatting, backoff, tables."""
 
 from repro._lazy import lazy_exports
 
@@ -10,10 +10,6 @@ __getattr__, __dir__, __all__ = lazy_exports(
         ".units": (
             "format_bytes", "format_count", "format_rate", "parse_bytes",
             "KiB", "MiB", "GiB", "TiB",
-        ),
-        ".validation": (
-            "check_dtype_integer", "check_in_range", "check_nonnegative",
-            "check_positive", "check_type",
         ),
         ".tables": ("TextTable",),
     },

@@ -28,9 +28,7 @@ from repro.partition.random_hash import HashPartitioner
 from repro.runtime.config import SystemConfig
 from repro.utils.units import GiB, parse_bytes
 
-ENGINE_KERNELS = sorted(
-    name for name in list_kernels() if get_kernel(name).supports_engine
-)
+ENGINE_KERNELS = sorted(list_kernels())
 
 TIGHT_BUDGET = 64 * 1024  # forces multi-block streaming on rmat(9+)
 

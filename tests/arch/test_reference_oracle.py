@@ -29,9 +29,7 @@ from repro.kernels.registry import get_kernel, list_kernels
 from repro.partition.random_hash import HashPartitioner
 from repro.runtime.config import SystemConfig
 
-ENGINE_KERNELS = sorted(
-    name for name in list_kernels() if get_kernel(name).supports_engine
-)
+ENGINE_KERNELS = sorted(list_kernels())
 
 STRUCTURE_FIELDS = (
     "touched",

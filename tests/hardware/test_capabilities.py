@@ -15,7 +15,6 @@ from repro.kernels.bfs import BFS
 from repro.kernels.cc import ConnectedComponents
 from repro.kernels.pagerank import PageRank
 from repro.kernels.sssp import SSSP
-from repro.kernels.triangle import TriangleCounting
 
 
 class TestTraverseOffload:
@@ -41,11 +40,6 @@ class TestTraverseOffload:
         check = check_offload(ConnectedComponents(), SWITCHML_TOFINO)
         assert not check.allowed
         assert any("edge storage" in r for r in check.reasons)
-
-    def test_host_only_kernel_denied_everywhere(self):
-        check = check_offload(TriangleCounting(), CXL_CMS)
-        assert not check.allowed
-        assert any("host-only" in r for r in check.reasons)
 
     def test_raise_if_denied(self):
         check = check_offload(PageRank(), UPMEM_PIM)

@@ -147,5 +147,5 @@ class TestRegistry:
 
     def test_extension_kernels_present(self):
         names = list_kernels()
-        for name in ("degree", "kcore", "triangles", "betweenness"):
+        for name in ("degree", "kcore"):
             assert name in names

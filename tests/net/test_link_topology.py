@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigError
-from repro.net.link import DEFAULT_HOST_LINK, Link, LinkClass
-from repro.net.messages import Transfer
+from repro.net.link import DEFAULT_HOST_LINK, Link
 from repro.net.topology import ClusterTopology
 
 
@@ -65,16 +64,6 @@ class TestLinkDegraded:
             link.degraded(bandwidth_scale=-0.5)
         with pytest.raises(ConfigError):
             link.degraded(extra_latency_s=-1e-6)
-
-
-class TestTransfer:
-    def test_construction(self):
-        t = Transfer(0, "apply", LinkClass.HOST_LINK, 100, 2)
-        assert t.nbytes == 100
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            Transfer(0, "apply", LinkClass.HOST_LINK, -1)
 
 
 class TestTopology:

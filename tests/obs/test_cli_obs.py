@@ -124,15 +124,27 @@ class TestRemovedSpellings:
         assert "unrecognized arguments: --workers" in captured.err
         assert captured.out == ""
 
+    def test_run_has_no_jobs_flag(self, capsys):
+        # A single repro-run workload is serial; it takes no --jobs.
+        build, base = PARSERS["repro-run"]
+        with pytest.raises(SystemExit) as exc:
+            build().parse_args(base + ["--jobs", "2"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --jobs" in capsys.readouterr().err
+
     @pytest.mark.parametrize("cli", sorted(PARSERS))
     def test_canonical_flags_parse(self, cli, capsys):
         build, base = PARSERS[cli]
+        jobs = ["--jobs", "2"] if cli == "repro-experiments" else []
         args = build().parse_args(
             base
-            + ["--jobs", "2", "--fault-seed", "5", "--memory-budget", "1G",
+            + jobs
+            + ["--fault-seed", "5", "--memory-budget", "1G",
                "--cache-dir", "cache-dir"]
         )
-        assert (args.jobs, args.fault_seed) == (2, 5)
+        if jobs:
+            assert args.jobs == 2
+        assert args.fault_seed == 5
         assert (args.memory_budget, args.cache_dir) == ("1G", "cache-dir")
         assert capsys.readouterr().err == ""
 
@@ -154,9 +166,8 @@ class TestUnifiedFlags:
             for s in a.option_strings
         }
         shared = {
-            "--jobs", "--cache-dir", "--no-cache", "--memory-budget",
-            "--fault-seed", "--trace-out", "--trace-events", "--progress",
-            "--tier", "--seed",
+            "--cache-dir", "--no-cache", "--memory-budget", "--fault-seed",
+            "--trace-out", "--trace-events", "--progress", "--tier", "--seed",
         }
         assert shared <= run_opts
         assert shared <= exp_opts

@@ -1,15 +1,11 @@
-"""Unit tests for INC planning and the provisioning model."""
+"""Unit tests for the provisioning model."""
 
 import pytest
 
 from repro.errors import ConfigError
-from repro.graph.generators import rmat
-from repro.hardware.catalog import CXL_CMS, HOST_XEON, SHARP_SWITCH, SWITCHML_TOFINO
+from repro.hardware.catalog import CXL_CMS, HOST_XEON, SHARP_SWITCH
 from repro.kernels.bfs import BFS
-from repro.kernels.cc import ConnectedComponents
 from repro.kernels.pagerank import PageRank
-from repro.net.switch import SwitchModel
-from repro.runtime.aggregation import plan_aggregation
 from repro.runtime.provision import (
     demand_matrix,
     provision_coupled,
@@ -17,65 +13,6 @@ from repro.runtime.provision import (
     workload_demands,
 )
 from repro.telemetry.utilization import classify_utilization
-
-
-class TestAggregationPlanning:
-    def test_beneficial_plan_enabled(self):
-        switch = SwitchModel(SHARP_SWITCH)
-        plan = plan_aggregation(
-            PageRank(), switch, partial_pairs=4000, distinct_destinations=1000
-        )
-        assert plan.enabled
-        assert plan.expected_reduction == pytest.approx(0.75)
-
-    def test_no_switch(self):
-        plan = plan_aggregation(
-            PageRank(), None, partial_pairs=100, distinct_destinations=10
-        )
-        assert not plan.enabled
-        assert "no switch" in plan.reasons[0]
-
-    def test_capability_denied(self):
-        # FP sum on a fixed-point Tofino: refused.
-        switch = SwitchModel(SWITCHML_TOFINO)
-        plan = plan_aggregation(
-            PageRank(), switch, partial_pairs=4000, distinct_destinations=1000
-        )
-        assert not plan.enabled
-
-    def test_integer_kernel_fits_tofino(self):
-        switch = SwitchModel(SWITCHML_TOFINO)
-        plan = plan_aggregation(
-            ConnectedComponents(),
-            switch,
-            partial_pairs=4000,
-            distinct_destinations=1000,
-        )
-        assert plan.enabled
-
-    def test_buffer_too_small(self):
-        switch = SwitchModel(SHARP_SWITCH, buffer_bytes=32)
-        plan = plan_aggregation(
-            PageRank(), switch, partial_pairs=4000, distinct_destinations=1000
-        )
-        assert not plan.enabled
-        assert any("table too small" in r for r in plan.reasons)
-        assert plan.table_occupancy > 1
-
-    def test_marginal_benefit_rejected(self):
-        switch = SwitchModel(SHARP_SWITCH)
-        plan = plan_aggregation(
-            PageRank(), switch, partial_pairs=1000, distinct_destinations=990
-        )
-        assert not plan.enabled
-        assert any("below" in r for r in plan.reasons)
-
-    def test_zero_pairs(self):
-        switch = SwitchModel(SHARP_SWITCH)
-        plan = plan_aggregation(
-            PageRank(), switch, partial_pairs=0, distinct_destinations=0
-        )
-        assert not plan.enabled
 
 
 class TestWorkloadDemands:

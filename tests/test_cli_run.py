@@ -2,7 +2,12 @@
 
 import pytest
 
+from repro.arch.registry import get_architecture
+from repro.arch.results import result_sha256
 from repro.cli import build_parser, main
+from repro.graph.io import read_edge_list
+from repro.kernels.registry import get_kernel
+from repro.runtime.config import SystemConfig
 from repro.trace import load_trace_csv, load_trace_jsonl
 
 
@@ -148,16 +153,6 @@ class TestCLIRuns:
         ):
             assert arch in out
 
-    def test_host_only_kernel(self, capsys):
-        rc = main(
-            [
-                "--dataset", "livejournal-sim", "--tier", "tiny",
-                "--kernel", "triangles",
-            ]
-        )
-        assert rc == 0
-        assert "host-only kernel" in capsys.readouterr().out
-
     def test_weighted_kernel_on_graph_file(self, tmp_path, capsys):
         path = tmp_path / "g.txt"
         path.write_text("0 1\n1 2\n")
@@ -168,6 +163,24 @@ class TestCLIRuns:
             ]
         )
         assert rc == 0
+
+    @pytest.mark.parametrize("kernel", ["sssp", "widest-path"])
+    def test_graph_file_result_matches_library(self, kernel, tmp_path, capsys):
+        # The CLI leaves unit weights to the simulator's own prepare step.
+        path = tmp_path / "g.txt"
+        path.write_text("0 1\n1 2\n2 0\n2 3\n0 3\n3 4\n")
+        rc = main(
+            [
+                "--graph-file", str(path), "--kernel", kernel,
+                "--source", "0", "--parts", "2", "--quiet", "--result-sha",
+            ]
+        )
+        assert rc == 0
+        run = get_architecture(
+            "disaggregated-ndp", SystemConfig(num_memory_nodes=2)
+        ).run(read_edge_list(path), get_kernel(kernel), source=0)
+        expected = result_sha256(run.result_property())
+        assert f"result sha256: {expected}" in capsys.readouterr().out
 
 
 class TestParser:

@@ -1,17 +1,10 @@
-"""Unit tests for RNG helpers, validation, and the table renderer."""
+"""Unit tests for RNG helpers and the table renderer."""
 
 import numpy as np
 import pytest
 
 from repro.utils.rng import derive_seed, ensure_rng, spawn_rngs
 from repro.utils.tables import TextTable
-from repro.utils.validation import (
-    check_dtype_integer,
-    check_in_range,
-    check_nonnegative,
-    check_positive,
-    check_type,
-)
 
 
 class TestEnsureRng:
@@ -74,33 +67,6 @@ class TestDeriveSeed:
 
     def test_none_base(self):
         assert derive_seed(None, "x") == derive_seed(None, "x")
-
-
-class TestValidation:
-    def test_check_type(self):
-        check_type("x", 5, int)
-        with pytest.raises(TypeError, match="x must be int"):
-            check_type("x", "s", int)
-
-    def test_check_positive(self):
-        check_positive("x", 1)
-        with pytest.raises(ValueError):
-            check_positive("x", 0)
-
-    def test_check_nonnegative(self):
-        check_nonnegative("x", 0)
-        with pytest.raises(ValueError):
-            check_nonnegative("x", -1)
-
-    def test_check_in_range(self):
-        check_in_range("x", 0.5, 0, 1)
-        with pytest.raises(ValueError):
-            check_in_range("x", 2, 0, 1)
-
-    def test_check_dtype_integer(self):
-        check_dtype_integer("x", np.arange(3))
-        with pytest.raises(TypeError):
-            check_dtype_integer("x", np.arange(3.0))
 
 
 class TestTextTable:
