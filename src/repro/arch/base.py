@@ -1,16 +1,18 @@
-"""Architecture simulator base: shared run loop and accounting context.
+"""Architecture simulator base: the accounting loop and its context.
 
-A simulator executes a kernel iteration-by-iteration through the shared
-engine (identical numerics everywhere) and translates each iteration's
-structural profile into movement bytes and modeled phase times according to
-its architecture's placement rules.  Subclasses implement a single hook,
+A simulator takes each iteration's structural profile from the shared
+engine (identical numerics everywhere, see :mod:`repro.arch.trace`) and
+translates it into movement bytes and modeled phase times according to its
+architecture's placement rules.  :meth:`ArchitectureSimulator.run` feeds
+the accounting loop live from the engine loop, ``replay`` from a recorded
+trace.  Subclasses implement a single hook,
 :meth:`ArchitectureSimulator._account`.
 """
 
 from __future__ import annotations
 
 import abc
-from contextlib import nullcontext
+from contextlib import closing
 from dataclasses import dataclass, field, replace
 from typing import Any, Dict, Optional, Tuple
 
@@ -19,9 +21,9 @@ import numpy as np
 from repro.errors import FaultError, RecoveryError, SimulationError
 from repro.obs.metrics import METRICS, M
 from repro.obs.span import (
-    CATEGORY_ITERATION,
     CATEGORY_PHASE,
     CATEGORY_RUN,
+    NOOP_SPAN,
     NOOP_TRACER,
     get_tracer,
 )
@@ -29,20 +31,20 @@ from repro.faults.checkpoint import CheckpointPolicy
 from repro.faults.events import FaultEvent, FaultKind
 from repro.faults.recovery import FaultRuntime, FaultsLike, as_schedule
 from repro.graph.csr import CSRGraph
-from repro.kernels.base import KernelState, VertexProgram
+from repro.kernels.base import VertexProgram
 from repro.net.link import LinkClass
 from repro.net.topology import ClusterTopology
 from repro.partition.base import PartitionAssignment, Partitioner
-from repro.partition.mirrors import MirrorTable, build_mirror_table
-from repro.partition.random_hash import HashPartitioner
-from repro.arch.engine import (
-    EngineTelemetry,
-    IterationProfile,
-    StructuralProfileCache,
-    execute_iteration,
-    prepare_graph,
-)
+from repro.partition.mirrors import MirrorTable
+from repro.arch.engine import IterationProfile
 from repro.arch.results import IterationStats, RunResult
+from repro.arch.trace import (
+    ExecutionTrace,
+    IterationStream,
+    engine_iterations,
+    prepare_trace,
+    recorded_iterations,
+)
 from repro.runtime.config import SystemConfig
 from repro.runtime.cost_model import edge_record_bytes
 from repro.utils.rng import SeedLike
@@ -75,7 +77,7 @@ class ArchitectureSimulator(abc.ABC):
     #: Table II columns (class-level, architecture-intrinsic)
     has_near_memory_acceleration: bool = False
     is_disaggregated: bool = False
-    #: whether the run loop should track master/mirror structures
+    #: whether runs build and account master/mirror structures
     needs_mirrors: bool = False
 
     def __init__(self, config: Optional[SystemConfig] = None) -> None:
@@ -117,117 +119,30 @@ class ArchitectureSimulator(abc.ABC):
             whose bytes are accounted alongside recovery traffic.  Faults
             never change the kernel numerics — only the accounting.
         """
-        prepared = prepare_graph(graph, kernel)
-        num_parts = self.num_partitions()
-        if assignment is None:
-            chooser = partitioner or HashPartitioner()
-            assignment = chooser.partition(prepared, num_parts, seed=seed)
-        elif assignment.num_vertices != prepared.num_vertices:
-            raise SimulationError(
-                "assignment does not cover the prepared graph "
-                f"({assignment.num_vertices} != {prepared.num_vertices})"
-            )
-        elif assignment.num_parts != num_parts:
-            raise SimulationError(
-                f"assignment has {assignment.num_parts} parts, architecture "
-                f"is configured for {num_parts}"
-            )
-
-        mirror_table = None
-        mirrors_per_vertex = None
-        if self.needs_mirrors:
-            mirror_table = build_mirror_table(prepared, assignment)
-            mirrors_per_vertex = mirror_table.mirrors_per_vertex()
-
-        result = RunResult(
-            architecture=self.name,
-            kernel=kernel.name,
-            graph_name=graph_name,
-            num_parts=num_parts,
-            num_compute_nodes=self.num_compute_nodes(),
-            kernel_program=kernel,
-        )
-        tracer = get_tracer()
-        traced = tracer.enabled
-        ctx = RunContext(
-            graph=prepared,
-            kernel=kernel,
+        trace = prepare_trace(
+            graph,
+            kernel,
+            num_parts=self.num_partitions(),
+            partitioner=partitioner,
             assignment=assignment,
-            mirror_table=mirror_table,
-            mirrors_per_vertex=mirrors_per_vertex,
-            topology=self.config.topology(),
-            config=self.config,
-            result=result,
-            faults=self._fault_runtime(faults, checkpoint, num_parts),
-            tracer=tracer,
+            source=source,
+            graph_name=graph_name,
+            seed=seed,
+            with_mirrors=self.needs_mirrors,
         )
-
-        state = kernel.initial_state(prepared, source=source)
-        cap = max_iterations if max_iterations is not None else kernel.max_iterations
-        cache = StructuralProfileCache()
-        telemetry = EngineTelemetry()
-        self._on_run_start(ctx, state)
-
-        run_cm = (
-            tracer.span(
-                "run",
-                category=CATEGORY_RUN,
-                architecture=self.name,
-                kernel=kernel.name,
-                graph=graph_name,
-                parts=num_parts,
-                mode="run",
-            )
-            if traced
-            else nullcontext()
+        iterations = engine_iterations(
+            trace,
+            max_iterations=max_iterations,
+            memory_budget_bytes=self.config.memory_budget_bytes,
         )
-        with run_cm as run_span:
-            for _ in range(cap):
-                if state.frontier.size == 0:
-                    result.converged = True
-                    break
-                if traced:
-                    with tracer.span(
-                        "iteration", category=CATEGORY_ITERATION
-                    ) as it_span:
-                        profile = execute_iteration(
-                            kernel,
-                            state,
-                            assignment,
-                            mirrors_per_vertex=mirrors_per_vertex,
-                            cache=cache,
-                            memory_budget_bytes=self.config.memory_budget_bytes,
-                            telemetry=telemetry,
-                            tracer=tracer,
-                        )
-                        stats = self._account_iteration(profile, ctx)
-                        self._annotate_iteration_span(it_span, stats)
-                else:
-                    profile = execute_iteration(
-                        kernel,
-                        state,
-                        assignment,
-                        mirrors_per_vertex=mirrors_per_vertex,
-                        cache=cache,
-                        memory_budget_bytes=self.config.memory_budget_bytes,
-                        telemetry=telemetry,
-                    )
-                    stats = self._account_iteration(profile, ctx)
-                result.iterations.append(stats)
-                if kernel.has_converged(state):
-                    result.converged = True
-                    break
-            if traced:
-                self._annotate_run_span(run_span, result)
-
-        counters = result.counters
-        counters.add(M.ENGINE_PEAK_TRACKED_BYTES, telemetry.peak_tracked_bytes)
-        counters.add(M.ENGINE_EDGE_BLOCKS, telemetry.edge_blocks)
-        counters.add(M.ENGINE_STREAMED_ITERATIONS, telemetry.streamed_iterations)
-
-        state.converged = result.converged
-        result.final_state = state
-        return result
+        return self._account_trace(
+            trace,
+            iterations,
+            mode="run",
+            graph_name=graph_name,
+            faults=faults,
+            checkpoint=checkpoint,
+        )
 
     def _annotate_iteration_span(self, span, stats: IterationStats) -> None:
         """Attach the accounting facts to a finished iteration's span."""
@@ -258,7 +173,7 @@ class ArchitectureSimulator(abc.ABC):
 
     def replay(
         self,
-        trace,
+        trace: ExecutionTrace,
         *,
         graph_name: Optional[str] = None,
         faults: FaultsLike = None,
@@ -275,7 +190,6 @@ class ArchitectureSimulator(abc.ABC):
         and ``checkpoint`` behave exactly as in :meth:`run` — faults only
         touch the accounting, so they compose naturally with replay.
         """
-        kernel = trace.kernel
         num_parts = self.num_partitions()
         if trace.assignment.num_parts != num_parts:
             raise SimulationError(
@@ -287,17 +201,42 @@ class ArchitectureSimulator(abc.ABC):
                 f"{self.name} needs master/mirror structures; record the "
                 "trace with with_mirrors=True"
             )
+        return self._account_trace(
+            trace,
+            recorded_iterations(trace),
+            mode="replay",
+            graph_name=graph_name if graph_name is not None else trace.graph_name,
+            faults=faults,
+            checkpoint=checkpoint,
+        )
 
+    def _account_trace(
+        self,
+        trace: ExecutionTrace,
+        iterations: IterationStream,
+        *,
+        mode: str,
+        graph_name: str,
+        faults: FaultsLike,
+        checkpoint: Optional[CheckpointPolicy],
+    ) -> RunResult:
+        """The accounting loop behind :meth:`run` and :meth:`replay`.
+
+        ``iterations`` comes live from the engine or from a recording; it
+        is closed on every exit, so a failed step leaves no span open.
+        """
+        kernel = trace.kernel
+        self._check_capability(kernel)
+        num_parts = self.num_partitions()
         result = RunResult(
             architecture=self.name,
             kernel=kernel.name,
-            graph_name=graph_name if graph_name is not None else trace.graph_name,
+            graph_name=graph_name,
             num_parts=num_parts,
             num_compute_nodes=self.num_compute_nodes(),
             kernel_program=kernel,
         )
         tracer = get_tracer()
-        traced = tracer.enabled
         ctx = RunContext(
             graph=trace.graph,
             kernel=kernel,
@@ -312,38 +251,28 @@ class ArchitectureSimulator(abc.ABC):
             faults=self._fault_runtime(faults, checkpoint, num_parts),
             tracer=tracer,
         )
-        self._on_run_start(ctx, trace.final_state)
-        run_cm = (
-            tracer.span(
-                "run",
-                category=CATEGORY_RUN,
-                architecture=self.name,
-                kernel=kernel.name,
-                graph=result.graph_name,
-                parts=num_parts,
-                mode="replay",
-            )
-            if traced
-            else nullcontext()
-        )
-        with run_cm as run_span:
-            for profile in trace.profiles:
-                if traced:
-                    with tracer.span(
-                        "iteration", category=CATEGORY_ITERATION
-                    ) as it_span:
-                        stats = self._account_iteration(profile, ctx)
-                        self._annotate_iteration_span(it_span, stats)
-                else:
-                    stats = self._account_iteration(profile, ctx)
+        with tracer.span(
+            "run",
+            category=CATEGORY_RUN,
+            architecture=self.name,
+            kernel=kernel.name,
+            graph=graph_name,
+            parts=num_parts,
+            mode=mode,
+        ) as run_span, closing(iterations):
+            for profile, it_span in iterations:
+                stats = self._account_iteration(profile, ctx)
+                if tracer.enabled:
+                    self._annotate_iteration_span(it_span, stats)
                 result.iterations.append(stats)
-            if traced:
+            result.converged = trace.converged
+            if tracer.enabled:
                 self._annotate_run_span(run_span, result)
+
         counters = result.counters
         counters.add(M.ENGINE_PEAK_TRACKED_BYTES, trace.peak_tracked_bytes)
         counters.add(M.ENGINE_EDGE_BLOCKS, trace.edge_blocks)
         counters.add(M.ENGINE_STREAMED_ITERATIONS, trace.streamed_iterations)
-        result.converged = trace.converged
         result.final_state = trace.final_state
         return result
 
@@ -355,8 +284,9 @@ class ArchitectureSimulator(abc.ABC):
     def _account(self, profile: IterationProfile, ctx: RunContext) -> IterationStats:
         """Translate one iteration's profile into movement and timing."""
 
-    def _on_run_start(self, ctx: RunContext, state: KernelState) -> None:
-        """Optional per-run setup hook (e.g. initial graph distribution)."""
+    def _check_capability(self, kernel: VertexProgram) -> None:
+        """Raise if this architecture cannot execute ``kernel`` at all;
+        runs before any iteration.  Every kernel is accepted by default."""
 
     # ------------------------------------------------------------------ #
     # Fault injection and recovery accounting
@@ -402,33 +332,32 @@ class ArchitectureSimulator(abc.ABC):
             tracer.span(
                 "recover", category=CATEGORY_PHASE, fault_events=len(events)
             )
-            if events and tracer.enabled
-            else None
+            if events
+            else NOOP_SPAN
         )
         phases: Dict[str, int] = {}
         host_extra = 0
         network_extra = 0
         recovery_seconds = 0.0
-        for event in events:
-            counters.add(M.FAULT_EVENTS)
-            fatal = event.kind is FaultKind.MEMORY_NODE_CRASH or (
-                event.kind is FaultKind.NDP_DEVICE_FAILURE
-                and self.ndp_failure_is_fatal
-            )
-            if fatal:
-                h, n, s = self._account_crash_recovery(event, ctx, phases)
-                host_extra += h
-                network_extra += n
-                recovery_seconds += s
-            elif event.kind is FaultKind.NDP_DEVICE_FAILURE:
-                # Device-down window is tracked by the runtime; the offload
-                # path consults it and falls back to host fetch (see
-                # DisaggregatedNDPSimulator._account).
-                counters.add(M.FAULT_NDP_FAILURES)
-            elif event.kind is FaultKind.LINK_DEGRADATION:
-                counters.add(M.FAULT_LINK_DEGRADATIONS)
-        if recover_span is not None:
-            recover_span.finish()
+        with recover_span:
+            for event in events:
+                counters.add(M.FAULT_EVENTS)
+                fatal = event.kind is FaultKind.MEMORY_NODE_CRASH or (
+                    event.kind is FaultKind.NDP_DEVICE_FAILURE
+                    and self.ndp_failure_is_fatal
+                )
+                if fatal:
+                    h, n, s = self._account_crash_recovery(event, ctx, phases)
+                    host_extra += h
+                    network_extra += n
+                    recovery_seconds += s
+                elif event.kind is FaultKind.NDP_DEVICE_FAILURE:
+                    # Device-down window is tracked by the runtime; the
+                    # offload path consults it and falls back to host fetch
+                    # (see DisaggregatedNDPSimulator._account).
+                    counters.add(M.FAULT_NDP_FAILURES)
+                elif event.kind is FaultKind.LINK_DEGRADATION:
+                    counters.add(M.FAULT_LINK_DEGRADATIONS)
 
         if runtime.tracks_link_health:
             # Rebuild link state from the active windows every iteration so
@@ -481,14 +410,14 @@ class ArchitectureSimulator(abc.ABC):
         if not phases and recovery_seconds == 0.0:
             return stats
         recovery_bytes = sum(phases.values())
-        if recover_span is not None:
+        if events:
             # The span closed before accounting ran; attributes are read at
             # export time, so attaching the final byte totals here is safe.
             recover_span.set_attrs(
                 recovery_bytes=recovery_bytes,
                 recovery_seconds=recovery_seconds,
             )
-        elif tracer.enabled:
+        else:
             # Checkpoint- or drop-only boundary (no fault events): instant.
             tracer.event(
                 "recover",

@@ -9,9 +9,8 @@ resource utilization from the provisioning model.
 The kernel numerics execute exactly once: the workload is recorded into an
 :class:`~repro.arch.trace.ExecutionTrace` and each simulator *replays* the
 shared trace through its accounting hook (the paper's "run the computation
-once, separately account what each deployment would have moved").  Pass
-``shared_trace=False`` to fall back to four independent executions — the
-results are bit-identical either way.
+once, separately account what each deployment would have moved").  Each
+row is bit-identical to that simulator's own ``run`` on the workload.
 """
 
 from __future__ import annotations
@@ -68,9 +67,8 @@ class ArchitectureComparison:
     rows: List[ArchitectureRow]
     kernel: str
     graph_name: str
-    #: the shared execution trace the rows were replayed from (``None``
-    #: when the comparison ran with ``shared_trace=False``)
-    trace: Optional[ExecutionTrace] = field(default=None, repr=False)
+    #: the shared execution trace the rows were replayed from
+    trace: ExecutionTrace = field(repr=False)
 
     def row(self, architecture: str) -> ArchitectureRow:
         for r in self.rows:
@@ -127,7 +125,6 @@ def compare_architectures(
     demand_scale: float = 1.0,
     target_iteration_seconds: float = 1.0,
     seed: int = 0,
-    shared_trace: bool = True,
     faults: FaultsLike = None,
     checkpoint: Optional[CheckpointPolicy] = None,
     policy=None,
@@ -141,9 +138,6 @@ def compare_architectures(
     provisioning must meet; memory-bound kernels with relaxed targets need
     little compute per byte of graph, which is exactly the demand ratio a
     coupled server cannot match (Fig. 4's spread).
-    ``shared_trace`` executes the kernel once and replays the recorded
-    trace through every simulator (default); disabling it re-executes the
-    numerics per architecture, producing bit-identical rows ~4× slower.
     ``faults`` injects the same seed-driven fault schedule into every
     architecture's accounting pass (numerics are unaffected), so the rows
     additionally carry each deployment's recovery bill; ``checkpoint``
@@ -162,40 +156,23 @@ def compare_architectures(
         DisaggregatedSimulator(cfg),
         DisaggregatedNDPSimulator(ndp_cfg, **ndp_kwargs),
     ]
-    trace = None
-    if shared_trace:
-        # All four simulators partition over cfg.num_memory_nodes parts, so
-        # one recorded execution serves every accounting pass.
-        trace = record_trace(
-            graph,
-            kernel,
-            num_parts=cfg.num_memory_nodes,
-            partitioner=partitioner,
-            source=source,
-            max_iterations=max_iterations,
-            graph_name=graph_name,
-            seed=seed,
-            memory_budget_bytes=cfg.memory_budget_bytes,
-        )
-        runs = [
-            sim.replay(trace, faults=faults, checkpoint=checkpoint)
-            for sim in simulators
-        ]
-    else:
-        runs = [
-            sim.run(
-                graph,
-                kernel,
-                partitioner=partitioner,
-                source=source,
-                max_iterations=max_iterations,
-                graph_name=graph_name,
-                seed=seed,
-                faults=faults,
-                checkpoint=checkpoint,
-            )
-            for sim in simulators
-        ]
+    # All four simulators partition over cfg.num_memory_nodes parts, so
+    # one recorded execution serves every accounting pass.
+    trace = record_trace(
+        graph,
+        kernel,
+        num_parts=cfg.num_memory_nodes,
+        partitioner=partitioner,
+        source=source,
+        max_iterations=max_iterations,
+        graph_name=graph_name,
+        seed=seed,
+        memory_budget_bytes=cfg.memory_budget_bytes,
+    )
+    runs = [
+        sim.replay(trace, faults=faults, checkpoint=checkpoint)
+        for sim in simulators
+    ]
 
     worst_bytes = max(r.total_host_link_bytes for r in runs) or 1
     worst_sync = max(

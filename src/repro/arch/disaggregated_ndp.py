@@ -216,28 +216,18 @@ class DisaggregatedNDPSimulator(DisaggregatedSimulator):
         partial_bytes = wire * profile.partial_update_pairs
         inc_ops = 0.0
         if inc_enabled and topo.switch is not None:
-            if ctx.tracer.enabled:
-                with ctx.tracer.span(
-                    "aggregate", category=CATEGORY_PHASE
-                ) as agg_span:
-                    outcome = topo.switch.aggregate(
-                        profile.partials_per_part,
-                        profile.updates_per_destination,
-                        profile.distinct_destinations,
-                        wire,
-                    )
-                    agg_span.set_attrs(
-                        updates_in=outcome.updates_in,
-                        updates_out=outcome.updates_out,
-                        bytes_in=outcome.bytes_in,
-                        bytes_out=outcome.bytes_out,
-                    )
-            else:
+            with ctx.tracer.span("aggregate", category=CATEGORY_PHASE) as agg_span:
                 outcome = topo.switch.aggregate(
                     profile.partials_per_part,
                     profile.updates_per_destination,
                     profile.distinct_destinations,
                     wire,
+                )
+                agg_span.set_attrs(
+                    updates_in=outcome.updates_in,
+                    updates_out=outcome.updates_out,
+                    bytes_in=outcome.bytes_in,
+                    bytes_out=outcome.bytes_out,
                 )
             ledger.record(
                 "apply-fanin",
@@ -356,28 +346,18 @@ class DisaggregatedNDPSimulator(DisaggregatedSimulator):
         if inc_enabled and topo.switch is not None and off_pairs:
             off_dst = profile.pair_dst[pair_offloaded]
             _, off_fanin = np.unique(off_dst, return_counts=True)
-            if ctx.tracer.enabled:
-                with ctx.tracer.span(
-                    "aggregate", category=CATEGORY_PHASE
-                ) as agg_span:
-                    outcome = topo.switch.aggregate(
-                        profile.partials_per_part[mask],
-                        off_fanin,
-                        int(off_fanin.size),
-                        wire,
-                    )
-                    agg_span.set_attrs(
-                        updates_in=outcome.updates_in,
-                        updates_out=outcome.updates_out,
-                        bytes_in=outcome.bytes_in,
-                        bytes_out=outcome.bytes_out,
-                    )
-            else:
+            with ctx.tracer.span("aggregate", category=CATEGORY_PHASE) as agg_span:
                 outcome = topo.switch.aggregate(
                     profile.partials_per_part[mask],
                     off_fanin,
                     int(off_fanin.size),
                     wire,
+                )
+                agg_span.set_attrs(
+                    updates_in=outcome.updates_in,
+                    updates_out=outcome.updates_out,
+                    bytes_in=outcome.bytes_in,
+                    bytes_out=outcome.bytes_out,
                 )
             ledger.record(
                 "apply-fanin", LinkClass.MEMORY_LINK, outcome.bytes_in, off_active

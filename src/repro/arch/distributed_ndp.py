@@ -48,19 +48,9 @@ class DistributedNDPSimulator(DistributedSimulator):
         )
         return comm_seconds - hideable
 
-    def run(self, graph, kernel, **kwargs):
-        # The per-node accelerators must be able to execute the kernel at all;
-        # GraphQ-style units have no host fallback inside the node.
+    def _check_capability(self, kernel) -> None:
+        # GraphQ-style units have no host fallback inside the node: a kernel
+        # the per-node accelerators cannot execute has no distributed-NDP
+        # deployment to run or account for.
         check = check_offload(kernel, self.config.ndp_device, phase="traverse")
         check.raise_if_denied()
-        return super().run(graph, kernel, **kwargs)
-
-    def replay(self, trace, **kwargs):
-        # Replay accounts the same execution, so the same capability envelope
-        # applies: a kernel the PIM units cannot run has no distributed-NDP
-        # deployment to account for.
-        check = check_offload(
-            trace.kernel, self.config.ndp_device, phase="traverse"
-        )
-        check.raise_if_denied()
-        return super().replay(trace, **kwargs)

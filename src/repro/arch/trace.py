@@ -1,4 +1,4 @@
-"""Execute once, account four ways: shared iteration traces.
+"""Execute once, account four ways: the engine loop and shared traces.
 
 The paper's methodology (Section III) runs the real computation *once* and
 separately accounts what each deployment strategy would have moved.  An
@@ -10,17 +10,19 @@ accounting hooks need), and any number of architecture simulators then
 :meth:`~repro.arch.base.ArchitectureSimulator.replay` — without ever
 re-executing the kernel numerics.
 
-:func:`record_trace` mirrors the simulators' run loop exactly (same
-convergence tests, same iteration cap), so a replayed
-:class:`~repro.arch.results.RunResult` is bit-identical to one produced by
-an independent :meth:`~repro.arch.base.ArchitectureSimulator.run` call on
-the same workload.
+:func:`engine_iterations` is the only engine loop.  :func:`record_trace`
+keeps what it yields, and
+:meth:`~repro.arch.base.ArchitectureSimulator.run` feeds it straight into
+the same accounting loop that ``replay`` feeds from the recorded profiles,
+so a replayed :class:`~repro.arch.results.RunResult` is bit-identical to
+one produced by ``run`` on the same workload.
 """
 
 from __future__ import annotations
 
+from contextlib import closing
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import Any, Generator, List, Optional, Tuple
 
 import numpy as np
 
@@ -45,15 +47,20 @@ from repro.partition.random_hash import HashPartitioner
 from repro.utils.rng import SeedLike
 
 
+#: ``(profile, still-open iteration span)`` pairs, one per iteration
+IterationStream = Generator[Tuple[IterationProfile, Any], None, None]
+
+
 @dataclass
 class ExecutionTrace:
     """One recorded kernel execution, replayable by any simulator.
 
     Holds everything a simulator's accounting pass reads: the prepared
     graph, the partition assignment, master/mirror structures, and the
-    per-iteration structural profiles.  ``final_state`` is the kernel state
-    after the last recorded iteration — replayed runs share it (the
-    numerics ran once, so there is only one final state to share).
+    per-iteration structural profiles.  The engine loop advances
+    ``final_state`` in place from the kernel's initial state, so once
+    recorded it is the state after the last iteration — replayed runs
+    share it (the numerics ran once, so there is only one to share).
     """
 
     graph: CSRGraph
@@ -62,7 +69,7 @@ class ExecutionTrace:
     mirror_table: Optional[MirrorTable]
     mirrors_per_vertex: Optional[np.ndarray]
     final_state: KernelState
-    converged: bool
+    converged: bool = False
     graph_name: str = "graph"
     profiles: List[IterationProfile] = field(default_factory=list)
     #: structural-profile cache statistics from the recording pass
@@ -113,6 +120,60 @@ def record_trace(
     transients; over budget, edges stream in blocks with bit-identical
     profiles and numerics (telemetry lands on the returned trace).
     """
+    trace = prepare_trace(
+        graph,
+        kernel,
+        num_parts=num_parts,
+        partitioner=partitioner,
+        assignment=assignment,
+        source=source,
+        graph_name=graph_name,
+        seed=seed,
+        with_mirrors=with_mirrors,
+    )
+    iterations = engine_iterations(
+        trace,
+        max_iterations=max_iterations,
+        cache=cache,
+        memory_budget_bytes=memory_budget_bytes,
+    )
+    with get_tracer().span(
+        "run",
+        category=CATEGORY_RUN,
+        kernel=kernel.name,
+        graph=graph_name,
+        parts=trace.assignment.num_parts,
+        mode="record",
+    ) as run_span, closing(iterations):
+        for profile, span in iterations:
+            span.set_attrs(
+                iteration=profile.iteration,
+                frontier_size=profile.frontier_size,
+                edges=profile.edges_traversed,
+            )
+            trace.profiles.append(profile)
+        run_span.set_attrs(
+            iterations=trace.num_iterations, converged=trace.converged
+        )
+    return trace
+
+
+def prepare_trace(
+    graph: CSRGraph,
+    kernel: VertexProgram,
+    *,
+    num_parts: Optional[int] = None,
+    partitioner: Optional[Partitioner] = None,
+    assignment: Optional[PartitionAssignment] = None,
+    source: Optional[int] = None,
+    graph_name: str = "graph",
+    seed: SeedLike = 0,
+    with_mirrors: bool = True,
+) -> ExecutionTrace:
+    """The workload before its first iteration, as a trace with no
+    profiles: the prepared graph, its partition (or the validated
+    ``assignment``), the master/mirror table when ``with_mirrors``, and
+    the kernel's initial state."""
     prepared = prepare_graph(graph, kernel)
     if assignment is None:
         if num_parts is None:
@@ -128,8 +189,8 @@ def record_trace(
         )
     elif num_parts is not None and assignment.num_parts != num_parts:
         raise SimulationError(
-            f"assignment has {assignment.num_parts} parts, trace was asked "
-            f"for {num_parts}"
+            f"assignment has {assignment.num_parts} parts, the run needs "
+            f"{num_parts}"
         )
 
     mirror_table = None
@@ -137,79 +198,57 @@ def record_trace(
     if with_mirrors:
         mirror_table = build_mirror_table(prepared, assignment)
         mirrors_per_vertex = mirror_table.mirrors_per_vertex()
-
-    cache = cache if cache is not None else StructuralProfileCache()
-    telemetry = EngineTelemetry()
-    state = kernel.initial_state(prepared, source=source)
-    cap = max_iterations if max_iterations is not None else kernel.max_iterations
-
-    trace = ExecutionTrace(
+    return ExecutionTrace(
         graph=prepared,
         kernel=kernel,
         assignment=assignment,
         mirror_table=mirror_table,
         mirrors_per_vertex=mirrors_per_vertex,
-        final_state=state,
-        converged=False,
+        final_state=kernel.initial_state(prepared, source=source),
         graph_name=graph_name,
     )
+
+
+def engine_iterations(
+    trace: ExecutionTrace,
+    *,
+    max_iterations: Optional[int] = None,
+    cache: Optional[StructuralProfileCache] = None,
+    memory_budget_bytes: Optional[int] = None,
+) -> IterationStream:
+    """The engine loop: execute ``trace.kernel`` from the trace's state.
+
+    Yields each iteration's profile with its still-open ``iteration``
+    span, which holds the engine's phase spans; the consumer annotates it
+    before asking for the next one.  The loop stops when the frontier
+    empties or the kernel reports convergence, or at the iteration cap.
+    Once exhausted it sets ``trace.converged`` and the engine telemetry.
+    """
+    kernel = trace.kernel
+    state = trace.final_state
+    cache = cache if cache is not None else StructuralProfileCache()
+    telemetry = EngineTelemetry()
     tracer = get_tracer()
-    if tracer.enabled:
-        with tracer.span(
-            "run",
-            category=CATEGORY_RUN,
-            kernel=kernel.name,
-            graph=graph_name,
-            parts=assignment.num_parts,
-            mode="record",
-        ) as run_span:
-            for _ in range(cap):
-                if state.frontier.size == 0:
-                    trace.converged = True
-                    break
-                with tracer.span(
-                    "iteration", category=CATEGORY_ITERATION
-                ) as it_span:
-                    profile = execute_iteration(
-                        kernel,
-                        state,
-                        assignment,
-                        mirrors_per_vertex=mirrors_per_vertex,
-                        cache=cache,
-                        memory_budget_bytes=memory_budget_bytes,
-                        telemetry=telemetry,
-                        tracer=tracer,
-                    )
-                    it_span.set_attrs(
-                        iteration=profile.iteration,
-                        frontier_size=profile.frontier_size,
-                        edges=profile.edges_traversed,
-                    )
-                trace.profiles.append(profile)
-                if kernel.has_converged(state):
-                    trace.converged = True
-                    break
-            run_span.set_attrs(
-                iterations=len(trace.profiles), converged=trace.converged
-            )
-    else:
-        for _ in range(cap):
-            if state.frontier.size == 0:
-                trace.converged = True
-                break
+    cap = max_iterations if max_iterations is not None else kernel.max_iterations
+    for _ in range(cap):
+        if state.frontier.size == 0:
+            trace.converged = True
+            break
+        with tracer.span("iteration", category=CATEGORY_ITERATION) as span:
             profile = execute_iteration(
                 kernel,
                 state,
-                assignment,
-                mirrors_per_vertex=mirrors_per_vertex,
+                trace.assignment,
+                mirrors_per_vertex=trace.mirrors_per_vertex,
                 cache=cache,
                 memory_budget_bytes=memory_budget_bytes,
                 telemetry=telemetry,
+                tracer=tracer,
             )
-            trace.profiles.append(profile)
-            if kernel.has_converged(state):
-                trace.converged = True
-                break
+            yield profile, span
+        if kernel.has_converged(state):
+            trace.converged = True
+            break
 
     state.converged = trace.converged
     trace.cache_hits = cache.hits
@@ -217,4 +256,12 @@ def record_trace(
     trace.peak_tracked_bytes = telemetry.peak_tracked_bytes
     trace.edge_blocks = telemetry.edge_blocks
     trace.streamed_iterations = telemetry.streamed_iterations
-    return trace
+
+
+def recorded_iterations(trace: ExecutionTrace) -> IterationStream:
+    """Yield each recorded profile with a fresh, still-open ``iteration``
+    span: the replay counterpart of :func:`engine_iterations`."""
+    tracer = get_tracer()
+    for profile in trace.profiles:
+        with tracer.span("iteration", category=CATEGORY_ITERATION) as span:
+            yield profile, span

@@ -288,20 +288,6 @@ def fig7_sweep_tasks(
     return tasks
 
 
-def _merged_chaos(
-    crash_plan: Optional[Mapping[str, int]],
-    chaos_plan: Optional[ChaosPlan],
-) -> ChaosPlan:
-    """Fold the legacy ``crash_plan`` counts into one consumable plan."""
-    merged = ChaosPlan()
-    for label, count in (crash_plan or {}).items():
-        merged.actions.setdefault(label, []).extend(["crash"] * int(count))
-    if chaos_plan is not None:
-        for label, kinds in chaos_plan.actions.items():
-            merged.actions.setdefault(label, []).extend(kinds)
-    return merged
-
-
 class _JournalSession:
     """Journal plumbing for one ``run_sweep`` call (no-op without a path).
 
@@ -383,7 +369,6 @@ def run_sweep(
     backoff_s: float = 0.25,
     backoff_cap_s: float = 8.0,
     keep_going: bool = False,
-    crash_plan: Optional[Mapping[str, int]] = None,
     chaos_plan: Optional[ChaosPlan] = None,
     collect_spans: bool = False,
     journal_path: Optional[str] = None,
@@ -423,10 +408,10 @@ def run_sweep(
     returned verbatim, so a killed sweep continues instead of restarting
     and the merged results are bit-identical to an uninterrupted run.
 
-    ``crash_plan`` maps task labels to a number of injected worker crashes
-    (legacy test hook); ``chaos_plan`` is its superset from
-    :mod:`repro.chaos` (kill/hang/crash).  In serial mode any injected
-    action raises instead, as there is no process to lose.
+    ``chaos_plan`` (see :mod:`repro.chaos`) injects kill/hang/crash
+    actions per task label; the sweep consumes a copy, so the caller's
+    plan is left intact.  In serial mode any injected action raises
+    instead, as there is no process to lose.
 
     With ``collect_spans`` each task records its own span batch (see
     :class:`SweepOutcome.spans`) regardless of the execution mode.
@@ -446,7 +431,9 @@ def run_sweep(
             f"heartbeat_timeout_s must be positive, got {heartbeat_timeout_s}"
         )
 
-    chaos = _merged_chaos(crash_plan, chaos_plan)
+    # take() consumes the plan: copy it so the caller's stays intact.
+    actions = chaos_plan.actions if chaos_plan is not None else {}
+    chaos = ChaosPlan({label: list(kinds) for label, kinds in actions.items()})
     session = _JournalSession(journal_path, resume, tasks, jobs=jobs)
     results: Dict[int, SweepOutcome] = dict(session.resumed)
     todo = [(idx, task) for idx, task in enumerate(tasks) if idx not in results]

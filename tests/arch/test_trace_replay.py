@@ -3,6 +3,8 @@ to independent runs, and the kernel numerics must execute exactly once."""
 
 from __future__ import annotations
 
+from typing import Optional
+
 import numpy as np
 import pytest
 
@@ -16,21 +18,32 @@ from repro.arch.engine import (
     numeric_execution_count,
     reset_numeric_execution_count,
 )
+from repro.arch.results import result_sha256
 from repro.arch.trace import record_trace
-from repro.errors import SimulationError
+from repro.errors import CapabilityError, SimulationError
+from repro.faults.checkpoint import EveryKCheckpoint
+from repro.faults.schedule import FaultSpec
+from repro.hardware.catalog import UPMEM_PIM
 from repro.kernels.registry import get_kernel
 from repro.runtime.config import SystemConfig
+from repro.runtime.offload import get_policy
 
 KERNELS = ("pagerank", "cc", "sssp", "bfs")
+#: inputs on which replay must match run: fault-free, faults with
+#: replication plus a checkpoint, a budget that forces edge streaming, and
+#: a per-part offload policy
+CASES = ("fault-free", "faults+checkpoint", "streaming", "per-part")
+STREAMING_BUDGET = 16 * 1024
 
 
-def _simulators(cfg: SystemConfig):
+def _simulators(cfg: SystemConfig, policy: Optional[str] = None):
     ndp_cfg = cfg if cfg.enable_inc else cfg.with_options(enable_inc=True)
+    ndp_kwargs = {} if policy is None else {"policy": get_policy(policy)}
     return [
         DistributedSimulator(cfg),
         DistributedNDPSimulator(cfg),
         DisaggregatedSimulator(cfg),
-        DisaggregatedNDPSimulator(ndp_cfg),
+        DisaggregatedNDPSimulator(ndp_cfg, **ndp_kwargs),
     ]
 
 
@@ -42,43 +55,81 @@ def _source_for(kernel, graph):
 class TestReplayMatchesIndependentRuns:
     """One shared trace through ``replay`` == four fresh ``run`` calls."""
 
-    def test_bit_identical(self, kernel_name, lj_tiny, config4):
-        kernel = get_kernel(kernel_name)
-        source = _source_for(kernel, lj_tiny)
+    @staticmethod
+    def _run_and_replay(kernel, case, graph, config4):
+        """Four fresh ``run`` results and four replays of one trace."""
+        source = _source_for(kernel, graph)
+        cfg = (
+            config4.with_options(memory_budget_bytes=STREAMING_BUDGET)
+            if case == "streaming"
+            else config4
+        )
+        policy = "per-part" if case == "per-part" else None
+
+        def accounting():
+            # A fresh checkpoint policy per pass: policies carry state.
+            if case != "faults+checkpoint":
+                return {}
+            return {
+                "faults": FaultSpec.standard(
+                    seed=3,
+                    num_parts=cfg.num_memory_nodes,
+                    replication_factor=2,
+                    horizon=10,
+                ),
+                "checkpoint": EveryKCheckpoint(3),
+            }
+
         independent = [
             sim.run(
-                lj_tiny,
+                graph,
                 kernel,
                 source=source,
                 max_iterations=10,
                 graph_name="lj",
                 seed=3,
+                **accounting(),
             )
-            for sim in _simulators(config4)
+            for sim in _simulators(cfg, policy)
         ]
         trace = record_trace(
-            lj_tiny,
+            graph,
             kernel,
-            num_parts=config4.num_memory_nodes,
+            num_parts=cfg.num_memory_nodes,
             source=source,
             max_iterations=10,
             graph_name="lj",
             seed=3,
+            memory_budget_bytes=cfg.memory_budget_bytes,
         )
-        replayed = [sim.replay(trace) for sim in _simulators(config4)]
+        replayed = [
+            sim.replay(trace, **accounting())
+            for sim in _simulators(cfg, policy)
+        ]
+        if case == "faults+checkpoint":
+            assert all(r.total_recovery_bytes for r in independent)
+        if case == "streaming":
+            assert trace.streamed_iterations > 0
+        return independent, replayed
 
-        for ind, rep in zip(independent, replayed):
-            assert rep.architecture == ind.architecture
-            assert rep.converged == ind.converged
-            # Per-iteration movement and timing, field for field.
-            assert rep.iterations == ind.iterations
-            assert rep.total_host_link_bytes == ind.total_host_link_bytes
-            assert rep.total_network_bytes == ind.total_network_bytes
-            assert rep.total_sync_seconds == ind.total_sync_seconds
-            # Kernel output arrays must match bitwise.
-            np.testing.assert_array_equal(
-                rep.result_property(), ind.result_property()
+    def test_bit_identical(self, kernel_name, lj_tiny, config4):
+        kernel = get_kernel(kernel_name)
+        for case in CASES:
+            independent, replayed = self._run_and_replay(
+                kernel, case, lj_tiny, config4
             )
+            for ind, rep in zip(independent, replayed):
+                assert rep.architecture == ind.architecture, case
+                assert rep.converged == ind.converged, case
+                # Per-iteration movement and timing, field for field.
+                assert rep.iterations == ind.iterations, case
+                assert rep.total_host_link_bytes == ind.total_host_link_bytes, case
+                assert rep.total_network_bytes == ind.total_network_bytes, case
+                assert rep.total_sync_seconds == ind.total_sync_seconds, case
+                # Kernel output arrays must match bitwise.
+                np.testing.assert_array_equal(
+                    rep.result_property(), ind.result_property(), err_msg=case
+                )
 
     def test_final_state_is_shared(self, kernel_name, lj_tiny, config4):
         kernel = get_kernel(kernel_name)
@@ -139,30 +190,41 @@ class TestExecuteOnce:
         assert numeric_execution_count() == comparison.trace.num_iterations
         assert len(comparison.rows) == 4
 
-    def test_independent_compare_runs_numerics_four_times(self, lj_tiny):
-        kernel = get_kernel("pagerank")
-        reset_numeric_execution_count()
-        comparison = compare_architectures(
-            lj_tiny,
-            kernel,
-            max_iterations=6,
-            graph_name="lj",
-            shared_trace=False,
-        )
-        assert comparison.trace is None
-        iters = comparison.rows[0].run.num_iterations
-        assert numeric_execution_count() == 4 * iters
-
-    def test_compare_paths_agree(self, lj_tiny):
+    def test_compare_rows_equal_separate_runs(self, lj_tiny):
         kernel = get_kernel("cc")
-        shared = compare_architectures(lj_tiny, kernel, max_iterations=8)
-        independent = compare_architectures(
-            lj_tiny, kernel, max_iterations=8, shared_trace=False
-        )
-        assert shared.labels() == independent.labels()
-        for s_row, i_row in zip(shared.rows, independent.rows):
-            assert s_row.total_host_link_bytes == i_row.total_host_link_bytes
-            assert s_row.run.iterations == i_row.run.iterations
+        comparison = compare_architectures(lj_tiny, kernel, max_iterations=8)
+        for row, sim in zip(comparison.rows, _simulators(SystemConfig())):
+            reset_numeric_execution_count()
+            run = sim.run(lj_tiny, kernel, max_iterations=8)
+            # run streams the engine loop into accounting: one numeric
+            # execution per iteration, none kept for a second pass.
+            assert numeric_execution_count() == run.num_iterations
+            assert row.architecture == run.architecture
+            assert row.run.iterations == run.iterations
+            assert row.run.ledger.breakdown() == run.ledger.breakdown()
+            assert result_sha256(row.run.result_property()) == result_sha256(
+                run.result_property()
+            )
+
+
+class TestCapabilityDenial:
+    """PIM units without floating point cannot run PageRank, and
+    distributed-NDP has no host fallback: every entry point refuses."""
+
+    def test_every_entry_point_refuses(self, lj_tiny):
+        cfg = SystemConfig(num_memory_nodes=4, ndp_device=UPMEM_PIM)
+        kernel = get_kernel("pagerank")
+        sim = DistributedNDPSimulator(cfg)
+        reset_numeric_execution_count()
+        with pytest.raises(CapabilityError):
+            sim.run(lj_tiny, kernel, max_iterations=4)
+        assert numeric_execution_count() == 0
+
+        trace = record_trace(lj_tiny, kernel, num_parts=4, max_iterations=4)
+        with pytest.raises(CapabilityError):
+            sim.replay(trace)
+        with pytest.raises(CapabilityError):
+            compare_architectures(lj_tiny, kernel, config=cfg, max_iterations=4)
 
 
 class TestReplayValidation:

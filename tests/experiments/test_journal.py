@@ -7,7 +7,7 @@ import json
 
 import pytest
 
-from repro.chaos import tear_tail
+from repro.chaos import ChaosPlan, tear_tail
 from repro.errors import ExperimentError, JournalError
 from repro.experiments.journal import (
     JOURNAL_VERSION,
@@ -282,7 +282,7 @@ class TestJournaledSweep:
             jobs=1,
             journal_path=str(path),
             resume=True,
-            crash_plan={t.label: 99 for t in TASKS},
+            chaos_plan=ChaosPlan({t.label: ["crash"] * 99 for t in TASKS}),
         )
         assert resumed == first
 

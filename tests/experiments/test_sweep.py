@@ -90,10 +90,10 @@ class TestSweepFaultTolerance:
     """The hardened runner: crashes, retries, keep-going, shm hygiene."""
 
     def test_worker_crash_is_retried(self):
-        crash_once = {SMALL_TASKS[0].label: 1}
+        crash_once = ChaosPlan({SMALL_TASKS[0].label: ["crash"]})
         outcomes = run_sweep(
             SMALL_TASKS, jobs=2, retries=2, backoff_s=0.01,
-            crash_plan=crash_once,
+            chaos_plan=crash_once,
         )
         assert all(o.ok for o in outcomes)
         assert outcomes[0].attempts >= 2
@@ -103,18 +103,18 @@ class TestSweepFaultTolerance:
         assert outcomes[0].ledger_sha256 == serial[0].ledger_sha256
 
     def test_exhausted_retries_fail_fast(self):
-        always_crash = {t.label: 99 for t in SMALL_TASKS}
+        always_crash = ChaosPlan({t.label: ["crash"] * 99 for t in SMALL_TASKS})
         with pytest.raises(ExperimentError, match="failed after"):
             run_sweep(
                 SMALL_TASKS, jobs=2, retries=1, backoff_s=0.01,
-                crash_plan=always_crash,
+                chaos_plan=always_crash,
             )
 
     def test_exhausted_retries_keep_going(self):
-        crash_forever = {SMALL_TASKS[0].label: 99}
+        crash_forever = ChaosPlan({SMALL_TASKS[0].label: ["crash"] * 99})
         outcomes = run_sweep(
             SMALL_TASKS, jobs=2, retries=1, backoff_s=0.01,
-            keep_going=True, crash_plan=crash_forever,
+            keep_going=True, chaos_plan=crash_forever,
         )
         assert len(outcomes) == len(SMALL_TASKS)
         assert not outcomes[0].ok
@@ -126,7 +126,7 @@ class TestSweepFaultTolerance:
     def test_serial_keep_going_records_failures(self):
         outcomes = run_sweep(
             SMALL_TASKS, jobs=1, keep_going=True,
-            crash_plan={SMALL_TASKS[1].label: 1},
+            chaos_plan=ChaosPlan({SMALL_TASKS[1].label: ["crash"]}),
         )
         assert outcomes[0].ok
         assert not outcomes[1].ok
@@ -134,7 +134,10 @@ class TestSweepFaultTolerance:
 
     def test_serial_fail_fast_raises(self):
         with pytest.raises(ExperimentError, match="injected crash"):
-            run_sweep(SMALL_TASKS, jobs=1, crash_plan={SMALL_TASKS[0].label: 1})
+            run_sweep(
+                SMALL_TASKS, jobs=1,
+                chaos_plan=ChaosPlan({SMALL_TASKS[0].label: ["crash"]}),
+            )
 
     @pytest.mark.skipif(
         not os.path.isdir("/dev/shm"), reason="needs POSIX /dev/shm"
@@ -145,7 +148,9 @@ class TestSweepFaultTolerance:
         with pytest.raises(ExperimentError):
             run_sweep(
                 SMALL_TASKS, jobs=2, retries=0, backoff_s=0.01,
-                crash_plan={t.label: 99 for t in SMALL_TASKS},
+                chaos_plan=ChaosPlan(
+                    {t.label: ["crash"] * 99 for t in SMALL_TASKS}
+                ),
             )
         assert _shm_segments() == before
 
@@ -179,7 +184,9 @@ class TestSweepFaultTolerance:
             with pytest.raises(ExperimentError, match="failed after"):
                 run_sweep(
                     SMALL_TASKS, jobs=2, retries=0, backoff_s=0.01,
-                    crash_plan={t.label: 99 for t in SMALL_TASKS},
+                    chaos_plan=ChaosPlan(
+                        {t.label: ["crash"] * 99 for t in SMALL_TASKS}
+                    ),
                 )
         assert _children() - before == set()
 

@@ -6,6 +6,8 @@ The acceptance properties of the observability layer:
   ledger totals, for every architecture, with and without faults;
 * tracing never perturbs the computation (traced vs untraced runs are
   bit-identical in ledgers, counters, and result properties);
+* spans form a run → iteration → phase tree on every entry point, and a
+  failed run leaves no span open;
 * serial and parallel sweeps produce the same span *structure*.
 """
 
@@ -16,13 +18,17 @@ import io
 import numpy as np
 import pytest
 
+from repro.arch.compare import compare_architectures
 from repro.arch.registry import get_architecture, list_architectures
-from repro.faults.schedule import FaultSpec
+from repro.errors import FaultError, RecoveryError
+from repro.faults.events import FaultEvent, FaultKind
+from repro.faults.schedule import FaultSchedule, FaultSpec
 from repro.graph.datasets import load_dataset
 from repro.kernels.registry import get_kernel
 from repro.obs import tracing_session, validate_chrome_trace
 from repro.obs.span import (
     CATEGORY_ITERATION,
+    CATEGORY_PHASE,
     CATEGORY_RUN,
     NOOP_TRACER,
     Tracer,
@@ -117,6 +123,110 @@ class TestByteAttributionAcceptance:
         for span in tracer.spans:
             if span.category == CATEGORY_ITERATION:
                 assert span.parent_id == run_span.span_id
+
+
+def _traced_compare(kernel="pagerank", max_iterations=MAX_ITER):
+    graph, ds = _graph()
+    tracer = Tracer()
+    with use_tracer(tracer):
+        comparison = compare_architectures(
+            graph,
+            get_kernel(kernel),
+            config=SystemConfig(num_memory_nodes=PARTS),
+            max_iterations=max_iterations,
+            graph_name=ds.name,
+            seed=SEED,
+        )
+    return comparison, tracer
+
+
+def _run_modes(tracer):
+    """The ``mode`` attribute of every ``run`` span, in start order."""
+    return [s.attrs["mode"] for s in tracer.spans if s.category == CATEGORY_RUN]
+
+
+class TestSpanTree:
+    """Phases nest under iterations, iterations under runs, on every path."""
+
+    @staticmethod
+    def _assert_tree(tracer):
+        by_id = {s.span_id: s for s in tracer.spans}
+        for span in tracer.spans:
+            parent = by_id.get(span.parent_id)
+            if span.category == CATEGORY_PHASE:
+                assert parent is not None, span
+                assert parent.category == CATEGORY_ITERATION, span
+            elif span.category == CATEGORY_ITERATION:
+                assert parent is not None, span
+                assert parent.category == CATEGORY_RUN, span
+
+    @pytest.mark.parametrize("arch", sorted(list_architectures()))
+    def test_run_span_tree(self, arch):
+        faults = FaultSchedule(
+            events=(
+                FaultEvent(1, FaultKind.MEMORY_NODE_CRASH, part=0),
+                FaultEvent(2, FaultKind.MESSAGE_DROP, drop_fraction=0.5),
+            ),
+            replication_factor=2,
+        )
+        for run_faults in (None, faults):
+            _, tracer = _traced_run(arch, faults=run_faults)
+            self._assert_tree(tracer)
+            assert _run_modes(tracer) == ["run"]
+        # The faulted run exercised the accounting's recover phase.
+        assert any(s.name == "recover" for s in tracer.spans)
+
+    def test_compare_span_tree(self):
+        _, tracer = _traced_compare()
+        self._assert_tree(tracer)
+        assert _run_modes(tracer) == ["record"] + ["replay"] * 4
+        replayed = [
+            s.attrs["architecture"]
+            for s in tracer.spans
+            if s.category == CATEGORY_RUN and s.attrs["mode"] == "replay"
+        ]
+        assert sorted(replayed) == sorted(list_architectures())
+
+    def test_replay_run_span_reports_convergence(self):
+        comparison, tracer = _traced_compare(kernel="cc", max_iterations=None)
+        assert comparison.trace.converged
+        runs = [s for s in tracer.spans if s.category == CATEGORY_RUN]
+        assert [s.attrs["converged"] for s in runs] == [True] * 5
+
+    @pytest.mark.parametrize(
+        "parts, replication, part, error",
+        [(PARTS, 1, 99, FaultError), (1, 2, 0, RecoveryError)],
+        ids=["part-out-of-range", "single-node-rereplicate"],
+    )
+    def test_failed_recovery_leaves_no_open_span(
+        self, parts, replication, part, error
+    ):
+        graph, ds = _graph()
+        sim = get_architecture("disaggregated", SystemConfig(num_memory_nodes=parts))
+        faults = FaultSchedule(
+            events=(FaultEvent(1, FaultKind.MEMORY_NODE_CRASH, part=part),),
+            replication_factor=replication,
+        )
+        tracer = Tracer()
+        with use_tracer(tracer):
+            with pytest.raises(error):
+                sim.run(
+                    graph,
+                    get_kernel("pagerank"),
+                    max_iterations=MAX_ITER,
+                    graph_name=ds.name,
+                    faults=faults,
+                )
+            assert tracer.current() is None
+            sim.run(
+                graph,
+                get_kernel("pagerank"),
+                max_iterations=MAX_ITER,
+                graph_name=ds.name,
+            )
+        runs = [s for s in tracer.spans if s.category == CATEGORY_RUN]
+        assert [s.parent_id for s in runs] == [None, None]
+        assert all(s.end_s is not None for s in tracer.spans)
 
 
 class TestNoOpBitIdentity:
