@@ -4,13 +4,13 @@ Times the vectorized streaming partitioners against their scalar reference
 implementations (which are kept, verbatim, in
 ``repro.partition.reference``), the graph-preparation primitives against
 the sort-based code they replaced (kept here), plus the artifact cache on
-the full sweep setup path (dataset generation -> partition -> mirror
-table).  The execute-once benchmarks emit machine-readable numbers to
-``benchmarks/out/BENCH_partition.json`` and assert same-process ratio
-bars at the largest scale: >= 3x on both partitioners, >= 5x for the
-flag-pass mirror table over ``np.unique``, >= 3x for the one-key CSR
-sort over ``np.lexsort`` in ``symmetrized()``, and >= 5x on warm-cache
-setup.
+the full setup path (dataset generation -> ``prepare_trace``: closure,
+partition, mirror table).  The execute-once benchmarks emit
+machine-readable numbers to ``benchmarks/out/BENCH_partition.json`` and
+assert same-process ratio bars at the largest scale: >= 3x on both
+partitioners, >= 5x for the flag-pass mirror table over ``np.unique``,
+>= 3x for the one-key CSR sort over ``np.lexsort`` in ``symmetrized()``,
+and >= 5x on warm-cache setup.
 """
 
 import json
@@ -19,9 +19,11 @@ import time
 import numpy as np
 
 from repro import cache as repro_cache
+from repro.arch.trace import prepare_trace
 from repro.cache.store import ArtifactCache
 from repro.graph.csr import CSRGraph
 from repro.graph.datasets import load_dataset
+from repro.kernels.cc import ConnectedComponents
 from repro.partition.base import PartitionAssignment
 from repro.partition.bfs_grow import BFSGrowPartitioner
 from repro.partition.mirrors import build_mirror_table
@@ -253,41 +255,46 @@ def test_dataset_generation_cold_vs_warm(tmp_path, bench_out_dir):
     )
 
 
-def test_sweep_setup_cold_vs_warm(tmp_path, bench_out_dir):
-    """The full setup path (graph + partition + mirrors) through the cache.
+def test_sweep_setup_cold_vs_warm(tmp_path, bench_out_dir, monkeypatch):
+    """The full setup path (graph + ``prepare_trace``) through the cache.
 
-    This is the sweep's per-graph setup cost; the acceptance bar is a
-    >= 5x warm/cold ratio at the largest scale.
+    ``prepare_trace`` is where every run, compare and sweep task prepares
+    its workload; with LDG and a cc kernel it reads the dataset, the
+    symmetrized graph and the assignment from the cache and rebuilds the
+    mirror table.  The acceptance bar is a >= 5x warm/cold ratio at the
+    largest scale.
     """
     tier = SCALES[-1][1]
     cache = ArtifactCache(tmp_path / "setupcache")
+    monkeypatch.setattr(repro_cache, "_active", cache)
 
-    def setup(active_cache):
-        graph, _ = repro_cache.load_dataset_cached(
-            DATASET, tier=tier, seed=SEED, cache=active_cache
+    def setup():
+        graph, _ = repro_cache.load_dataset_cached(DATASET, tier=tier, seed=SEED)
+        return prepare_trace(
+            graph,
+            ConnectedComponents(),
+            num_parts=NUM_PARTS,
+            partitioner=LDGStreamingPartitioner(),
+            seed=SEED,
         )
-        partitioner = repro_cache.CachedPartitioner(
-            LDGStreamingPartitioner(), cache=active_cache
-        )
-        assignment = partitioner.partition(graph, NUM_PARTS, seed=SEED)
-        table = repro_cache.build_mirror_table_cached(
-            graph, assignment, cache=active_cache
-        )
-        return graph, assignment, table
 
     cold_start = time.perf_counter()
-    cold = setup(cache)
+    cold = setup()
     cold_seconds = time.perf_counter() - cold_start
 
-    warm_seconds, warm = _min_of(lambda: setup(cache), rounds=3)
+    warm_seconds, warm = _min_of(setup, rounds=3)
 
-    np.testing.assert_array_equal(warm[1].parts, cold[1].parts)
+    assert warm.graph.digest == cold.graph.digest
+    np.testing.assert_array_equal(warm.assignment.parts, cold.assignment.parts)
     np.testing.assert_array_equal(
-        warm[2].mirror_vertices, cold[2].mirror_vertices
+        warm.mirror_table.mirror_vertices, cold.mirror_table.mirror_vertices
+    )
+    np.testing.assert_array_equal(
+        warm.mirror_table.mirror_parts, cold.mirror_table.mirror_parts
     )
     assert cache.counters["cache.dataset.hits"] >= 3
     assert cache.counters["cache.partition.hits"] >= 3
-    assert cache.counters["cache.mirrors.hits"] >= 3
+    assert cache.counters["cache.symmetrized.hits"] >= 3
 
     speedup = cold_seconds / warm_seconds
     _write_bench(

@@ -33,6 +33,8 @@ from repro.arch.engine import (
     execute_iteration,
     prepare_graph,
 )
+from repro.cache import get_cache
+from repro.cache.artifacts import CachedPartitioner, symmetrized_cached
 from repro.errors import SimulationError
 from repro.graph.csr import CSRGraph
 from repro.obs.span import (
@@ -173,7 +175,17 @@ def prepare_trace(
     """The workload before its first iteration, as a trace with no
     profiles: the prepared graph, its partition (or the validated
     ``assignment``), the master/mirror table when ``with_mirrors``, and
-    the kernel's initial state."""
+    the kernel's initial state.
+
+    Under a configured artifact cache (:func:`repro.cache.get_cache`) the
+    kernel's symmetrized graph and a search partitioner's assignment are
+    read from it, or built and stored on a miss.  A closed-form
+    partitioner's assignment, the mirror table and the uniform-weights
+    view are always recomputed: each costs less than the digest and read
+    a hit needs."""
+    cache = get_cache()
+    if cache is not None and kernel.requires_symmetric:
+        symmetrized_cached(graph, cache)  # seeds the memo read below
     prepared = prepare_graph(graph, kernel)
     if assignment is None:
         if num_parts is None:
@@ -181,6 +193,8 @@ def prepare_trace(
                 "record_trace needs num_parts or an explicit assignment"
             )
         chooser = partitioner or HashPartitioner()
+        if cache is not None and not chooser.closed_form:
+            chooser = CachedPartitioner(chooser, cache=cache)
         assignment = chooser.partition(prepared, num_parts, seed=seed)
     elif assignment.num_vertices != prepared.num_vertices:
         raise SimulationError(

@@ -1,9 +1,9 @@
 """Content-addressed artifact cache for the experiment setup path.
 
-Generating graphs, partitioning them, and building mirror tables dominates
-sweep start-up — and all three are pure functions of (spec, seed, scale).
-This package persists them as ``.npz`` artifacts under a cache directory so
-repeat runs skip straight to simulation.
+Generating graphs, symmetrizing them, and running search partitioners
+dominates sweep start-up — and all three are pure functions of (spec, seed,
+scale).  This package persists them as ``.npz`` artifacts under a cache
+directory so repeat runs skip straight to simulation.
 
 Usage:
 
@@ -25,26 +25,23 @@ from typing import Optional
 
 from repro.cache.artifacts import (
     CachedPartitioner,
-    build_mirror_table_cached,
     load_dataset_cached,
+    symmetrized_cached,
 )
 from repro.cache.bundle import export_bundle, import_bundle, resolve_digest
 from repro.cache.keys import (
-    assignment_digest,
     cacheable_seed,
     canonical_key,
     dataset_key,
     graph_digest,
-    mirror_key,
     partition_key,
+    symmetrized_key,
 )
 from repro.cache.store import ArtifactCache
 
 __all__ = [
     "ArtifactCache",
     "CachedPartitioner",
-    "assignment_digest",
-    "build_mirror_table_cached",
     "cacheable_seed",
     "canonical_key",
     "configure",
@@ -55,9 +52,10 @@ __all__ = [
     "graph_digest",
     "import_bundle",
     "load_dataset_cached",
-    "mirror_key",
     "partition_key",
     "resolve_digest",
+    "symmetrized_cached",
+    "symmetrized_key",
 ]
 
 #: Environment variable consulted when no cache has been configured.

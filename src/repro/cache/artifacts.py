@@ -1,19 +1,21 @@
 """Typed artifact (de)serialization and cached setup-path wrappers.
 
-Three artifact kinds round-trip through the store as ``.npz`` payloads:
+Three setup artifact kinds round-trip through the store as ``.npz``
+payloads:
 
 * **dataset** — a generated :class:`~repro.graph.csr.CSRGraph` keyed by
   ``(name, tier, seed, scale_shift)``;
 * **partition** — a :class:`~repro.partition.base.PartitionAssignment`
-  keyed by the *content digest* of the graph plus the partitioner's name,
-  parameters, part count, and seed;
-* **mirrors** — a :class:`~repro.partition.mirrors.MirrorTable` keyed by
-  the graph and assignment digests plus the direction.
+  keyed by the *content digest* of the graph plus the partitioner's
+  module-qualified class name, parameters, part count, and seed;
+* **symmetrized** — a graph's deduplicated undirected closure, keyed by
+  the input graph's content digest.
 
 The wrappers (:func:`load_dataset_cached`, :class:`CachedPartitioner`,
-:func:`build_mirror_table_cached`) fall back to regeneration on any miss and
-skip the cache entirely for non-integer seeds, so they are drop-in
-replacements for the functions they wrap.
+:func:`symmetrized_cached`) fall back to regeneration on any miss.  The
+first two also skip the cache entirely for non-integer seeds or when no
+cache is configured, so they are drop-in replacements for the functions
+they wrap.
 """
 
 from __future__ import annotations
@@ -24,18 +26,16 @@ from typing import Any, Dict, Mapping, Optional, Tuple
 import numpy as np
 
 from repro.cache.keys import (
-    assignment_digest,
     cacheable_seed,
     dataset_key,
     graph_digest,
-    mirror_key,
     partition_key,
+    symmetrized_key,
 )
 from repro.cache.store import ArtifactCache
 from repro.graph.csr import CSRGraph
 from repro.graph.datasets import DatasetSpec, get_spec, load_dataset
 from repro.partition.base import PartitionAssignment, Partitioner
-from repro.partition.mirrors import MirrorTable, build_mirror_table
 from repro.utils.rng import SeedLike
 
 
@@ -71,27 +71,6 @@ def assignment_to_arrays(assignment: PartitionAssignment) -> Dict[str, np.ndarra
 
 def assignment_from_arrays(arrays: Mapping[str, np.ndarray]) -> PartitionAssignment:
     return PartitionAssignment(arrays["parts"], int(arrays["num_parts"]))
-
-
-def mirrors_to_arrays(table: MirrorTable) -> Dict[str, np.ndarray]:
-    return {
-        "mirror_vertices": table.mirror_vertices,
-        "mirror_parts": table.mirror_parts,
-        "dims": np.asarray([table.num_vertices, table.num_parts], dtype=np.int64),
-    }
-
-
-def mirrors_from_arrays(
-    arrays: Mapping[str, np.ndarray], direction: str
-) -> MirrorTable:
-    dims = arrays["dims"]
-    return MirrorTable(
-        mirror_vertices=arrays["mirror_vertices"],
-        mirror_parts=arrays["mirror_parts"],
-        num_vertices=int(dims[0]),
-        num_parts=int(dims[1]),
-        direction=direction,
-    )
 
 
 def partitioner_params(partitioner: Partitioner) -> Dict[str, Any]:
@@ -157,7 +136,7 @@ class CachedPartitioner(Partitioner):
     """Wrap any partitioner with content-addressed result caching.
 
     The key covers the graph's full content digest, the inner partitioner's
-    registry name and parameters, the part count, and the seed — so a hit
+    class and parameters, the part count, and the seed — so a hit
     is guaranteed to be the byte-identical assignment the inner partitioner
     would produce.  Misses (and uncacheable seeds) delegate to the inner
     partitioner and store the result.
@@ -181,9 +160,10 @@ class CachedPartitioner(Partitioner):
         key_seed = cacheable_seed(seed)
         if cache is None or key_seed is None:
             return self.inner.partition(graph, num_parts, seed=seed)
+        inner_cls = type(self.inner)
         key = partition_key(
             graph_digest(graph),
-            self.inner.name,
+            f"{inner_cls.__module__}.{inner_cls.__qualname__}",
             partitioner_params(self.inner),
             num_parts,
             key_seed,
@@ -209,37 +189,29 @@ class CachedPartitioner(Partitioner):
         return f"CachedPartitioner({self.inner!r})"
 
 
-def build_mirror_table_cached(
-    graph: CSRGraph,
-    assignment: PartitionAssignment,
-    *,
-    direction: str = "push",
-    cache: Optional[ArtifactCache] = None,
-) -> MirrorTable:
-    """:func:`~repro.partition.mirrors.build_mirror_table` through the cache."""
-    if cache is None:
-        from repro.cache import get_cache
+def symmetrized_cached(graph: CSRGraph, cache: ArtifactCache) -> CSRGraph:
+    """:meth:`CSRGraph.symmetrized` through ``cache``.
 
-        cache = get_cache()
-    if cache is None:
-        return build_mirror_table(graph, assignment, direction=direction)
-    key = mirror_key(
-        graph_digest(graph),
-        assignment_digest(assignment.parts, assignment.num_parts),
-        direction,
-    )
-    entry = cache.get("mirrors", key)
+    A hit seeds ``graph``'s closure memo, so one graph object pays for its
+    digest and the read once; a graph that already holds its closure
+    touches no cache entry.
+    """
+    if graph._symmetrized_cache is not None:
+        return graph._symmetrized_cache
+    key = symmetrized_key(graph_digest(graph))
+    entry = cache.get("symmetrized", key)
     if entry is not None:
         arrays, _ = entry
-        return mirrors_from_arrays(arrays, direction)
+        graph._symmetrized_cache = graph_from_arrays(arrays)
+        return graph._symmetrized_cache
     start = time.perf_counter()
-    table = build_mirror_table(graph, assignment, direction=direction)
+    closure = graph.symmetrized()
     elapsed = time.perf_counter() - start
     cache.put(
-        "mirrors",
+        "symmetrized",
         key,
-        mirrors_to_arrays(table),
-        meta={"direction": direction, "num_parts": table.num_parts},
+        graph_to_arrays(closure),
+        meta={"n": closure.num_vertices, "m": closure.num_edges},
         gen_seconds=elapsed,
     )
-    return table
+    return closure

@@ -83,7 +83,11 @@ def partition_key(
     num_parts: int,
     seed: int,
 ) -> str:
-    """Key for a partition assignment of one concrete graph."""
+    """Key for a partition assignment of one concrete graph.
+
+    ``partitioner`` names the implementation (its module-qualified class
+    name), so a subclass that reuses a registry name gets its own entry.
+    """
     return canonical_key(
         "partition",
         {
@@ -96,12 +100,9 @@ def partition_key(
     )
 
 
-def mirror_key(graph_sha: str, assignment_sha: str, direction: str) -> str:
-    """Key for a mirror table of one (graph, assignment) pair."""
-    return canonical_key(
-        "mirrors",
-        {"graph": graph_sha, "assignment": assignment_sha, "direction": direction},
-    )
+def symmetrized_key(graph_sha: str) -> str:
+    """Key for the deduplicated undirected closure of one concrete graph."""
+    return canonical_key("symmetrized", {"graph": graph_sha})
 
 
 def result_key(request_digest: str) -> str:
@@ -112,11 +113,3 @@ def result_key(request_digest: str) -> str:
     content-addressed, so this just namespaces it under the cache schema.
     """
     return canonical_key("result", {"request": request_digest})
-
-
-def assignment_digest(parts: np.ndarray, num_parts: int) -> str:
-    """Content digest of a partition assignment."""
-    h = hashlib.sha256()
-    h.update(np.int64(num_parts).tobytes())
-    h.update(np.ascontiguousarray(parts).tobytes())
-    return h.hexdigest()

@@ -39,7 +39,7 @@ from repro.obs.metrics import METRICS, M, strict_counters
 from repro.obs.span import get_tracer
 
 _META_FIELD = "__meta__"
-_VALID_KINDS = ("dataset", "partition", "mirrors", "result")
+_VALID_KINDS = ("dataset", "partition", "symmetrized", "result")
 
 
 class ArtifactCache:

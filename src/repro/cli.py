@@ -269,9 +269,7 @@ def _run(args: argparse.Namespace) -> int:
             graph,
             kernel,
             config=config,
-            partitioner=repro_cache.CachedPartitioner(
-                get_partitioner(args.partitioner)
-            ),
+            partitioner=get_partitioner(args.partitioner),
             source=source,
             max_iterations=args.max_iterations,
             graph_name=graph_name,
@@ -316,9 +314,7 @@ def _run(args: argparse.Namespace) -> int:
     run = simulator.run(
         graph,
         kernel,
-        partitioner=repro_cache.CachedPartitioner(
-            get_partitioner(args.partitioner)
-        ),
+        partitioner=get_partitioner(args.partitioner),
         source=source,
         max_iterations=args.max_iterations,
         graph_name=graph_name,

@@ -17,8 +17,8 @@ from typing import Dict, List, Sequence
 
 from repro.arch.disaggregated import DisaggregatedSimulator
 from repro.arch.disaggregated_ndp import DisaggregatedNDPSimulator
+from repro.cache import CachedPartitioner, load_dataset_cached
 from repro.experiments.common import DEFAULT_SEED, DEFAULT_TIER, ExperimentResult
-from repro.graph.datasets import load_dataset
 from repro.kernels.pagerank import PageRank
 from repro.partition.metis import MetisPartitioner
 from repro.runtime.config import SystemConfig
@@ -36,14 +36,14 @@ def run(
     seed: int = DEFAULT_SEED,
 ) -> ExperimentResult:
     """Sweep the partition count for every deployment strategy."""
-    graph, spec = load_dataset(dataset, tier=tier, seed=seed)
+    graph, spec = load_dataset_cached(dataset, tier=tier, seed=seed)
     series: Dict[str, List[float]] = {
         "fetch": [],
         "ndp-hash": [],
         "ndp-metis": [],
         "ndp-metis-inc": [],
     }
-    metis = MetisPartitioner()
+    metis = CachedPartitioner(MetisPartitioner())
     for k in partitions:
         config = SystemConfig(num_memory_nodes=int(k))
         config_inc = config.with_options(enable_inc=True)

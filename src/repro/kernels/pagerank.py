@@ -89,7 +89,10 @@ class PageRank(VertexProgram):
         dst: np.ndarray,
         weights: np.ndarray,
     ) -> np.ndarray:
-        return state.prop("rank")[src] * state.prop("inv_out_degree")[src]
+        # Multiply per vertex, then gather once per edge: each edge gets the
+        # IEEE product of its source's two operands, as a per-edge multiply
+        # would.
+        return (state.prop("rank") * state.prop("inv_out_degree"))[src]
 
     def apply(
         self, state: KernelState, touched: np.ndarray, reduced: np.ndarray

@@ -333,11 +333,13 @@ class M:
     CACHE_PARTITION_WRITE_ERRORS = METRICS.declare(
         "cache.partition.write_errors"
     )
-    CACHE_MIRRORS_HITS = METRICS.declare("cache.mirrors.hits")
-    CACHE_MIRRORS_MISSES = METRICS.declare("cache.mirrors.misses")
-    CACHE_MIRRORS_CORRUPT = METRICS.declare("cache.mirrors.corrupt")
-    CACHE_MIRRORS_WRITES = METRICS.declare("cache.mirrors.writes")
-    CACHE_MIRRORS_WRITE_ERRORS = METRICS.declare("cache.mirrors.write_errors")
+    CACHE_SYMMETRIZED_HITS = METRICS.declare("cache.symmetrized.hits")
+    CACHE_SYMMETRIZED_MISSES = METRICS.declare("cache.symmetrized.misses")
+    CACHE_SYMMETRIZED_CORRUPT = METRICS.declare("cache.symmetrized.corrupt")
+    CACHE_SYMMETRIZED_WRITES = METRICS.declare("cache.symmetrized.writes")
+    CACHE_SYMMETRIZED_WRITE_ERRORS = METRICS.declare(
+        "cache.symmetrized.write_errors"
+    )
     CACHE_EVICTIONS = METRICS.declare(
         "cache.evictions", description="entries evicted by the size cap"
     )

@@ -120,6 +120,10 @@ class Partitioner(abc.ABC):
 
     #: short name used by the registry and experiment configs
     name: str = "abstract"
+    #: the assignment is an O(n) formula over vertex ids or degrees, so
+    #: recomputing it costs less than the graph digest and read a cached
+    #: copy needs (:func:`repro.arch.trace.prepare_trace` never caches it)
+    closed_form: bool = False
 
     @abc.abstractmethod
     def partition(

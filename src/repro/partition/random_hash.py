@@ -22,6 +22,7 @@ class HashPartitioner(Partitioner):
     """Deterministic multiplicative-hash vertex partitioning."""
 
     name = "hash"
+    closed_form = True
 
     def partition(
         self, graph: CSRGraph, num_parts: int, *, seed: SeedLike = None
@@ -42,6 +43,7 @@ class RandomPartitioner(Partitioner):
     """
 
     name = "random"
+    closed_form = True
 
     def partition(
         self, graph: CSRGraph, num_parts: int, *, seed: SeedLike = None

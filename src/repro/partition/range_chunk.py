@@ -20,6 +20,7 @@ class RangePartitioner(Partitioner):
     """Split vertex ids into ``num_parts`` contiguous, equal-count ranges."""
 
     name = "range"
+    closed_form = True
 
     def partition(
         self, graph: CSRGraph, num_parts: int, *, seed: SeedLike = None
@@ -42,6 +43,7 @@ class EdgeBalancedRangePartitioner(Partitioner):
     """
 
     name = "range-edges"
+    closed_form = True
 
     def partition(
         self, graph: CSRGraph, num_parts: int, *, seed: SeedLike = None

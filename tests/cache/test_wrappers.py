@@ -7,19 +7,28 @@ import pytest
 
 from repro.cache import (
     CachedPartitioner,
-    build_mirror_table_cached,
     load_dataset_cached,
+    symmetrized_cached,
 )
 from repro.cache.store import ArtifactCache
 from repro.graph.datasets import load_dataset
 from repro.graph.generators import erdos_renyi
-from repro.partition.mirrors import build_mirror_table
+from repro.partition.base import PartitionAssignment
 from repro.partition.registry import get_partitioner
+from repro.partition.streaming import LDGStreamingPartitioner
 
 
 @pytest.fixture()
 def cache(tmp_path):
     return ArtifactCache(tmp_path)
+
+
+class ShiftedLDG(LDGStreamingPartitioner):
+    """Reuses LDG's registry name and parameters, not its assignment."""
+
+    def partition(self, graph, num_parts, *, seed=None):
+        parts = super().partition(graph, num_parts, seed=seed).parts
+        return PartitionAssignment((parts + 1) % num_parts, num_parts)
 
 
 class TestDatasetWrapper:
@@ -90,39 +99,34 @@ class TestCachedPartitioner:
         wrapped = CachedPartitioner(get_partitioner("ldg"), cache=cache)
         assert wrapped.name == "ldg"
 
+    def test_subclass_reusing_a_registry_name_gets_its_own_entry(self, cache):
+        graph = erdos_renyi(400, 2400, seed=5)
+        CachedPartitioner(get_partitioner("ldg"), cache=cache).partition(
+            graph, 8, seed=3
+        )
+        want = ShiftedLDG().partition(graph, 8, seed=3)
+        got = CachedPartitioner(ShiftedLDG(), cache=cache).partition(
+            graph, 8, seed=3
+        )
+        np.testing.assert_array_equal(got.parts, want.parts)
+        assert cache.counters["cache.partition.hits"] == 0
+        assert cache.counters["cache.partition.writes"] == 2
 
-class TestMirrorWrapper:
-    def test_warm_hit_is_byte_identical(self, cache):
-        graph = erdos_renyi(300, 1800, seed=5)
-        assignment = get_partitioner("hash").partition(graph, 8)
-        want = build_mirror_table(graph, assignment, direction="push")
-        cold = build_mirror_table_cached(
-            graph, assignment, direction="push", cache=cache
-        )
-        warm = build_mirror_table_cached(
-            graph, assignment, direction="push", cache=cache
-        )
-        for got in (cold, warm):
-            np.testing.assert_array_equal(got.mirror_vertices, want.mirror_vertices)
-            np.testing.assert_array_equal(got.mirror_parts, want.mirror_parts)
-            assert got.num_vertices == want.num_vertices
-            assert got.num_parts == want.num_parts
-            assert got.direction == "push"
-        assert cache.counters["cache.mirrors.hits"] == 1
 
-    def test_directions_are_distinct_entries(self, cache):
+class TestSymmetrizedWrapper:
+    def test_warm_hit_is_byte_identical_and_seeds_the_memo(self, cache):
+        want = erdos_renyi(300, 1800, seed=5).symmetrized()
+        symmetrized_cached(erdos_renyi(300, 1800, seed=5), cache=cache)
         graph = erdos_renyi(300, 1800, seed=5)
-        assignment = get_partitioner("hash").partition(graph, 8)
-        push = build_mirror_table_cached(
-            graph, assignment, direction="push", cache=cache
-        )
-        pull = build_mirror_table_cached(
-            graph, assignment, direction="pull", cache=cache
-        )
-        assert cache.counters["cache.mirrors.writes"] == 2
-        want_pull = build_mirror_table(graph, assignment, direction="pull")
-        np.testing.assert_array_equal(pull.mirror_vertices, want_pull.mirror_vertices)
-        assert push.direction == "push" and pull.direction == "pull"
+        warm = symmetrized_cached(graph, cache=cache)
+        assert warm.digest == want.digest
+        assert warm.indptr.dtype == want.indptr.dtype
+        assert warm.indices.dtype == want.indices.dtype
+        # One lookup per graph object: the memo now answers.
+        assert symmetrized_cached(graph, cache=cache) is warm
+        assert graph.symmetrized() is warm
+        assert cache.counters["cache.symmetrized.hits"] == 1
+        assert cache.counters["cache.symmetrized.writes"] == 1
 
 
 class TestCorruptionRecovery:
@@ -138,3 +142,13 @@ class TestCorruptionRecovery:
         np.testing.assert_array_equal(again.indices, cold.indices)
         assert cache.counters["cache.dataset.corrupt"] == 1
         assert cache.counters["cache.dataset.writes"] == 2
+
+    def test_corrupt_symmetrized_entry_rebuilds(self, cache):
+        want = erdos_renyi(300, 1800, seed=5).symmetrized()
+        symmetrized_cached(erdos_renyi(300, 1800, seed=5), cache=cache)
+        entry = next((cache.root / "symmetrized").glob("*/*.npz"))
+        entry.write_bytes(b"garbage")
+        again = symmetrized_cached(erdos_renyi(300, 1800, seed=5), cache=cache)
+        assert again.digest == want.digest
+        assert cache.counters["cache.symmetrized.corrupt"] == 1
+        assert cache.counters["cache.symmetrized.writes"] == 2
