@@ -679,7 +679,7 @@ class _DSLProgram(VertexProgram):
         frontier = spec.get(
             "frontier", np.arange(graph.num_vertices, dtype=np.int64)
         )
-        state.frontier = np.asarray(frontier, dtype=np.int64)
+        state.frontier = self._vertex_ids(frontier, graph, "init")
         for key, value in spec.get("scalars", {}).items():
             state.scalars[key] = float(value)
         if self._result_prop not in state.props:
@@ -700,14 +700,29 @@ class _DSLProgram(VertexProgram):
 
     def apply(self, state, touched, reduced):
         changed = self._apply(state, touched, reduced)
-        return np.asarray(changed, dtype=np.int64)
+        return self._vertex_ids(changed, state.graph, "apply")
 
     def update_frontier(self, state, changed):
         if self._single_shot:
             return np.empty(0, dtype=np.int64)
         if self._frontier is not None:
-            return np.asarray(self._frontier(state, changed), dtype=np.int64)
+            return self._vertex_ids(
+                self._frontier(state, changed), state.graph, "frontier"
+            )
         return changed
+
+    def _vertex_ids(self, ids, graph: CSRGraph, source: str) -> np.ndarray:
+        """``ids`` as int64; :class:`KernelError` naming ``source`` when one
+        lies outside ``[0, n)`` or repeats (any order is fine)."""
+        ids = np.asarray(ids, dtype=np.int64)
+        n = graph.num_vertices
+        if ids.size and (ids.min() < 0 or ids.max() >= n):
+            raise KernelError(
+                f"{self.name}: {source} returned vertex ids outside [0, {n})"
+            )
+        if np.unique(ids).size != ids.size:
+            raise KernelError(f"{self.name}: {source} returned repeated vertex ids")
+        return ids
 
     def has_converged(self, state):
         if self._converged is not None:

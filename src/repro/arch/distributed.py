@@ -11,8 +11,6 @@ synchronization overhead row of Table II.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.arch.base import ArchitectureSimulator, RunContext
 from repro.arch.engine import IterationProfile
 from repro.arch.results import IterationStats
@@ -77,8 +75,8 @@ class DistributedSimulator(ArchitectureSimulator):
         # Updates apply on the owners; model the worst-loaded owner.
         apply_ops = profile_ops.apply_ops(profile.touched.size)
         if profile.touched.size:
-            owner_updates = np.bincount(
-                parts[profile.touched], minlength=ctx.assignment.num_parts
+            owner_updates = profile.updates_per_owner(
+                parts, ctx.assignment.num_parts
             )
             apply_seconds = self._per_part_compute_seconds(
                 device,

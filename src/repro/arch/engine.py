@@ -52,7 +52,7 @@ import numpy as np
 
 from repro.errors import SimulationError
 from repro.graph.csr import CSRGraph
-from repro.graph.traversal import _gather
+from repro.graph.traversal import _gather_positions
 from repro.kernels.base import KernelState, VertexProgram
 from repro.obs.span import CATEGORY_PHASE
 from repro.partition.base import PartitionAssignment, ProfileScratch, distinct_pairs
@@ -113,6 +113,16 @@ class EngineTelemetry:
 _DEFAULT_SCRATCH = ProfileScratch()
 
 
+def _count_cross_pairs(owner_of, pair_dst, pair_part) -> int:
+    return int(np.count_nonzero(owner_of[pair_dst] != pair_part))
+
+
+def _count_updates_per_owner(owner_of, touched, num_parts) -> np.ndarray:
+    counts = np.bincount(owner_of[touched], minlength=num_parts)
+    counts.setflags(write=False)
+    return counts
+
+
 @dataclass(frozen=True)
 class IterationProfile:
     """Structural facts about one executed iteration (architecture-neutral)."""
@@ -129,15 +139,9 @@ class IterationProfile:
     partials_per_part: np.ndarray  # |D_p|
     updates_per_destination: np.ndarray  # fan-in per distinct destination
     changed_mirror_pairs: int  # Σ_{v in changed} #mirror parts of v
-    #: memo for :meth:`cross_update_pairs` — ``(owner array, value)``; one
-    #: profile is accounted by up to four architectures against the same
-    #: owner map, so the cross-pair count is computed once.  The memo holds
-    #: the array itself (compared with ``is``), not its ``id()`` — CPython
-    #: reuses ids after garbage collection, so an id match alone could
-    #: silently credit a different owner map.
-    _cross_memo: Optional[Tuple[np.ndarray, int]] = field(
-        default=None, compare=False, repr=False
-    )
+    #: owner-map counts, shared with every profile of the same structure
+    #: (see :meth:`_per_owner_map`)
+    owner_counts: dict = field(default_factory=dict, compare=False, repr=False)
     _active_parts: Optional[int] = field(default=None, compare=False, repr=False)
     _partial_active_parts: Optional[int] = field(
         default=None, compare=False, repr=False
@@ -175,21 +179,39 @@ class IterationProfile:
             )
         return self._partial_active_parts
 
+    def _per_owner_map(self, key, count, owner_of: np.ndarray, *args):
+        """``count(owner_of, *args)``, once per structure, key and owner map.
+
+        Profiles of one structure share ``owner_counts``, so the 50
+        profiles of a PageRank run, accounted by four architectures, count
+        once.  The memo holds the owner array itself, compared with ``is``,
+        never its ``id()``: CPython reuses ids after garbage collection, so
+        an id match alone could silently credit a different owner map.
+        """
+        memo = self.owner_counts.get(key)
+        if memo is None or memo[0] is not owner_of:
+            memo = (owner_of, count(owner_of, *args))
+            self.owner_counts[key] = memo
+        return memo[1]
+
     def cross_update_pairs(self, owner_of: np.ndarray) -> int:
         """Pairs whose source part is not the destination's owner.
 
         ``owner_of`` maps a vertex to the part owning its master — the
         mirror→master update count of the distributed architectures.
-        Memoized per owner map: during trace replay the same profile is
-        accounted by several simulators against the same partition map.
         """
         if self.pair_dst.size == 0:
             return 0
-        if self._cross_memo is not None and self._cross_memo[0] is owner_of:
-            return self._cross_memo[1]
-        value = int(np.count_nonzero(owner_of[self.pair_dst] != self.pair_part))
-        object.__setattr__(self, "_cross_memo", (owner_of, value))
-        return value
+        return self._per_owner_map(
+            "cross", _count_cross_pairs, owner_of, self.pair_dst, self.pair_part
+        )
+
+    def updates_per_owner(self, owner_of: np.ndarray, num_parts: int) -> np.ndarray:
+        """Read-only ``int64[num_parts]``: the reduced updates each owner applies."""
+        key = ("per-owner", num_parts)
+        return self._per_owner_map(
+            key, _count_updates_per_owner, owner_of, self.touched, num_parts
+        )
 
 
 @dataclass(frozen=True)
@@ -227,6 +249,8 @@ class FrontierStructure:
     streamed: bool = False
     #: ``int64[num_blocks + 1]`` frontier-index block boundaries
     block_bounds: Optional[np.ndarray] = None
+    #: owner-map counts, shared by every profile built from this structure
+    owner_counts: dict = field(default_factory=dict, compare=False, repr=False)
 
     @property
     def num_blocks(self) -> int:
@@ -252,6 +276,10 @@ class StructuralProfileCache:
     are recognized by their monotonically issued ``uid`` tokens, never by
     ``id()``: CPython reuses object ids after garbage collection, and a
     stale id hit would silently replay the wrong structure.
+
+    The first hit gives the entry an ``intp`` copy of narrower ``dst``
+    indices, so a 50-iteration PageRank casts them once instead of in every
+    reduce; a structure used once never pays for the copy.
 
     The cache also owns the :class:`ProfileScratch` its profiling calls
     reuse, making the scratch per-run (one cache is created per simulator
@@ -286,6 +314,12 @@ class StructuralProfileCache:
             self.misses += 1
             return None
         self.hits += 1
+        if entry.dst is not None and entry.dst.dtype != np.intp:
+            # Reused, so reduced again: one native-width copy spares
+            # ``ufunc.at`` its index cast on every later iteration.
+            dst = entry.dst.astype(np.intp)
+            dst.setflags(write=False)
+            object.__setattr__(entry, "dst", dst)
         return entry
 
     def store(
@@ -401,14 +435,7 @@ def _iter_block_edges(
         else:
             starts = indptr[fb]
             lens = indptr[fb + 1] - starts
-            dst = _gather(graph.indices, starts, lens)
-            weights = None
-            if with_weights:
-                weights = (
-                    _gather(graph.weights, starts, lens)
-                    if graph.weights is not None
-                    else _uniform_weights(dst.size)
-                )
+            dst, weights = _gather_edges(graph, starts, lens, with_weights)
         src = np.repeat(fb, lens) if with_src else None
         yield src, dst, weights, fb, lens
 
@@ -471,9 +498,7 @@ def _streamed_structure(
     seen[pair_idx] = False
     pair_dst = pair_idx // num_parts
     pair_part = pair_idx % num_parts
-    partials_per_part = np.bincount(pair_part, minlength=num_parts).astype(
-        np.int64, copy=False
-    )
+    partials_per_part = np.bincount(pair_part, minlength=num_parts)
     rank[touched] = np.arange(t, dtype=np.int64)
     updates_per_destination = np.bincount(rank[pair_dst], minlength=t)
 
@@ -521,6 +546,10 @@ def frontier_structure(
     if cache is not None:
         entry = cache.lookup(graph, frontier, assignment)
         if entry is not None:
+            if telemetry is not None and not entry.streamed:
+                # Reused: src, dst unless it is the CSR's own, and messages.
+                own_dst = 0 if entry.dst is graph.indices else entry.dst.nbytes
+                telemetry.track(entry.src.nbytes + own_dst + 8 * entry.edges_traversed)
             return entry
 
     scratch = cache.scratch if cache is not None else _DEFAULT_SCRATCH
@@ -534,12 +563,10 @@ def frontier_structure(
 
     if all_vertices:
         edges = graph.num_edges
-    elif frontier.size:
-        edges = int(
-            (graph.indptr[frontier + 1] - graph.indptr[frontier]).sum()
-        )
     else:
-        edges = 0
+        starts = graph.indptr[frontier]
+        lens = graph.indptr[frontier + 1] - starts
+        edges = int(lens.sum())
 
     if (
         memory_budget_bytes is not None
@@ -562,10 +589,13 @@ def frontier_structure(
             cache.store(graph, assignment, entry)
         return entry
 
+    frontier_parts = parts[frontier]
+    frontier_per_part = np.bincount(frontier_parts, minlength=num_parts)
     if all_vertices:
         # All-vertices fast path: the edge arrays are the CSR arrays
-        # themselves, and the per-edge source parts come precomputed from
-        # the assignment — no ragged gathers at all.
+        # themselves, and the per-part edge counts and the distinct pairs
+        # come from the assignment, whose pair pass also serves the push
+        # mirror table — no gathers and no pass over the edges here.
         src = np.repeat(frontier, np.diff(graph.indptr))
         dst = graph.indices
         weights = (
@@ -573,40 +603,39 @@ def frontier_structure(
             if graph.weights is not None
             else _uniform_weights(dst.size)
         )
-        src_parts = assignment.edge_source_parts(graph)
+        edges_per_part = assignment.edge_sizes(graph)
     else:
-        src, dst, weights, src_parts = _gather_frontier_edges(
-            graph, frontier, assignment
-        )
+        dst, weights = _gather_edges(graph, starts, lens, True)
+        src = np.repeat(frontier, lens)
+        # Σ outdeg(F ∩ V_p) from the slice lengths, O(|F|); the float64
+        # sums of integers are exact far beyond any edge count.
+        edges_per_part = np.bincount(
+            frontier_parts, weights=lens, minlength=num_parts
+        ).astype(np.int64)
     edges_traversed = int(dst.size)
 
-    frontier_per_part = np.bincount(
-        parts[frontier], minlength=num_parts
-    ).astype(np.int64) if frontier.size else np.zeros(num_parts, dtype=np.int64)
-    edges_per_part = np.bincount(
-        src_parts, minlength=num_parts
-    ).astype(np.int64) if edges_traversed else np.zeros(num_parts, dtype=np.int64)
-
-    if edges_traversed:
+    if not edges_traversed:
+        touched = pair_dst = pair_part = updates_per_destination = np.empty(
+            0, dtype=np.int64
+        )
+    elif all_vertices:
+        touched, pair_dst, pair_part, updates_per_destination = (
+            assignment.full_pairs(graph)
+        )
+    else:
+        src_parts = np.repeat(frontier_parts, lens)
         touched, pair_dst, pair_part, updates_per_destination = distinct_pairs(
             dst, src_parts, num_parts, n, scratch
         )
-        partials_per_part = np.bincount(
-            pair_part, minlength=num_parts
-        ).astype(np.int64)
-    else:
-        touched = np.empty(0, dtype=np.int64)
-        pair_dst = np.empty(0, dtype=np.int64)
-        pair_part = np.empty(0, dtype=np.int64)
-        partials_per_part = np.zeros(num_parts, dtype=np.int64)
-        updates_per_destination = np.empty(0, dtype=np.int64)
+    partials_per_part = np.bincount(pair_part, minlength=num_parts)
 
     if telemetry is not None and edges_traversed:
-        # src + keys + (gathered dst/weights on the generic path) + the
-        # message values apply_numeric is about to allocate.
-        transient = src.nbytes + 8 * edges_traversed * 2
+        # src and the message values apply_numeric is about to allocate;
+        # the sparse path adds its gathered dst/weights, source parts and
+        # pair keys (the all-vertices pairs come cached on the assignment).
+        transient = src.nbytes + 8 * edges_traversed
         if not all_vertices:
-            transient += dst.nbytes + src_parts.nbytes
+            transient += dst.nbytes + src_parts.nbytes + 8 * edges_traversed
             if graph.weights is not None:
                 transient += weights.nbytes
         telemetry.track(transient + scratch.tracked_nbytes())
@@ -828,6 +857,7 @@ def execute_iteration(
         partials_per_part=structure.partials_per_part,
         updates_per_destination=structure.updates_per_destination,
         changed_mirror_pairs=changed_mirror_pairs,
+        owner_counts=structure.owner_counts,
     )
 
 
@@ -836,33 +866,15 @@ def _uniform_weights(size: int) -> np.ndarray:
     return np.broadcast_to(np.float64(1.0), (size,))
 
 
-def _gather_frontier_edges(
-    graph: CSRGraph,
-    frontier: np.ndarray,
-    assignment: Optional[PartitionAssignment] = None,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, Optional[np.ndarray]]:
-    """All out-edges of the frontier as (src, dst, weight, src_part) arrays.
-
-    ``src_part`` is expanded from the frontier's own part ids (an O(|F|)
-    gather plus a repeat, instead of an extra |E|-sized random gather
-    through the vertex→part map); it is ``None`` when no assignment is
-    given.  The all-vertices case never reaches here — it reuses the
-    assignment's precomputed per-edge part array directly.
-    """
-    if frontier.size == 0:
-        empty = np.empty(0, dtype=np.int64)
-        return empty, empty, np.empty(0), (
-            empty if assignment is not None else None
-        )
-    starts = graph.indptr[frontier]
-    lens = graph.indptr[frontier + 1] - starts
-    dst = _gather(graph.indices, starts, lens)
-    src = np.repeat(frontier, lens)
-    if graph.weights is not None:
-        weights = _gather(graph.weights, starts, lens)
-    else:
-        weights = _uniform_weights(dst.size)
-    src_parts = None
-    if assignment is not None:
-        src_parts = np.repeat(assignment.parts[frontier], lens)
-    return src, dst, weights, src_parts
+def _gather_edges(
+    graph: CSRGraph, starts: np.ndarray, lens: np.ndarray, with_weights: bool
+) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+    """The frontier's ``(dst, weights)``: one position pass serves both
+    takes.  ``weights`` is ``None`` unless requested."""
+    positions = _gather_positions(starts, lens)
+    dst = graph.indices[positions]
+    if not with_weights:
+        return dst, None
+    if graph.weights is None:
+        return dst, _uniform_weights(dst.size)
+    return dst, graph.weights[positions]

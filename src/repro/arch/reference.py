@@ -9,19 +9,18 @@ and with an obviously correct derivation.  Tests assert the two paths
 produce bit-identical :class:`~repro.arch.engine.FrontierStructure` /
 :class:`~repro.arch.engine.IterationProfile` contents for every kernel.
 
-The oracle deliberately has **no** all-vertices shortcut: it always walks
-the generic gather path, so comparing it against the engine also exercises
-the engine's all-vertices fast path against an independent implementation.
+The oracle deliberately shares **no** code with the engine's gather: it
+has no all-vertices shortcut, and it builds the per-edge arrays by
+concatenating each frontier vertex's CSR slice in turn, so comparing the
+two also checks the engine's position pass and its all-vertices fast path
+against an independent implementation.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.arch.engine import (
-    FrontierStructure,
-    _gather_frontier_edges,
-)
+from repro.arch.engine import FrontierStructure
 from repro.graph.csr import CSRGraph
 from repro.partition.base import PartitionAssignment
 
@@ -40,9 +39,22 @@ def frontier_structure_reference(
     parts = assignment.parts
     num_parts = assignment.num_parts
 
-    src, dst, weights, src_parts = _gather_frontier_edges(
-        graph, frontier, assignment
+    bounds = graph.indptr.tolist()
+    slices = [(v, bounds[v], bounds[v + 1]) for v in frontier.tolist()]
+    dst = np.concatenate(
+        [graph.indices[lo:hi] for _, lo, hi in slices]
+        + [np.empty(0, dtype=graph.indices.dtype)]
     )
+    src = np.concatenate(
+        [np.full(hi - lo, v, dtype=np.int64) for v, lo, hi in slices]
+        + [np.empty(0, dtype=np.int64)]
+    )
+    weights = (
+        np.concatenate([graph.weights[lo:hi] for _, lo, hi in slices] + [np.empty(0)])
+        if graph.weights is not None
+        else np.ones(dst.size)
+    )
+    src_parts = parts[src]
     edges_traversed = int(dst.size)
 
     frontier_per_part = np.bincount(

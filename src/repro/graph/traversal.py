@@ -16,18 +16,23 @@ from repro.errors import GraphError
 from repro.graph.csr import CSRGraph
 
 
+def _gather_positions(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
+    """Flat positions of the ragged slices ``[starts[i], starts[i] + lens[i])``.
+
+    Output slot ``k`` inside slice ``i`` reads ``starts[i] + k - offsets[i]``,
+    where ``offsets`` are the exclusive prefix sums of ``lens``: one repeat
+    of the per-slice ``starts - offsets`` plus ``arange(total)`` gives every
+    position.  Take several arrays through one result to gather them all.
+    """
+    offsets = np.cumsum(lens) - lens
+    positions = np.repeat(starts - offsets, lens)
+    positions += np.arange(positions.size, dtype=positions.dtype)
+    return positions
+
+
 def _gather(indices: np.ndarray, starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
     """Vectorized gather of ragged slices ``indices[starts[i]:starts[i]+lens[i]]``."""
-    total = int(lens.sum())
-    if total == 0:
-        return np.empty(0, dtype=indices.dtype)
-    # Classic trick: cumulative offsets + repeated starts.
-    out_pos = np.arange(total, dtype=np.int64)
-    slice_id = np.repeat(np.arange(lens.size, dtype=np.int64), lens)
-    slice_start = np.zeros(lens.size, dtype=np.int64)
-    np.cumsum(lens[:-1], out=slice_start[1:])
-    within = out_pos - slice_start[slice_id]
-    return indices[starts[slice_id] + within]
+    return indices[_gather_positions(starts, lens)]
 
 
 def gather_neighbor_slices(graph: CSRGraph, vertices: np.ndarray) -> np.ndarray:

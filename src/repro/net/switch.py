@@ -111,7 +111,13 @@ class SwitchModel:
                 updates_in / max(distinct_destinations, 1),
             )
         else:
-            mult = np.sort(np.asarray(updates_per_destination, dtype=np.float64))[::-1]
+            mult = np.asarray(updates_per_destination, dtype=np.float64)
+            if cap < mult.size:
+                # The heaviest fan-ins fill the table, in no particular
+                # order: the kept counts are integers, so their sum is
+                # exact in any order and no sort is needed.
+                cut = mult.size - cap
+                mult = np.partition(mult, cut)[cut:] if cap else mult[:0]
         kept = mult[: min(cap, mult.size)]
         merged_updates = float(kept.sum())
         aggregated_dst = int(kept.size)

@@ -18,6 +18,7 @@ import numpy as np
 
 from repro.errors import PartitionError
 from repro.graph.csr import CSRGraph
+from repro.graph.traversal import _gather_positions
 from repro.utils.rng import SeedLike
 
 _uid_counter = itertools.count()
@@ -34,10 +35,14 @@ class PartitionAssignment:
         total part count (parts may be empty).
     """
 
-    __slots__ = ("parts", "num_parts", "uid", "_edge_parts_graph", "_edge_parts")
+    __slots__ = (
+        "parts", "num_parts", "uid", "_edge_parts_graph", "_edge_parts", "_full_pairs"
+    )
 
     def __init__(self, parts: np.ndarray, num_parts: int) -> None:
-        parts = np.ascontiguousarray(parts, dtype=np.int64)
+        # A private read-only copy: the per-edge caches below trust that
+        # the map never changes, so a caller's array must not alias it.
+        parts = np.array(parts, dtype=np.int64)
         if parts.ndim != 1:
             raise PartitionError("parts must be a 1-D array")
         if num_parts < 1:
@@ -47,6 +52,7 @@ class PartitionAssignment:
                 f"part ids must lie in [0, {num_parts}), saw "
                 f"[{parts.min()}, {parts.max()}]"
             )
+        parts.setflags(write=False)
         self.parts = parts
         self.num_parts = int(num_parts)
         #: Monotonically issued token (never reused, unlike ``id()``);
@@ -54,6 +60,7 @@ class PartitionAssignment:
         self.uid = next(_uid_counter)
         self._edge_parts_graph: Optional[CSRGraph] = None
         self._edge_parts: Optional[np.ndarray] = None
+        self._full_pairs: Optional[Tuple[np.ndarray, ...]] = None
 
     @property
     def num_vertices(self) -> int:
@@ -82,13 +89,42 @@ class PartitionAssignment:
         traversed edge by its source part, and rebuilding that |E|-sized
         gather each iteration dominates the full-frontier hot loop.
         """
-        self._check_graph(graph)
-        if self._edge_parts is None or self._edge_parts_graph is not graph:
+        self._bind_graph(graph)
+        if self._edge_parts is None:
             edge_parts = np.repeat(self.parts, np.diff(graph.indptr))
             edge_parts.setflags(write=False)
-            self._edge_parts_graph = graph
             self._edge_parts = edge_parts
         return self._edge_parts
+
+    def full_pairs(self, graph: CSRGraph) -> Tuple[np.ndarray, ...]:
+        """:func:`distinct_pairs` over every edge's (destination, source part).
+
+        The all-vertices frontier's structure, the push mirror table and the
+        communication volume all derive from this one |E| pass, so it runs
+        once per (assignment, graph) pair and is cached read-only beside
+        :meth:`edge_source_parts`.
+        """
+        self._bind_graph(graph)
+        if self._full_pairs is None:
+            pairs = distinct_pairs(
+                graph.indices,
+                self.edge_source_parts(graph),
+                self.num_parts,
+                self.num_vertices,
+                ProfileScratch(),
+            )
+            for arr in pairs:
+                arr.setflags(write=False)
+            self._full_pairs = pairs
+        return self._full_pairs
+
+    def _bind_graph(self, graph: CSRGraph) -> None:
+        """Point the per-edge caches at ``graph``, dropping another graph's."""
+        self._check_graph(graph)
+        if self._edge_parts_graph is not graph:
+            self._edge_parts_graph = graph
+            self._edge_parts = None
+            self._full_pairs = None
 
     def edge_sizes(self, graph: CSRGraph) -> np.ndarray:
         """Out-edge count stored on each part (edge lists follow their source)."""
@@ -211,11 +247,9 @@ def fill_lightest(sizes: np.ndarray, count: int) -> np.ndarray:
         eligible = np.flatnonzero(sizes <= level)[:remainder]
         picks_per_part[eligible] += 1
     part_ids = np.repeat(np.arange(k, dtype=np.int64), picks_per_part)
-    # Key of part p's j-th pick is s_p + j (its size at that moment).
-    slice_start = np.zeros(k, dtype=np.int64)
-    np.cumsum(picks_per_part[:-1], out=slice_start[1:])
-    within = np.arange(count, dtype=np.int64) - slice_start[part_ids]
-    keys = sizes[part_ids] + within
+    # Key of part p's j-th pick is s_p + j (its size at that moment): the
+    # positions of ragged slices that start at each part's size.
+    keys = _gather_positions(sizes, picks_per_part)
     order = np.lexsort((part_ids, keys))
     picked = part_ids[order]
     sizes += picks_per_part
@@ -332,29 +366,6 @@ def distinct_pairs(
     return touched, pair_vertex, pair_part, pairs_per_vertex
 
 
-def remote_pairs(
-    vertices: np.ndarray,
-    vertex_parts: np.ndarray,
-    assignment: PartitionAssignment,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Distinct ``(vertex, part)`` pairs whose part does not own the vertex.
-
-    Returns ``(pair_vertex, pair_part)``, int64 and sorted by vertex then
-    part: the master/mirror pairs of
-    :func:`~repro.partition.mirrors.build_mirror_table` and the messages
-    :func:`communication_volume` counts.
-    """
-    _, pair_vertex, pair_part, _ = distinct_pairs(
-        vertices,
-        vertex_parts,
-        assignment.num_parts,
-        assignment.num_vertices,
-        ProfileScratch(),
-    )
-    remote = np.flatnonzero(assignment.parts[pair_vertex] != pair_part)
-    return pair_vertex[remote], pair_part[remote]
-
-
 # ---------------------------------------------------------------------- #
 # Quality metrics
 # ---------------------------------------------------------------------- #
@@ -374,11 +385,8 @@ def communication_volume(graph: CSRGraph, assignment: PartitionAssignment) -> in
     at least one in-edge of it — exactly the per-iteration partial-update
     message count when all vertices are active (PageRank steady state).
     """
-    assignment._check_graph(graph)
-    pair_vertex, _ = remote_pairs(
-        graph.indices, assignment.edge_source_parts(graph), assignment
-    )
-    return int(pair_vertex.size)
+    _, pair_vertex, pair_part, _ = assignment.full_pairs(graph)
+    return int(np.count_nonzero(assignment.parts[pair_vertex] != pair_part))
 
 
 def balance_ratio(assignment: PartitionAssignment) -> float:

@@ -17,7 +17,7 @@ import numpy as np
 
 from repro.errors import PartitionError
 from repro.graph.csr import CSRGraph
-from repro.partition.base import PartitionAssignment, remote_pairs
+from repro.partition.base import PartitionAssignment, ProfileScratch, distinct_pairs
 
 
 @dataclass(frozen=True)
@@ -82,17 +82,18 @@ def build_mirror_table(
     if direction not in ("push", "pull"):
         raise PartitionError(f"direction must be 'push' or 'pull', got {direction!r}")
     if direction == "push":
-        vert, part = remote_pairs(
-            graph.indices, assignment.edge_source_parts(graph), assignment
-        )
+        _, vert, part, _ = assignment.full_pairs(graph)
     else:
-        src = np.repeat(
-            np.arange(graph.num_vertices, dtype=np.int64), np.diff(graph.indptr)
+        n, k = graph.num_vertices, assignment.num_parts
+        src = np.repeat(np.arange(n, dtype=np.int64), np.diff(graph.indptr))
+        _, vert, part, _ = distinct_pairs(
+            src, assignment.parts[graph.indices], k, n, ProfileScratch()
         )
-        vert, part = remote_pairs(src, assignment.parts[graph.indices], assignment)
+    # Pairs come sorted by vertex then part; the remote ones are mirrors.
+    remote = np.flatnonzero(assignment.parts[vert] != part)
     return MirrorTable(
-        mirror_vertices=vert,
-        mirror_parts=part,
+        mirror_vertices=vert[remote],
+        mirror_parts=part[remote],
         num_vertices=graph.num_vertices,
         num_parts=assignment.num_parts,
         direction=direction,

@@ -5,14 +5,18 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.arch import engine
+from repro.arch.compare import compare_architectures
 from repro.arch.engine import (
     StructuralProfileCache,
     frontier_structure,
     prepare_graph,
 )
 from repro.arch.trace import record_trace
+from repro.kernels.pagerank import PageRank
 from repro.kernels.registry import get_kernel
 from repro.partition.random_hash import HashPartitioner
+from repro.runtime.config import SystemConfig
 
 
 @pytest.fixture
@@ -120,6 +124,22 @@ class TestCacheUnit:
             with pytest.raises(ValueError):
                 arr[0] = 0
 
+    def test_reused_structure_reduces_through_native_indices(self, assigned):
+        graph, assignment = assigned
+        assert graph.indices.dtype != np.intp
+        cache = StructuralProfileCache()
+        frontier = np.arange(graph.num_vertices, dtype=np.int64)
+        first = frontier_structure(graph, frontier, assignment, cache=cache)
+        # A structure used once keeps the CSR's own narrow indices.
+        assert first.dst is graph.indices
+        again = frontier_structure(graph, frontier, assignment, cache=cache)
+        assert again is first
+        assert again.dst.dtype == np.intp
+        assert not again.dst.flags.writeable
+        # The CSR keeps its narrow indices; only the structure widens.
+        np.testing.assert_array_equal(again.dst, graph.indices)
+        assert graph.indices.dtype != np.intp
+
 
 class TestCacheInTraces:
     def test_pagerank_hits_every_iteration_after_first(self, lj_tiny):
@@ -136,3 +156,44 @@ class TestCacheInTraces:
         )
         assert trace.cache_hits == 0
         assert trace.cache_misses == trace.num_iterations
+
+
+class TestOwnerCountsPerStructure:
+    def test_pagerank_compare_counts_once_per_structure(self, lj_tiny, monkeypatch):
+        # All 50 profiles share one all-vertices structure and all four
+        # accounting passes one owner map, so the cross-pair count and the
+        # per-owner histogram are each computed once for the compare.
+        calls = {"cross": 0, "owner": 0}
+
+        def spy(name, fn):
+            def counted(*args):
+                calls[name] += 1
+                return fn(*args)
+
+            return counted
+
+        monkeypatch.setattr(
+            engine, "_count_cross_pairs", spy("cross", engine._count_cross_pairs)
+        )
+        monkeypatch.setattr(
+            engine,
+            "_count_updates_per_owner",
+            spy("owner", engine._count_updates_per_owner),
+        )
+        comparison = compare_architectures(
+            lj_tiny,
+            PageRank(tolerance=0.0),
+            config=SystemConfig(num_memory_nodes=4),
+            max_iterations=50,
+        )
+        assert all(row.run.num_iterations == 50 for row in comparison.rows)
+        assert calls == {"cross": 1, "owner": 1}
+
+        trace = record_trace(lj_tiny, PageRank(), num_parts=4, max_iterations=3)
+        owner = trace.assignment.parts
+        cross = [p.cross_update_pairs(owner) for p in trace.profiles]
+        assert calls["cross"] == 2
+        assert len(set(cross)) == 1
+        # Another owner map, even an equal one, is counted afresh.
+        trace.profiles[-1].cross_update_pairs(owner.copy())
+        assert calls["cross"] == 3

@@ -18,6 +18,7 @@ from repro.arch.disaggregated_ndp import DisaggregatedNDPSimulator
 from repro.arch.distributed import DistributedSimulator
 from repro.arch.distributed_ndp import DistributedNDPSimulator
 from repro.arch.engine import (
+    StructuralProfileCache,
     execute_iteration,
     frontier_structure,
     prepare_graph,
@@ -42,6 +43,10 @@ STRUCTURE_FIELDS = (
 )
 
 
+#: per-edge arrays, compared by value: a reused structure widens ``dst``
+EDGE_FIELDS = ("src", "dst", "weights")
+
+
 def assert_structures_identical(fast, ref):
     """Values AND dtypes must match — the contract tests pin both."""
     assert fast.edges_traversed == ref.edges_traversed
@@ -49,31 +54,72 @@ def assert_structures_identical(fast, ref):
         a, b = getattr(fast, name), getattr(ref, name)
         assert a.dtype == b.dtype, f"{name}: {a.dtype} != {b.dtype}"
         np.testing.assert_array_equal(a, b, err_msg=name)
+    for name in EDGE_FIELDS:
+        np.testing.assert_array_equal(
+            getattr(fast, name), getattr(ref, name), err_msg=name
+        )
+
+
+def make_frontier(kind, n, rng):
+    """A frontier over ``n`` vertices: a random sorted subset, all but one
+    or all but 1% of the vertices, or a random subset in random order."""
+    if kind == "random":
+        size = int(rng.integers(0, n + 1))
+        return np.sort(rng.choice(n, size=size, replace=False)).astype(np.int64)
+    if kind == "all-but-one":
+        return np.delete(np.arange(n, dtype=np.int64), rng.integers(n))
+    if kind == "all-but-1pct":
+        dropped = rng.choice(n, size=max(1, n // 100), replace=False)
+        return np.setdiff1d(np.arange(n, dtype=np.int64), dropped)
+    assert kind == "unsorted"
+    return rng.permutation(n)[: int(rng.integers(1, n + 1))].astype(np.int64)
+
+
+FRONTIER_CASES = [
+    pytest.param(seed, "random", False, id=str(seed)) for seed in range(6)
+] + [
+    pytest.param(seed, kind, weighted, id=f"{kind}-{label}-{seed}")
+    for kind in ("random", "all-but-one", "all-but-1pct", "unsorted")
+    for weighted, label in ((False, "unweighted"), (True, "weighted"))
+    if (kind, weighted) != ("random", False)
+    for seed in range(3)
+]
 
 
 class TestOracleEquivalence:
-    @pytest.mark.parametrize("seed", range(6))
-    def test_random_frontiers_match(self, seed):
-        graph = rmat(9, 6, seed=seed)
+    @pytest.mark.parametrize("seed, kind, weighted", FRONTIER_CASES)
+    def test_random_frontiers_match(self, seed, kind, weighted):
+        graph = rmat(9, 6, seed=seed, weighted=weighted)
         assignment = HashPartitioner().partition(graph, 5, seed=seed)
         rng = np.random.default_rng(seed)
-        size = int(rng.integers(0, graph.num_vertices + 1))
-        frontier = np.sort(
-            rng.choice(graph.num_vertices, size=size, replace=False)
-        ).astype(np.int64)
+        frontier = make_frontier(kind, graph.num_vertices, rng)
         fast = frontier_structure(graph, frontier, assignment)
         ref = frontier_structure_reference(graph, frontier, assignment)
         assert_structures_identical(fast, ref)
 
-    @pytest.mark.parametrize("num_parts", [1, 3, 8])
-    def test_all_vertices_fast_path_matches(self, num_parts):
-        graph = rmat(9, 6, seed=11)
+    @pytest.mark.parametrize(
+        "num_parts, weighted",
+        [
+            pytest.param(1, False, id="1"),
+            pytest.param(3, False, id="3"),
+            pytest.param(8, False, id="8"),
+            pytest.param(3, True, id="weighted-3"),
+        ],
+    )
+    def test_all_vertices_fast_path_matches(self, num_parts, weighted):
+        graph = rmat(9, 6, seed=11, weighted=weighted)
         assignment = HashPartitioner().partition(graph, num_parts, seed=1)
         frontier = np.arange(graph.num_vertices, dtype=np.int64)
         fast = frontier_structure(graph, frontier, assignment)
         assert fast.all_vertices
         ref = frontier_structure_reference(graph, frontier, assignment)
         assert_structures_identical(fast, ref)
+        # Reused through a cache, the structure reduces through intp dst.
+        cache = StructuralProfileCache()
+        frontier_structure(graph, frontier, assignment, cache=cache)
+        reused = frontier_structure(graph, frontier, assignment, cache=cache)
+        assert cache.hits == 1 and reused.dst.dtype == np.intp
+        assert_structures_identical(reused, ref)
 
     def test_empty_frontier_matches(self, lj_tiny):
         assignment = HashPartitioner().partition(lj_tiny, 4, seed=0)

@@ -9,6 +9,7 @@ from repro.graph.csr import CSRGraph
 from repro.graph.generators import erdos_renyi, path_graph, ring_graph, star_graph
 from repro.graph.traversal import (
     _gather,
+    _gather_positions,
     bfs_levels,
     bfs_parents,
     connected_component_sizes,
@@ -85,6 +86,25 @@ class TestRaggedGather:
         out = _gather(values, starts, lens)
         assert out.dtype == np.uint32
         np.testing.assert_array_equal(out, [0, 1, 2, 3, 4, 10, 11, 12, 13, 14])
+
+
+class TestGatherPositions:
+    """The one position pass behind ``_gather``: empty slices between
+    non-empty ones and starts in any order, as unsorted frontiers give."""
+
+    @pytest.mark.parametrize("index_dtype", INDEX_DTYPES)
+    def test_empty_slices_and_non_monotone_starts(self, index_dtype):
+        starts = np.asarray([7, 3, 12, 0, 9, 0, 5], dtype=index_dtype)
+        lens = np.asarray([2, 0, 3, 0, 1, 4, 0], dtype=np.int64)
+        want = [7, 8, 12, 13, 14, 9, 0, 1, 2, 3]
+        np.testing.assert_array_equal(_gather_positions(starts, lens), want)
+        values = np.arange(100, 120, dtype=np.float64)
+        np.testing.assert_array_equal(_gather(values, starts, lens), values[want])
+
+    def test_all_slices_empty(self):
+        starts = np.asarray([4, 1, 9], dtype=np.int64)
+        out = _gather_positions(starts, np.zeros(3, dtype=np.int64))
+        assert out.size == 0
 
 
 class TestBFS:

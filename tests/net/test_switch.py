@@ -80,3 +80,23 @@ class TestSwitchModel:
 
     def test_repr(self):
         assert "sharp" in repr(make_switch())
+
+    @pytest.mark.parametrize("capacity", ["zero", "below", "equal", "above"])
+    def test_matches_sorted_formula(self, capacity):
+        # The table keeps the heaviest fan-ins; the kept counts are
+        # integers, so any order of them sums to the sorted formula's bytes.
+        rng = np.random.default_rng(7)
+        fanin = rng.integers(1, 9, size=300)
+        slots = {"zero": 0, "below": 37, "equal": 300, "above": 1000}[capacity]
+        switch = make_switch(buffer_bytes=32 * slots, slot_bytes=32)
+        partials = np.asarray([fanin.sum()])
+        outcome = switch.aggregate(partials, fanin, fanin.size, 16)
+
+        kept = np.sort(fanin.astype(np.float64))[::-1][:slots]
+        merged = float(kept.sum())
+        passthrough = int(fanin.sum()) - int(round(merged))
+        assert outcome.aggregated_destinations == kept.size
+        assert outcome.passthrough_updates == passthrough
+        assert outcome.updates_out == kept.size + passthrough
+        assert outcome.bytes_out == (kept.size + passthrough) * 16
+        assert outcome.reduction_ops == max(0.0, merged - kept.size)

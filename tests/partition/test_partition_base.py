@@ -5,7 +5,7 @@ import pytest
 
 from repro.errors import PartitionError
 from repro.graph.csr import CSRGraph
-from repro.graph.generators import complete_graph, ring_graph, star_graph
+from repro.graph.generators import complete_graph, ring_graph, rmat, star_graph
 from repro.partition.base import (
     PartitionAssignment,
     balance_ratio,
@@ -14,6 +14,7 @@ from repro.partition.base import (
     edge_cut,
     partition_quality,
 )
+from repro.partition.mirrors import build_mirror_table
 
 
 def assign(parts, k):
@@ -66,6 +67,19 @@ class TestPartitionAssignment:
         assert assign([0, 1], 2) != assign([1, 0], 2)
         assert assign([0, 1], 2) != assign([0, 1], 3)
 
+    def test_parts_are_a_frozen_copy(self):
+        # The per-edge caches trust the map never changes: a caller's array
+        # must not alias it, and the assignment's own copy is read-only.
+        graph = rmat(8, 6, seed=1)
+        parts = np.arange(graph.num_vertices, dtype=np.int64) % 4
+        a = PartitionAssignment(parts, 4)
+        volume = communication_volume(graph, a)
+        parts[::2] = 3
+        np.testing.assert_array_equal(a.parts, np.arange(graph.num_vertices) % 4)
+        assert communication_volume(graph, a) == volume
+        with pytest.raises(ValueError):
+            a.parts[0] = 1
+
 
 class TestEdgeCut:
     def test_all_local(self):
@@ -102,6 +116,26 @@ class TestCommunicationVolume:
     def test_volume_at_most_cut(self, tiny_rmat):
         a = assign(np.arange(tiny_rmat.num_vertices) % 8, 8)
         assert communication_volume(g := tiny_rmat, a) <= edge_cut(g, a)
+
+    def test_one_assignment_two_graphs(self):
+        # The cached pair pass is keyed by graph identity: two graphs of
+        # the same size, used in turn, each get their own volume and mirrors.
+        g1, g2 = rmat(8, 6, seed=1), rmat(8, 3, seed=2)
+        assert g1.num_vertices == g2.num_vertices
+        parts = np.arange(g1.num_vertices) % 4
+        shared = assign(parts, 4)
+        for graph in (g1, g2, g1, g2):
+            fresh = assign(parts, 4)
+            assert communication_volume(graph, shared) == communication_volume(
+                graph, fresh
+            )
+            table = build_mirror_table(graph, shared)
+            expected = build_mirror_table(graph, fresh)
+            np.testing.assert_array_equal(
+                table.mirror_vertices, expected.mirror_vertices
+            )
+            np.testing.assert_array_equal(table.mirror_parts, expected.mirror_parts)
+        assert communication_volume(g1, shared) != communication_volume(g2, shared)
 
 
 class TestBalance:

@@ -7,6 +7,7 @@ from repro.api import vertex_program
 from repro.arch.disaggregated import DisaggregatedSimulator
 from repro.arch.disaggregated_ndp import DisaggregatedNDPSimulator
 from repro.errors import KernelError
+from repro.graph.generators import erdos_renyi
 from repro.hardware.capabilities import check_offload
 from repro.hardware.catalog import UPMEM_PIM
 from repro.kernels import reference
@@ -213,3 +214,45 @@ class TestDSLValidation:
             tiny_er, program
         )
         assert run.num_iterations == 2
+
+
+class TestDSLVertexIds:
+    """Vertex ids a DSL callable returns are checked where they enter."""
+
+    @staticmethod
+    def _run(ids, where):
+        # ``where`` names the callable that returns ``ids``; the others
+        # return valid ids.
+        ids = np.asarray(ids)
+        program = vertex_program(
+            name="ids",
+            init=lambda g, s: {
+                "props": {"x": np.zeros(g.num_vertices)},
+                "frontier": ids if where == "init" else np.arange(g.num_vertices),
+            },
+            traverse=lambda st, s, d, w: np.ones(s.size),
+            apply=lambda st, t, r: ids if where == "apply" else t,
+            frontier=(lambda st, changed: ids) if where == "frontier" else None,
+            result="x",
+            max_iterations=3,
+        )
+        graph = erdos_renyi(64, 448, seed=3)
+        DisaggregatedSimulator(SystemConfig(num_memory_nodes=2)).run(graph, program)
+
+    @pytest.mark.parametrize("where", ["init", "frontier", "apply"])
+    def test_repeated_id_rejected(self, where):
+        with pytest.raises(KernelError, match=f"{where} returned repeated"):
+            self._run([5, 5], where)
+
+    @pytest.mark.parametrize("where", ["init", "frontier", "apply"])
+    def test_negative_id_rejected(self, where):
+        with pytest.raises(KernelError, match=rf"{where} returned .* outside \[0, 64\)"):
+            self._run([-1], where)
+
+    @pytest.mark.parametrize("where", ["init", "frontier", "apply"])
+    def test_id_past_the_end_rejected(self, where):
+        with pytest.raises(KernelError, match=rf"{where} returned .* outside \[0, 64\)"):
+            self._run([64], where)
+
+    def test_unsorted_ids_allowed(self):
+        self._run([9, 2, 40, 0], "init")
