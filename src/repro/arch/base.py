@@ -14,7 +14,7 @@ from __future__ import annotations
 import abc
 from contextlib import closing
 from dataclasses import dataclass, field, replace
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, Optional
 
 import numpy as np
 
@@ -47,6 +47,7 @@ from repro.arch.trace import (
 )
 from repro.runtime.config import SystemConfig
 from repro.runtime.cost_model import edge_record_bytes
+from repro.telemetry.movement import NETWORK_CLASSES, MovementLedger, is_recovery_phase
 from repro.utils.rng import SeedLike
 
 
@@ -58,7 +59,6 @@ class RunContext:
     kernel: VertexProgram
     assignment: PartitionAssignment
     mirror_table: Optional[MirrorTable]
-    mirrors_per_vertex: Optional[np.ndarray]
     topology: ClusterTopology
     config: SystemConfig
     result: RunResult
@@ -67,6 +67,55 @@ class RunContext:
     #: active span tracer (the disabled :data:`NOOP_TRACER` by default);
     #: accounting hooks may emit phase spans/events through it
     tracer: Any = field(default=NOOP_TRACER)
+
+
+class Charges:
+    """The transfers of one iteration (or one fault boundary).
+
+    :meth:`record` is the one way ``arch/`` charges bytes to a link: it
+    writes the run ledger and ``bytes_by_phase`` (under ``label`` if given),
+    and derives the totals with the ledger's own definitions — host-link
+    bytes on ``HOST_LINK``, network bytes on :data:`NETWORK_CLASSES`,
+    recovery bytes in :func:`is_recovery_phase` phases on every link.
+    """
+
+    def __init__(self, ledger: MovementLedger) -> None:
+        self.ledger = ledger
+        self.bytes_by_phase: Dict[str, int] = {}
+        self.host_link_bytes = 0
+        self.network_bytes = 0
+        self.recovery_bytes = 0
+
+    def record(
+        self,
+        phase: str,
+        link: LinkClass,
+        nbytes: int,
+        messages: int = 1,
+        label: Optional[str] = None,
+    ) -> None:
+        """Charge one transfer of ``nbytes`` in ``messages`` to ``link``."""
+        nbytes = int(nbytes)
+        self.ledger.record(phase, link, nbytes, messages)
+        key = label or phase
+        self.bytes_by_phase[key] = self.bytes_by_phase.get(key, 0) + nbytes
+        if link is LinkClass.HOST_LINK:
+            self.host_link_bytes += nbytes
+        if link in NETWORK_CLASSES:
+            self.network_bytes += nbytes
+        if is_recovery_phase(phase):
+            self.recovery_bytes += nbytes
+
+    def added_to(self, stats: IterationStats, seconds: float) -> IterationStats:
+        """``stats`` with these transfers (taking ``seconds``) added."""
+        return replace(
+            stats,
+            host_link_bytes=stats.host_link_bytes + self.host_link_bytes,
+            network_bytes=stats.network_bytes + self.network_bytes,
+            bytes_by_phase={**stats.bytes_by_phase, **self.bytes_by_phase},
+            recovery_bytes=stats.recovery_bytes + self.recovery_bytes,
+            recovery_seconds=stats.recovery_seconds + seconds,
+        )
 
 
 class ArchitectureSimulator(abc.ABC):
@@ -242,9 +291,6 @@ class ArchitectureSimulator(abc.ABC):
             kernel=kernel,
             assignment=trace.assignment,
             mirror_table=trace.mirror_table if self.needs_mirrors else None,
-            mirrors_per_vertex=(
-                trace.mirrors_per_vertex if self.needs_mirrors else None
-            ),
             topology=self.config.topology(),
             config=self.config,
             result=result,
@@ -335,9 +381,7 @@ class ArchitectureSimulator(abc.ABC):
             if events
             else NOOP_SPAN
         )
-        phases: Dict[str, int] = {}
-        host_extra = 0
-        network_extra = 0
+        recovery = Charges(ctx.result.ledger)
         recovery_seconds = 0.0
         with recover_span:
             for event in events:
@@ -347,10 +391,9 @@ class ArchitectureSimulator(abc.ABC):
                     and self.ndp_failure_is_fatal
                 )
                 if fatal:
-                    h, n, s = self._account_crash_recovery(event, ctx, phases)
-                    host_extra += h
-                    network_extra += n
-                    recovery_seconds += s
+                    recovery_seconds += self._account_crash_recovery(
+                        event, ctx, recovery
+                    )
                 elif event.kind is FaultKind.NDP_DEVICE_FAILURE:
                     # Device-down window is tracked by the runtime; the
                     # offload path consults it and falls back to host fetch
@@ -376,15 +419,8 @@ class ArchitectureSimulator(abc.ABC):
             counters.add(M.FAULT_MESSAGE_DROPS)
             lost = int(np.ceil(event.drop_fraction * stats.host_link_bytes))
             if lost:
-                ctx.result.ledger.record(
-                    "recovery-retransmit", LinkClass.HOST_LINK, lost, 1
-                )
-                phases["recovery-retransmit"] = (
-                    phases.get("recovery-retransmit", 0) + lost
-                )
+                recovery.record("recovery-retransmit", LinkClass.HOST_LINK, lost)
                 counters.add(M.RECOVERY_RETRANSMITTED_BYTES, lost)
-                host_extra += lost
-                network_extra += lost
                 recovery_seconds += ctx.topology.host_link.transfer_seconds(
                     float(lost), 1
                 )
@@ -395,26 +431,20 @@ class ArchitectureSimulator(abc.ABC):
             changed_bytes=ctx.kernel.message.wire_bytes * int(profile.changed.size),
         )
         if ck_bytes:
-            ctx.result.ledger.record(
-                "checkpoint", LinkClass.HOST_LINK, ck_bytes, 1
-            )
-            phases["checkpoint"] = phases.get("checkpoint", 0) + ck_bytes
+            recovery.record("checkpoint", LinkClass.HOST_LINK, ck_bytes)
             counters.add(M.CHECKPOINT_COUNT)
             counters.add(M.CHECKPOINT_BYTES, ck_bytes)
-            host_extra += ck_bytes
-            network_extra += ck_bytes
             recovery_seconds += ctx.topology.host_link.transfer_seconds(
                 float(ck_bytes), 1
             )
 
-        if not phases and recovery_seconds == 0.0:
+        if not recovery.bytes_by_phase and recovery_seconds == 0.0:
             return stats
-        recovery_bytes = sum(phases.values())
         if events:
             # The span closed before accounting ran; attributes are read at
             # export time, so attaching the final byte totals here is safe.
             recover_span.set_attrs(
-                recovery_bytes=recovery_bytes,
+                recovery_bytes=recovery.recovery_bytes,
                 recovery_seconds=recovery_seconds,
             )
         else:
@@ -423,17 +453,10 @@ class ArchitectureSimulator(abc.ABC):
                 "recover",
                 category=CATEGORY_PHASE,
                 fault_events=0,
-                recovery_bytes=recovery_bytes,
+                recovery_bytes=recovery.recovery_bytes,
                 recovery_seconds=recovery_seconds,
             )
-        return replace(
-            stats,
-            host_link_bytes=stats.host_link_bytes + host_extra,
-            network_bytes=stats.network_bytes + network_extra,
-            bytes_by_phase={**stats.bytes_by_phase, **phases},
-            recovery_bytes=stats.recovery_bytes + recovery_bytes,
-            recovery_seconds=stats.recovery_seconds + recovery_seconds,
-        )
+        return recovery.added_to(stats, recovery_seconds)
 
     def _wrapped_account(
         self, profile: IterationProfile, ctx: RunContext
@@ -447,24 +470,20 @@ class ArchitectureSimulator(abc.ABC):
             raise
 
     def _account_crash_recovery(
-        self,
-        event: FaultEvent,
-        ctx: RunContext,
-        phases: Dict[str, int],
-    ) -> Tuple[int, int, float]:
-        """Account restoring a crashed node's shard; returns byte/time deltas.
+        self, event: FaultEvent, ctx: RunContext, recovery: Charges
+    ) -> float:
+        """Charge restoring a crashed node's shard; returns its seconds.
 
-        Returns ``(host_link_delta, network_delta, seconds)``.  With a
-        replicated pool (``replication_factor >= 2``) survivors stream the
-        shard over :attr:`recovery_link_class`; otherwise the hosts rebuild
-        it from source storage and push it down (host link, plus the pool
-        leg on disaggregated deployments).  NDP-equipped targets additionally
-        re-ingest the shard through the device (internal traffic).
+        With a replicated pool (``replication_factor >= 2``) survivors stream
+        the shard over :attr:`recovery_link_class`; otherwise the hosts
+        rebuild it from source storage and push it down (host link, plus the
+        pool leg on disaggregated deployments; both legs are recovery
+        traffic).  NDP-equipped targets additionally re-ingest the shard
+        through the device (internal traffic).
         """
         runtime = ctx.faults
         assert runtime is not None
         counters = ctx.result.counters
-        ledger = ctx.result.ledger
         topo = ctx.topology
         if event.part >= ctx.assignment.num_parts:
             raise FaultError(
@@ -488,31 +507,18 @@ class ArchitectureSimulator(abc.ABC):
                 if self.recovery_link_class is LinkClass.MEMORY_LINK
                 else topo.host_link
             )
-            ledger.record("recovery-rereplicate", self.recovery_link_class, shard, 1)
-            phases["recovery-rereplicate"] = (
-                phases.get("recovery-rereplicate", 0) + shard
-            )
+            recovery.record("recovery-rereplicate", self.recovery_link_class, shard)
             counters.add(M.RECOVERY_REREPLICATED_BYTES, shard)
             seconds = link.transfer_seconds(float(shard), 1)
-            host_delta = (
-                shard if self.recovery_link_class is LinkClass.HOST_LINK else 0
-            )
-            network_delta = shard
         else:
             # Rebuild-from-source: the read from durable storage is outside
             # the modeled system; what crosses it is the push back down.
-            ledger.record("recovery-rebuild", LinkClass.HOST_LINK, shard, 1)
-            phases["recovery-rebuild"] = phases.get("recovery-rebuild", 0) + shard
+            recovery.record("recovery-rebuild", LinkClass.HOST_LINK, shard)
             counters.add(M.RECOVERY_REBUILT_BYTES, shard)
             seconds = topo.host_link.transfer_seconds(float(shard), 1)
-            host_delta = shard
-            network_delta = shard
             if self.is_disaggregated:
                 # The shard also traverses the switch -> pool-node leg.
-                ledger.record(
-                    "recovery-rebuild", LinkClass.MEMORY_LINK, shard, 1
-                )
-                network_delta += shard
+                recovery.record("recovery-rebuild", LinkClass.MEMORY_LINK, shard)
                 seconds = max(
                     seconds, topo.memory_link.transfer_seconds(float(shard), 1)
                 )
@@ -520,12 +526,9 @@ class ArchitectureSimulator(abc.ABC):
         if self.has_near_memory_acceleration and ctx.config.ndp_device is not None:
             # The replacement node's NDP device re-ingests the shard into
             # its banks: internal traffic, off the network metric.
-            ledger.record("recovery-ndp-ingest", LinkClass.NDP_INTERNAL, shard, 1)
-            phases["recovery-ndp-ingest"] = (
-                phases.get("recovery-ndp-ingest", 0) + shard
-            )
+            recovery.record("recovery-ndp-ingest", LinkClass.NDP_INTERNAL, shard)
             seconds += ctx.config.ndp_device.memory_seconds(float(shard))
-        return host_delta, network_delta, seconds
+        return seconds
 
     def _shard_wire_bytes(self, ctx: RunContext) -> np.ndarray:
         """``int64[k]`` wire size of each part's shard: edges + properties."""
@@ -551,18 +554,45 @@ class ArchitectureSimulator(abc.ABC):
     # Shared accounting helpers
     # ------------------------------------------------------------------ #
 
+    def _iteration_stats(
+        self,
+        profile: IterationProfile,
+        ctx: RunContext,
+        charges: Charges,
+        **timing: Any,
+    ) -> IterationStats:
+        """One iteration's stats: the profile's counts, the recorded
+        transfers' totals, and the architecture's timing fields."""
+        return IterationStats(
+            iteration=profile.iteration,
+            frontier_size=profile.frontier_size,
+            edges_traversed=profile.edges_traversed,
+            distinct_destinations=profile.distinct_destinations,
+            partial_update_pairs=profile.partial_update_pairs,
+            cross_update_pairs=profile.cross_update_pairs(ctx.assignment.parts),
+            changed_vertices=int(profile.changed.size),
+            host_link_bytes=charges.host_link_bytes,
+            network_bytes=charges.network_bytes,
+            bytes_by_phase=charges.bytes_by_phase,
+            recovery_bytes=charges.recovery_bytes,
+            sync_participants=self.num_compute_nodes(),
+            **timing,
+        )
+
     @staticmethod
-    def _per_part_compute_seconds(
-        device, ops_per_part: np.ndarray, bytes_per_part: np.ndarray
+    def _slowest_node_seconds(
+        device, units_per_part: np.ndarray, ops_of, bytes_per_unit: int
     ) -> float:
-        """Slowest node's time: compute + internal memory streaming."""
-        worst = 0.0
-        for ops, nbytes in zip(ops_per_part, bytes_per_part):
-            t = device.compute_seconds(float(ops)) + device.memory_seconds(
-                float(nbytes)
-            )
-            worst = max(worst, t)
-        return worst
+        """Slowest node's time: compute + internal memory streaming.
+
+        A node's ops (``ops_of(units)``) and bytes both grow with its unit
+        count (edges or updates), so the node with the most units is the
+        slowest; its time is the per-node maximum, bit for bit.
+        """
+        units = int(np.max(units_per_part, initial=0))
+        return device.compute_seconds(ops_of(units)) + device.memory_seconds(
+            float(bytes_per_unit * units)
+        )
 
     def _host_shared_seconds(self, ops: float, nbytes: float) -> float:
         """Time for work split evenly across the compute pool."""

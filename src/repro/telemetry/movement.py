@@ -25,6 +25,11 @@ RECOVERY_PHASE_PREFIX = "recovery-"
 CHECKPOINT_PHASE = "checkpoint"
 
 
+def is_recovery_phase(phase: str) -> bool:
+    """Whether ``phase`` is fault-recovery or checkpoint traffic."""
+    return phase.startswith(RECOVERY_PHASE_PREFIX) or phase == CHECKPOINT_PHASE
+
+
 @dataclass
 class MovementLedger:
     """Byte/message counters keyed by (phase, link class)."""
@@ -88,11 +93,7 @@ class MovementLedger:
         Counts every ``recovery-*`` phase plus ``checkpoint`` — zero for a
         fault-free run with no checkpoint policy (a tested invariant).
         """
-        return sum(
-            v
-            for (p, _), v in self._bytes.items()
-            if p.startswith(RECOVERY_PHASE_PREFIX) or p == CHECKPOINT_PHASE
-        )
+        return sum(v for (p, _), v in self._bytes.items() if is_recovery_phase(p))
 
     def phases(self) -> Tuple[str, ...]:
         """Phases seen so far, sorted."""

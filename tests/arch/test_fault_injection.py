@@ -53,24 +53,30 @@ class TestFaultFreePath:
 
 class TestCrashRecovery:
     def test_all_architectures_pay_nonzero_recovery(self, lj_tiny):
-        schedule = FaultSchedule.single_crash(
-            iteration=2, part=1, replication_factor=2
-        )
-        comparison = _compare(lj_tiny, faults=schedule)
-        for row in comparison.rows:
-            assert row.architecture in ARCHES
-            assert row.run.total_recovery_bytes > 0, row.architecture
-            assert row.run.ledger.recovery_bytes() == row.run.total_recovery_bytes
-            assert row.run.counters.get("fault-memory-crashes") == 1
-            stats = row.run.iterations[2]
-            assert stats.recovery_bytes > 0
-            assert stats.recovery_seconds > 0.0
-            assert stats.iteration_seconds > (
-                stats.traverse_seconds
-                + stats.movement_seconds
-                + stats.apply_seconds
-                + stats.sync_seconds
+        # Replication 1 rebuilds the shard; on the disaggregated deployments
+        # both legs (host link and pool link) are recovery traffic.
+        for replication in (1, 2):
+            schedule = FaultSchedule.single_crash(
+                iteration=2, part=1, replication_factor=replication
             )
+            comparison = _compare(lj_tiny, faults=schedule)
+            for row in comparison.rows:
+                where = (row.architecture, replication)
+                assert row.architecture in ARCHES
+                assert row.run.total_recovery_bytes > 0, where
+                assert (
+                    row.run.ledger.recovery_bytes() == row.run.total_recovery_bytes
+                ), where
+                assert row.run.counters.get("fault-memory-crashes") == 1
+                stats = row.run.iterations[2]
+                assert stats.recovery_bytes > 0
+                assert stats.recovery_seconds > 0.0
+                assert stats.iteration_seconds > (
+                    stats.traverse_seconds
+                    + stats.movement_seconds
+                    + stats.apply_seconds
+                    + stats.sync_seconds
+                )
 
     def test_recovery_is_deterministic(self, lj_tiny):
         schedule = FaultSchedule.single_crash(

@@ -44,6 +44,16 @@ class TestCLI:
         out = capsys.readouterr().out
         assert "wikitalk-sim" in out
 
+    def test_offload_experiment_acceptance(self, tmp_path, capsys):
+        # The adaptive controller beats every static deployment on at
+        # least one Fig. 7 cell, as written to the experiment's JSON.
+        args = ["run", "offload", "--tier", "tiny", "--seed", "7"]
+        assert main(args + ["--json", str(tmp_path)]) == 0
+        acceptance = json.loads((tmp_path / "offload.json").read_text())["acceptance"]
+        assert acceptance["passed"], acceptance
+        assert acceptance["cells_won"] == len(acceptance["winning_cells"]) >= 1
+        assert "Adaptive beats every static architecture" in capsys.readouterr().out
+
     def test_parser_requires_command(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args([])

@@ -106,6 +106,54 @@ PARSERS = {
 }
 
 
+class TestAdaptiveDecisionTrace:
+    """An adaptive run's Chrome trace and its ``--decision-trace`` JSONL."""
+
+    @pytest.fixture(scope="class")
+    def traced(self, tmp_path_factory):
+        tmp = tmp_path_factory.mktemp("adaptive")
+        trace, decisions = tmp / "run.trace.json", tmp / "run.decisions.jsonl"
+        rc = run_main([
+            "--dataset", "wikitalk-sim",
+            "--tier", "tiny",
+            "--kernel", "pagerank",
+            "--max-iterations", "5",
+            "--policy", "adaptive",
+            "--quiet",
+            "--trace-out", str(trace),
+            "--decision-trace", str(decisions),
+        ])
+        assert rc == 0
+        return trace, decisions
+
+    def test_trace_is_a_valid_chrome_trace(self, traced):
+        trace, _ = traced
+        assert validate_chrome_trace(str(trace)) >= 7
+
+    def test_decision_trace_is_complete_and_sums_to_the_ledger(self, traced):
+        trace, decisions = traced
+        rows = [json.loads(line) for line in decisions.read_text().splitlines()]
+        events = json.loads(trace.read_text())["traceEvents"]
+        iters = [e for e in events if e["cat"] == "iteration"]
+        runs = [e for e in events if e["cat"] == "run"]
+        assert len(runs) == 1 and len(rows) == 5
+        # One decision per iteration, in order.
+        assert [r["iteration"] for r in rows] == [
+            e["args"]["iteration"] for e in iters
+        ]
+        required = {
+            "mode", "policy", "offloaded_parts", "byte_correction",
+            "predicted_plan_bytes", "host_link_bytes",
+        }
+        for row in rows:
+            assert required <= row.keys(), sorted(required - row.keys())
+        # The per-iteration byte attrs are the movement ledger, sliced.
+        assert (
+            sum(r["host_link_bytes"] for r in rows)
+            == runs[0]["args"]["total_host_link_bytes"]
+        )
+
+
 class TestRemovedSpellings:
     @pytest.mark.parametrize("cli", sorted(PARSERS))
     @pytest.mark.parametrize("flag,value", REMOVED_SPELLINGS)

@@ -74,16 +74,21 @@ def unique_communication_volume(graph, assignment):
     )
 
 
-def unique_host_shuffle_pairs(profile, parts, hosts):
-    """The sort-based pair count of ``_host_shuffle_bytes``."""
-    if profile.pair_dst.size == 0:
+def unique_host_shuffle_pairs(profile, parts, hosts, offload_mask=None):
+    """The sort-based pair count of ``_host_shuffle_bytes``: pairs whose
+    part is outside ``offload_mask`` (every pair when it is ``None``)."""
+    pair_dst, pair_part = profile.pair_dst, profile.pair_part
+    if offload_mask is not None:
+        fetched = ~offload_mask[pair_part]
+        pair_dst, pair_part = pair_dst[fetched], pair_part[fetched]
+    if pair_dst.size == 0:
         return 0
-    src_host = profile.pair_part % hosts
-    dst_host = parts[profile.pair_dst] % hosts
+    src_host = pair_part % hosts
+    dst_host = parts[pair_dst] % hosts
     cross = src_host != dst_host
     if not cross.any():
         return 0
-    keys = np.unique(profile.pair_dst[cross] * np.int64(hosts) + src_host[cross])
+    keys = np.unique(pair_dst[cross] * np.int64(hosts) + src_host[cross])
     return int(keys.size)
 
 
@@ -148,8 +153,15 @@ def test_host_shuffle_matches_unique_oracle(k, hosts):
                 with_mirrors=False,
             )
             ctx = types.SimpleNamespace(assignment=assignment, kernel=kernel)
+            # Mixed offload masks: only the fetched shards' pairs reshuffle.
+            rng = np.random.default_rng(2000 + seed)
+            masks = [None] + [rng.random(k) < 0.5 for _ in range(3)]
             for profile in trace.profiles:
-                expected = unique_host_shuffle_pairs(profile, assignment.parts, hosts)
-                assert simulator._host_shuffle_bytes(profile, ctx) == (
-                    expected * kernel.message.wire_bytes
-                )
+                for mask in masks:
+                    expected = unique_host_shuffle_pairs(
+                        profile, assignment.parts, hosts, mask
+                    )
+                    fetched = None if mask is None else ~mask[profile.pair_part]
+                    assert simulator._host_shuffle_bytes(profile, ctx, fetched) == (
+                        expected * kernel.message.wire_bytes
+                    )

@@ -11,6 +11,7 @@ from repro.partition.range_chunk import RangePartitioner
 from repro.runtime.config import SystemConfig
 from repro.runtime.offload import (
     IterationOutlook,
+    OffloadPolicy,
     PerPartCostPolicy,
     get_policy,
     list_policies,
@@ -47,6 +48,21 @@ def mixed_runs(mixed_density_graph):
             max_iterations=4,
         )
     return out
+
+
+class FixedMask(OffloadPolicy):
+    """Offload exactly the shards in ``mask``, every iteration."""
+
+    name = "fixed-mask"
+
+    def __init__(self, mask):
+        self.mask = np.asarray(mask, dtype=bool)
+
+    def decide(self, kernel, outlook, **kw):
+        return False
+
+    def decide_per_part(self, kernel, outlook, **kw):
+        return self.mask
 
 
 class TestPerPartDecisions:
@@ -143,30 +159,25 @@ class TestHybridSimulation:
     def test_global_masks_reduce_to_pure_modes(self, mixed_density_graph):
         """An all-True/all-False mask must hit the pure accounting paths."""
         cfg = SystemConfig(num_memory_nodes=4)
-
-        class AllTrue(PerPartCostPolicy):
-            def decide_per_part(self, kernel, outlook, **kw):
-                return np.ones(outlook.num_parts, dtype=bool)
-
-        class AllFalse(PerPartCostPolicy):
-            def decide_per_part(self, kernel, outlook, **kw):
-                return np.zeros(outlook.num_parts, dtype=bool)
-
         always = DisaggregatedNDPSimulator(cfg, policy=get_policy("always")).run(
             mixed_density_graph, PageRank(max_iterations=2), max_iterations=2
         )
-        via_mask = DisaggregatedNDPSimulator(cfg, policy=AllTrue()).run(
+        via_mask = DisaggregatedNDPSimulator(cfg, policy=FixedMask([1] * 4)).run(
             mixed_density_graph, PageRank(max_iterations=2), max_iterations=2
         )
         assert via_mask.total_host_link_bytes == always.total_host_link_bytes
+        assert via_mask.iterations == always.iterations
+        assert via_mask.ledger == always.ledger
 
         never = DisaggregatedNDPSimulator(cfg, policy=get_policy("never")).run(
             mixed_density_graph, PageRank(max_iterations=2), max_iterations=2
         )
-        via_mask0 = DisaggregatedNDPSimulator(cfg, policy=AllFalse()).run(
+        via_mask0 = DisaggregatedNDPSimulator(cfg, policy=FixedMask([0] * 4)).run(
             mixed_density_graph, PageRank(max_iterations=2), max_iterations=2
         )
         assert via_mask0.total_host_link_bytes == never.total_host_link_bytes
+        assert via_mask0.iterations == never.iterations
+        assert via_mask0.ledger == never.ledger
 
     def test_capability_denial_forces_fetch(self, mixed_density_graph):
         from repro.hardware.catalog import UPMEM_PIM
@@ -194,3 +205,113 @@ class TestHybridSimulation:
             assignment=assignment, max_iterations=2,
         )
         assert inc.total_host_link_bytes <= base.total_host_link_bytes
+
+
+# Three of eight shards offload, so the two sides differ in every count.
+MIXED_MASKS = {
+    "dense-offloaded": [1, 1, 1, 0, 0, 0, 0, 0],
+    "scattered": [1, 0, 1, 0, 0, 1, 0, 0],
+}
+
+
+class TestMixedClosedForms:
+    """A mixed iteration's bytes and apply time in closed form.
+
+    Everything expected is computed here from the graph, the frontier (all
+    vertices, PageRank), the range assignment and the executed mask ``M``
+    — never from the engine's profile.  ``D_p`` is the set of destinations
+    of part ``p``'s frontier edges.
+    """
+
+    ITERATIONS = 2
+
+    @pytest.fixture(scope="class")
+    def setup(self, mixed_density_graph):
+        graph = mixed_density_graph
+        assert not graph.has_weights  # 8 B edge records
+        assignment = RangePartitioner().partition(graph, 8)
+        n = graph.num_vertices
+        outdeg = np.diff(graph.indptr).astype(np.int64)
+        src = np.repeat(np.arange(n, dtype=np.int64), outdeg)
+        dst = graph.indices.astype(np.int64)
+        # Distinct (v, p) with v in D_p, as sorted keys v * 8 + p.
+        keys = np.unique(dst * 8 + assignment.parts[src])
+        return graph, assignment, outdeg, keys // 8, keys % 8
+
+    def _run(self, graph, assignment, mask, *, hosts, inc):
+        cfg = SystemConfig(
+            num_compute_nodes=hosts, num_memory_nodes=8, enable_inc=inc
+        )
+        return DisaggregatedNDPSimulator(cfg, policy=FixedMask(mask)).run(
+            graph,
+            PageRank(max_iterations=self.ITERATIONS),
+            assignment=assignment,
+            max_iterations=self.ITERATIONS,
+        )
+
+    @pytest.mark.parametrize("inc", [False, True])
+    @pytest.mark.parametrize("hosts", [1, 2])
+    @pytest.mark.parametrize("mask_name", sorted(MIXED_MASKS))
+    def test_phase_bytes_and_apply_time(self, setup, mask_name, hosts, inc):
+        graph, assignment, outdeg, pair_v, pair_p = setup
+        mask = np.asarray(MIXED_MASKS[mask_name], dtype=bool)
+        kernel = PageRank()
+        parts = assignment.parts
+        w = kernel.message.wire_bytes
+        offloaded = mask[parts]  # every vertex is in PageRank's frontier
+        in_m = mask[pair_p]
+        sum_dp = int(np.count_nonzero(in_m))  # sum over p in M of |D_p|
+        union_dp = int(np.unique(pair_v[in_m]).size)  # |union over p in M|
+        fetched_union = int(np.unique(pair_v[~in_m]).size)
+        expected = {
+            "edge-fetch": 8 * int(outdeg[~offloaded].sum()),
+            "edge-fetch-request": 8 * int(np.count_nonzero(~offloaded)),
+            "frontier-push": kernel.prop_push_bytes * int(np.count_nonzero(offloaded)),
+            "traverse-internal": 8 * int(outdeg[offloaded].sum()),
+            "apply": w * (union_dp if inc else sum_dp),
+        }
+        if inc:
+            expected["apply-fanin"] = w * sum_dp
+        if hosts == 2:
+            fetched_v = pair_v[~in_m]
+            fetched_host = pair_p[~in_m] % 2
+            cross = fetched_host != parts[fetched_v] % 2
+            shuffled = np.unique(fetched_v[cross] * 2 + fetched_host[cross]).size
+            expected["host-shuffle"] = w * int(shuffled)
+            assert shuffled > 0
+
+        run = self._run(graph, assignment, mask, hosts=hosts, inc=inc)
+        assert run.counters["iterations-mixed"] == self.ITERATIONS
+        cfg = SystemConfig(num_compute_nodes=hosts)
+        host, switch = cfg.host_device, cfg.switch_device
+        touched = int(np.unique(pair_v).size)
+        apply_bytes = expected["apply"] + w * fetched_union
+        apply_seconds = host.compute_seconds(
+            kernel.compute.apply_ops(touched) / hosts
+        ) + host.memory_seconds(apply_bytes / hosts)
+        if inc:
+            apply_seconds += switch.compute_seconds(sum_dp - union_dp)
+        host_phases = set(expected) - {"traverse-internal", "apply-fanin"}
+        for stats in run.iterations:
+            assert stats.bytes_by_phase == expected
+            assert stats.offloaded_parts == int(mask.sum())
+            assert stats.host_link_bytes == sum(expected[p] for p in host_phases)
+            assert stats.network_bytes == stats.host_link_bytes + expected.get(
+                "apply-fanin", 0
+            )
+            assert stats.apply_seconds == pytest.approx(apply_seconds, rel=1e-12)
+        assert run.ledger.host_link_bytes() == run.total_host_link_bytes
+        assert run.ledger.network_bytes() == run.total_network_bytes
+
+    @pytest.mark.parametrize("mask_name", sorted(MIXED_MASKS))
+    def test_inc_counts_merged_updates(self, setup, mask_name):
+        graph, assignment, _, pair_v, pair_p = setup
+        mask = np.asarray(MIXED_MASKS[mask_name], dtype=bool)
+        in_m = mask[pair_p]
+        merged = int(np.count_nonzero(in_m)) - int(np.unique(pair_v[in_m]).size)
+        assert merged > 0
+        run = self._run(graph, assignment, mask, hosts=1, inc=True)
+        assert run.counters["inc-merged-updates"] == merged * self.ITERATIONS
+        # The default table holds every destination: nothing passes through.
+        assert run.counters.get("inc-passthrough-updates") == 0
+        assert "inc-passthrough-updates" in run.counters.as_dict()
