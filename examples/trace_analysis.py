@@ -1,16 +1,13 @@
 #!/usr/bin/env python
-"""Trace-driven analysis: record runs, compare deployments, pick directions.
+"""Trace-driven analysis: run once, compare deployments, pick directions.
 
-Mirrors the paper's methodology end to end: run BFS under two deployments,
-export the per-iteration traces, compare them offline (who wins each
-iteration, where the crossover falls), and extend the decision space with
-the push/pull direction analysis.
+Mirrors the paper's methodology end to end: execute BFS once, replay the
+recorded trace under two deployments, compare their per-iteration bytes
+(who wins each iteration, where the crossover falls), and extend the
+decision space with the push/pull direction analysis.
 
 Run:  python examples/trace_analysis.py
 """
-
-import tempfile
-from pathlib import Path
 
 from repro import (
     BFS,
@@ -18,15 +15,9 @@ from repro import (
     DisaggregatedSimulator,
     SystemConfig,
     load_dataset,
+    record_trace,
 )
 from repro.analysis import direction_profile
-from repro.trace import (
-    compare_traces,
-    load_trace_csv,
-    summarize_trace,
-    trace_run,
-    write_trace_csv,
-)
 from repro.utils.units import format_bytes
 
 
@@ -36,42 +27,41 @@ def main() -> None:
     config = SystemConfig(num_memory_nodes=32)
     print(f"BFS from hub {source} on {spec.name} ({graph}), 32 partitions\n")
 
-    fetch_run = DisaggregatedSimulator(config).run(
-        graph, BFS(), source=source, graph_name=spec.name
+    # --- execute once, account what each deployment would move ----------- #
+    trace = record_trace(
+        graph, BFS(), num_parts=32, source=source, graph_name=spec.name
     )
-    ndp_run = DisaggregatedNDPSimulator(config).run(
-        graph, BFS(), source=source, graph_name=spec.name
-    )
-
-    # --- export + reload the traces (what an offline pipeline would do) --- #
-    with tempfile.TemporaryDirectory() as tmp:
-        fetch_path = Path(tmp) / "fetch.csv"
-        write_trace_csv(trace_run(fetch_run), fetch_path)
-        fetch_trace = load_trace_csv(fetch_path)
-    ndp_trace = trace_run(ndp_run)
-
-    for label, trace in (("fetch", fetch_trace), ("ndp", ndp_trace)):
-        s = summarize_trace(trace)
-        print(f"{label:6s}: {s['iterations']} iters, "
-              f"{format_bytes(s['total_host_link_bytes'])} moved, "
-              f"peak frontier {s['peak_frontier']:,}")
+    fetch_run = DisaggregatedSimulator(config).replay(trace)
+    ndp_run = DisaggregatedNDPSimulator(config).replay(trace)
+    for label, run in (("fetch", fetch_run), ("ndp", ndp_run)):
+        print(f"{label:6s}: {run.num_iterations} iters, "
+              f"{format_bytes(run.total_host_link_bytes)} moved, "
+              f"peak frontier {int(run.per_iteration_frontier().max()):,}")
 
     # --- per-iteration comparison (the Fig. 7 questions) ------------------ #
-    cmp = compare_traces(fetch_trace, ndp_trace, label_a="fetch", label_b="ndp")
-    winners = cmp.winner_per_iteration()
+    winners = [
+        "fetch" if f < n else "ndp" if n < f else "tie"
+        for f, n in zip(fetch_run.per_iteration_bytes(), ndp_run.per_iteration_bytes())
+    ]
+    decided = [(t, w) for t, w in enumerate(winners) if w != "tie"]
+    crossovers = [t for (_, prev), (t, w) in zip(decided, decided[1:]) if w != prev]
     print(f"\nper-iteration winner: {winners}")
-    print(f"crossover iterations: {cmp.crossover_iterations()}")
-    print(f"ndp/fetch total ratio: {1 / cmp.total_ratio():.2f}x "
-          f"({'ndp' if cmp.total_ratio() > 1 else 'fetch'} wins overall)")
+    print(f"crossover iterations: {crossovers}")
+    ratio = ndp_run.total_host_link_bytes / fetch_run.total_host_link_bytes
+    print(f"ndp/fetch total ratio: {ratio:.2f}x "
+          f"({'ndp' if ratio < 1 else 'fetch'} wins overall)")
 
     # --- add the direction axis (push vs pull) ---------------------------- #
+    # Profile the iterations that discover a level (the last one does not).
+    levels = ndp_run.result_property()
+    depth = int(levels.max())
     profile = direction_profile(
         graph,
-        fetch_run.result_property(),
+        levels,
         BFS(),
         num_parts=32,
-        push_offload_bytes=ndp_run.per_iteration_bytes(),
-        push_fetch_bytes=fetch_run.per_iteration_bytes(),
+        push_offload_bytes=ndp_run.per_iteration_bytes()[:depth],
+        push_fetch_bytes=fetch_run.per_iteration_bytes()[:depth],
     )
     print("\nwith the push/pull direction decision added:")
     for t, mode in enumerate(profile.best_mode_per_iteration()):

@@ -1,4 +1,4 @@
-"""Offline analyses built on runs and traces, plus executable variants."""
+"""Offline analyses built on runs and traces."""
 
 from repro._lazy import lazy_exports
 
@@ -7,9 +7,6 @@ __getattr__, __dir__, __all__ = lazy_exports(
     {
         ".direction": (
             "DirectionProfile", "direction_profile", "pull_iteration_bytes",
-        ),
-        ".dobfs": (
-            "DOBFSIteration", "DOBFSResult", "run_direction_optimized_bfs",
         ),
     },
 )

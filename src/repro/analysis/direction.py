@@ -6,23 +6,25 @@ as the frontier waxes and wanes.  On a disaggregated NDP system the same
 switch changes what crosses the network:
 
 * **push offload** — frontier property push + one partial update per
-  (destination, memory node) pair (what the simulators measure);
+  (destination, memory node) pair (what the NDP simulator measures);
 * **pull offload** — a frontier membership bitmap to every memory node
   (``ceil(n/8)`` bytes each) + exactly one update per *newly discovered*
   vertex: the dense-frontier iterations that flood push with partial
   updates produce almost nothing under pull.
 
-The profile is computed analytically from a completed BFS's levels array —
-the per-iteration candidate and discovery sets are fully determined by the
-levels — so it composes with any simulator run without engine changes.
-It quantifies a further dynamic decision the paper's runtime would own:
+The profile reads one BFS run: its levels, and the per-iteration bytes
+the fetch and NDP deployments measured when replaying the run's trace.
+Both directions discover the same vertices, so the pull costs are closed
+forms over the levels and no second traversal is needed.  Picking the
+cheaper offload direction per iteration is the byte-cost analogue of
+Beamer's α/β heuristic, a further decision the paper's runtime would own:
 not just *whether* and *where* to offload, but *in which direction*.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List
 
 import numpy as np
 
@@ -51,9 +53,9 @@ class DirectionProfile:
     """Per-iteration byte costs of the four (direction x placement) modes."""
 
     iterations: int
-    push_offload: np.ndarray  # measured by the simulator
+    push_offload: np.ndarray  # measured by the NDP replay
     pull_offload: np.ndarray  # analytic
-    push_fetch: np.ndarray  # measured (edge fetch)
+    push_fetch: np.ndarray  # measured by the fetch replay
     pull_fetch: np.ndarray  # analytic (in-edge fetch of candidates)
     frontier: np.ndarray
     discovered: np.ndarray
@@ -89,6 +91,17 @@ class DirectionProfile:
             "adaptive": self.adaptive_total(),
         }
 
+    def offload_directions(self) -> List[str]:
+        """The cheaper offload direction per iteration; a tie runs push."""
+        return [
+            "push" if push <= pull else "pull"
+            for push, pull in zip(self.push_offload, self.pull_offload)
+        ]
+
+    def auto_offload_bytes(self) -> np.ndarray:
+        """Per-iteration bytes of offload in the cheaper direction."""
+        return np.minimum(self.push_offload, self.pull_offload)
+
 
 def direction_profile(
     graph: CSRGraph,
@@ -96,46 +109,48 @@ def direction_profile(
     kernel: VertexProgram,
     *,
     num_parts: int,
-    push_offload_bytes: Optional[np.ndarray] = None,
-    push_fetch_bytes: Optional[np.ndarray] = None,
+    push_offload_bytes: np.ndarray,
+    push_fetch_bytes: np.ndarray,
 ) -> DirectionProfile:
-    """Build the direction profile for a finished BFS-style run.
+    """Price the leading iterations of a finished BFS-style run.
 
     Parameters
     ----------
     levels:
-        per-vertex discovery level (-1 = unreached) from the run.
+        per-vertex discovery level (-1 = unreached) from the run; iteration
+        ``t`` scans level ``t`` and discovers level ``t + 1``.
     push_offload_bytes / push_fetch_bytes:
-        measured per-iteration bytes from simulator runs; when omitted they
-        are recomputed analytically (exact for the request+payload and
-        push-pair formulas on a 1-D partition by hash of vertex id — pass
-        the measured arrays for other partitionings).
+        per-iteration host-link bytes measured by the NDP and fetch replays
+        of the run's trace, one entry per profiled iteration.
     """
     levels = np.asarray(levels)
     if levels.shape != (graph.num_vertices,):
         raise ReproError(
             f"levels must have shape ({graph.num_vertices},), got {levels.shape}"
         )
-    max_level = int(levels.max()) if (levels >= 0).any() else -1
-    iterations = max_level  # iteration t discovers level t+1
+    push_off = np.asarray(push_offload_bytes, dtype=np.int64)
+    push_fetch = np.asarray(push_fetch_bytes, dtype=np.int64)
+    if push_off.shape != push_fetch.shape:
+        raise ReproError(
+            f"measured series differ in length: {push_off.size} push-offload, "
+            f"{push_fetch.size} push-fetch iterations"
+        )
+    iterations = push_off.size
     if iterations < 1:
-        raise ReproError("run discovered nothing; no iterations to profile")
+        raise ReproError("run has no iterations to profile")
 
     n = graph.num_vertices
     wire = kernel.message.wire_bytes
     in_deg = graph.in_degrees
-    out_deg = graph.out_degrees
 
     frontier_sizes = np.zeros(iterations, dtype=np.int64)
     discovered = np.zeros(iterations, dtype=np.int64)
     pull_fetch = np.zeros(iterations, dtype=np.int64)
     pull_off = np.zeros(iterations, dtype=np.int64)
-    push_fetch = np.zeros(iterations, dtype=np.int64)
 
     for t in range(iterations):
-        frontier_mask = levels == t
         candidates_mask = (levels > t) | (levels < 0)  # undiscovered at t
-        frontier_sizes[t] = int(frontier_mask.sum())
+        frontier_sizes[t] = int((levels == t).sum())
         discovered[t] = int((levels == t + 1).sum())
         # pull-fetch: hosts request + fetch the candidates' in-edge lists.
         cand_in_edges = int(in_deg[candidates_mask].sum())
@@ -146,30 +161,6 @@ def direction_profile(
             discovered_next=int(discovered[t]),
             wire_bytes=wire,
         )
-        # push-fetch (analytic fallback): request + frontier out-edges.
-        push_fetch[t] = (
-            VERTEX_ID_BYTES * frontier_sizes[t]
-            + 8 * int(out_deg[frontier_mask].sum())
-        )
-
-    if push_fetch_bytes is not None:
-        push_fetch = np.asarray(push_fetch_bytes[:iterations], dtype=np.int64)
-    if push_offload_bytes is not None:
-        push_off = np.asarray(push_offload_bytes[:iterations], dtype=np.int64)
-    else:
-        # Upper bound: every frontier out-edge yields a partial update pair.
-        from repro.runtime.cost_model import frontier_push_bytes
-
-        push_off = np.zeros(iterations, dtype=np.int64)
-        for t in range(iterations):
-            frontier_mask = levels == t
-            edges = int(out_deg[frontier_mask].sum())
-            push_off[t] = frontier_push_bytes(
-                kernel,
-                int(frontier_sizes[t]),
-                num_vertices=n,
-                num_parts=num_parts,
-            ) + wire * min(edges, n * num_parts)
 
     return DirectionProfile(
         iterations=iterations,

@@ -196,11 +196,12 @@ class DisaggregatedSimulator(ArchitectureSimulator):
             fanin_bytes = eb * profile.edges_per_part
             fanin_messages = profile.frontier_per_part
         active_parts = profile.active_parts
-        fanin = topo.memory_fanin_seconds(fanin_bytes, np.minimum(fanin_messages, 1))
+        fanin = topo.memory_fanin_seconds(fanin_bytes, fanin_messages > 0)
         fanout = topo.host_fanout_seconds(
             float(apply_in_bytes + fetch_bytes + shuffle_bytes), active_parts
         )
-        push_seconds = topo.host_push_seconds(
+        # The compute nodes push frontier properties and edge requests out.
+        push_seconds = topo.host_fanout_seconds(
             float(push_bytes + request_bytes), active_parts
         )
         return self._iteration_stats(

@@ -281,17 +281,14 @@ def _run(args: argparse.Namespace) -> int:
             ),
         )
         print(comparison.as_table())
+        runs = [row.run for row in comparison.rows]
         if faults is not None or checkpoint is not None:
-            for row in comparison.rows:
+            for run in runs:
                 print(
-                    f"{row.architecture}: recovery "
-                    f"{format_bytes(row.run.total_recovery_bytes)}"
+                    f"{run.architecture}: recovery "
+                    f"{format_bytes(run.total_recovery_bytes)}"
                 )
-        if args.result_sha:
-            print(
-                "result sha256: "
-                f"{result_sha256(comparison.rows[0].run.result_property())}"
-            )
+        _report_flags(args, runs)
         return 0
 
     if args.arch == "disaggregated-ndp":
@@ -353,28 +350,73 @@ def _run(args: argparse.Namespace) -> int:
             f"{int(run.counters['engine-edge-blocks'])} blocks, peak tracked "
             f"{format_bytes(run.counters['engine-peak-tracked-bytes'])}"
         )
+    _report_flags(args, [run])
+    return 0
+
+
+def _report_flags(args: argparse.Namespace, runs) -> None:
+    """Print the energy lines, write the trace files and print the result
+    digest, as the flags ask.  With several runs (``--compare``) each
+    energy line names its run's architecture."""
     if args.energy:
         from repro.arch.energy import estimate_run_energy
 
-        breakdown = estimate_run_energy(run)
-        print(
-            f"energy: {breakdown.total_joules * 1e3:.4f} mJ "
-            f"(movement {breakdown.movement_joules * 1e3:.4f}, "
-            f"compute {breakdown.compute_joules * 1e3:.4f})"
-        )
+        for run in runs:
+            breakdown = estimate_run_energy(run)
+            print(
+                (f"{run.architecture}: " if len(runs) > 1 else "")
+                + f"energy: {breakdown.total_joules * 1e3:.4f} mJ "
+                f"(movement {breakdown.movement_joules * 1e3:.4f}, "
+                f"compute {breakdown.compute_joules * 1e3:.4f})"
+            )
     if args.trace_csv or args.trace_jsonl:
-        from repro.trace import trace_run, write_trace_csv, write_trace_jsonl
-
-        records = trace_run(run)
-        if args.trace_csv:
-            write_trace_csv(records, args.trace_csv)
-            print(f"trace written to {args.trace_csv}")
-        if args.trace_jsonl:
-            write_trace_jsonl(records, args.trace_jsonl)
-            print(f"trace written to {args.trace_jsonl}")
+        _write_trace_files(args, runs)
     if args.result_sha:
-        print(f"result sha256: {result_sha256(run.result_property())}")
-    return 0
+        print(f"result sha256: {result_sha256(runs[0].result_property())}")
+
+
+#: The trace files' columns: the run's identity, then one
+#: :class:`~repro.arch.results.IterationStats` field each, with
+#: ``offloaded`` written as 0/1.
+_TRACE_COLUMNS = (
+    "architecture", "kernel", "graph", "num_parts", "iteration",
+    "frontier_size", "edges_traversed", "distinct_destinations",
+    "partial_update_pairs", "cross_update_pairs", "changed_vertices",
+    "offloaded", "offloaded_parts", "host_link_bytes", "network_bytes",
+    "traverse_seconds", "movement_seconds", "apply_seconds", "sync_seconds",
+    "traverse_ops", "apply_ops", "sync_participants",
+)
+
+
+def _write_trace_files(args: argparse.Namespace, runs) -> None:
+    """``--trace-csv``/``--trace-jsonl``: one row per iteration of each
+    run, in run order."""
+    import csv
+    import json
+
+    rows = []
+    for run in runs:
+        for stats in run.iterations:
+            row = {
+                "architecture": run.architecture,
+                "kernel": run.kernel,
+                "graph": run.graph_name,
+                "num_parts": run.num_parts,
+            }
+            row.update((name, getattr(stats, name)) for name in _TRACE_COLUMNS[4:])
+            row["offloaded"] = int(stats.offloaded)
+            rows.append(row)
+    if args.trace_csv:
+        with open(args.trace_csv, "w", newline="") as fh:
+            writer = csv.DictWriter(fh, fieldnames=_TRACE_COLUMNS)
+            writer.writeheader()
+            writer.writerows(rows)
+        print(f"trace written to {args.trace_csv}")
+    if args.trace_jsonl:
+        with open(args.trace_jsonl, "w") as fh:
+            for row in rows:
+                fh.write(json.dumps(row) + "\n")
+        print(f"trace written to {args.trace_jsonl}")
 
 
 if __name__ == "__main__":  # pragma: no cover

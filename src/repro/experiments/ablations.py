@@ -452,6 +452,45 @@ def run_scale(
     return result
 
 
+def _hub_bfs_profile(
+    tier: str, dataset: str, num_partitions: int, seed: int, *, final_iteration: bool
+):
+    """Price the traversal directions of one engine BFS from the hub.
+
+    The BFS is recorded once and replayed by the fetch and NDP
+    deployments.  ``final_iteration`` keeps the run's last iteration,
+    which scans the deepest level and discovers nothing.
+    """
+    from repro.analysis import direction_profile
+    from repro.arch.trace import record_trace
+
+    graph, ds = load_dataset(dataset, tier=tier, seed=seed)
+    bfs = get_kernel("bfs")
+    trace = record_trace(
+        graph,
+        bfs,
+        num_parts=num_partitions,
+        source=int(graph.out_degrees.argmax()),
+        graph_name=ds.name,
+        seed=seed,
+        with_mirrors=False,
+    )
+    config = SystemConfig(num_memory_nodes=num_partitions)
+    levels = bfs.result(trace.final_state)
+    iterations = trace.num_iterations if final_iteration else int(levels.max())
+    fetch = DisaggregatedSimulator(config).replay(trace)
+    offload = DisaggregatedNDPSimulator(config).replay(trace)
+    profile = direction_profile(
+        graph,
+        levels,
+        bfs,
+        num_parts=num_partitions,
+        push_offload_bytes=offload.per_iteration_bytes()[:iterations],
+        push_fetch_bytes=fetch.per_iteration_bytes()[:iterations],
+    )
+    return ds, profile
+
+
 def run_direction(
     *,
     tier: str = DEFAULT_TIER,
@@ -463,27 +502,11 @@ def run_direction(
 
     Direction-optimizing BFS switches to pull when the frontier is dense;
     on disaggregated NDP the pull iterations ship one update per discovery
-    instead of one partial per (destination, node) pair.
+    instead of one partial per (destination, node) pair.  The table covers
+    the iterations that discover a level.
     """
-    from repro.analysis import direction_profile
-    from repro.arch.disaggregated import DisaggregatedSimulator
-
-    graph, ds = load_dataset(dataset, tier=tier, seed=seed)
-    source = int(graph.out_degrees.argmax())
-    config = SystemConfig(num_memory_nodes=num_partitions)
-    fetch = DisaggregatedSimulator(config).run(
-        graph, get_kernel("bfs"), source=source, graph_name=ds.name, seed=seed
-    )
-    offload = DisaggregatedNDPSimulator(config).run(
-        graph, get_kernel("bfs"), source=source, graph_name=ds.name, seed=seed
-    )
-    profile = direction_profile(
-        graph,
-        fetch.result_property(),
-        get_kernel("bfs"),
-        num_parts=num_partitions,
-        push_offload_bytes=offload.per_iteration_bytes(),
-        push_fetch_bytes=fetch.per_iteration_bytes(),
+    ds, profile = _hub_bfs_profile(
+        tier, dataset, num_partitions, seed, final_iteration=False
     )
     table = TextTable(
         [
@@ -532,23 +555,18 @@ def run_dobfs(
     num_partitions: int = 32,
     seed: int = DEFAULT_SEED,
 ) -> ExperimentResult:
-    """Executed direction-optimized BFS (companion to ablation-direction).
+    """Direction-optimized BFS on NDP (companion to ablation-direction).
 
-    Where ``ablation-direction`` profiles analytically, this actually runs
-    the push/pull-switching BFS and accounts each iteration's movement.
+    Every iteration of the run offloads in the cheaper direction: push
+    costs what the NDP replay measured, pull its closed form.  Both
+    directions discover the same vertices, so one engine BFS serves all
+    three modes.
     """
-    from repro.analysis.dobfs import run_direction_optimized_bfs
-    from repro.partition.random_hash import HashPartitioner
-
-    graph, ds = load_dataset(dataset, tier=tier, seed=seed)
-    source = int(graph.out_degrees.argmax())
-    assignment = HashPartitioner().partition(graph, num_partitions, seed=seed)
-    runs = {
-        mode: run_direction_optimized_bfs(
-            graph, source, assignment=assignment, direction=mode
-        )
-        for mode in ("push", "pull", "auto")
-    }
+    ds, profile = _hub_bfs_profile(
+        tier, dataset, num_partitions, seed, final_iteration=True
+    )
+    directions = profile.offload_directions()
+    auto = profile.auto_offload_bytes()
     table = TextTable(
         ["iteration", "direction", "frontier", "discovered", "bytes (KB)"],
         title=(
@@ -556,29 +574,28 @@ def run_dobfs(
             f"{num_partitions} partitions (auto mode)"
         ),
     )
-    for it in runs["auto"].iterations:
+    for t in range(profile.iterations):
         table.add_row(
-            it.iteration,
-            it.direction,
-            it.frontier_size,
-            it.discovered,
-            it.host_link_bytes / 1e3,
+            t,
+            directions[t],
+            int(profile.frontier[t]),
+            int(profile.discovered[t]),
+            auto[t] / 1e3,
         )
+    totals = {
+        "push": int(profile.push_offload.sum()),
+        "pull": int(profile.pull_offload.sum()),
+        "auto": int(auto.sum()),
+    }
     totals_table = TextTable(["mode", "total movement (KB)"],
                              title="Whole-run totals per direction mode")
-    for mode, run_result in runs.items():
-        totals_table.add_row(mode, run_result.total_host_link_bytes / 1e3)
+    for mode, total in totals.items():
+        totals_table.add_row(mode, total / 1e3)
     result = ExperimentResult(
         experiment_id="ablation-dobfs",
         title="Executed direction-optimized BFS",
         tables=[table, totals_table],
-        data={
-            "totals": {
-                mode: run_result.total_host_link_bytes
-                for mode, run_result in runs.items()
-            },
-            "auto_directions": runs["auto"].directions(),
-        },
+        data={"totals": totals, "auto_directions": directions},
     )
     result.notes.append(
         "Expected: auto <= min(push, pull); the skewed graph's dense "

@@ -68,22 +68,24 @@ class ClusterTopology:
             ),
         )
 
-    def memory_fanin_seconds(self, bytes_per_node: np.ndarray, messages_per_node: np.ndarray) -> float:
-        """Time for every memory node to push its bytes to the switch.
+    def memory_fanin_seconds(self, bytes_per_node: np.ndarray, active: np.ndarray) -> float:
+        """Time for the active memory nodes to push their bytes to the switch.
 
-        Memory-node links run in parallel; the phase finishes when the
-        slowest node finishes (bottleneck model).
+        ``active`` marks the nodes that send (one message each); a node
+        with bytes sends too.  Memory-node links run in parallel and the
+        phase finishes when the slowest node finishes (bottleneck model).
+        Every node has the same ``memory_link``, whose time grows with the
+        bytes, so the slowest is the node with the most bytes.
         """
         bytes_per_node = np.asarray(bytes_per_node, dtype=np.float64)
-        messages_per_node = np.asarray(messages_per_node)
         if bytes_per_node.size == 0:
             return 0.0
-        times = [
-            self.memory_link.transfer_seconds(float(b), int(m))
-            for b, m in zip(bytes_per_node, messages_per_node)
-            if b > 0 or m > 0
-        ]
-        return max(times, default=0.0)
+        if bytes_per_node.min() < 0:
+            raise ConfigError("transfer sizes must be >= 0")
+        peak = float(bytes_per_node.max())
+        if peak == 0 and not np.any(active):
+            return 0.0
+        return self.memory_link.transfer_seconds(peak, 1)
 
     def host_fanout_seconds(self, total_bytes: float, total_messages: int) -> float:
         """Time for the switch to deliver ``total_bytes`` spread evenly
@@ -93,10 +95,6 @@ class ClusterTopology:
         per_host_bytes = total_bytes / self.num_compute
         per_host_msgs = max(1, int(np.ceil(total_messages / self.num_compute)))
         return self.host_link.transfer_seconds(per_host_bytes, per_host_msgs)
-
-    def host_push_seconds(self, total_bytes: float, total_messages: int) -> float:
-        """Time for the compute nodes to push bytes out (frontier props)."""
-        return self.host_fanout_seconds(total_bytes, total_messages)
 
     def barrier_seconds(self, participants: int) -> float:
         """Tree-barrier latency across ``participants`` nodes."""

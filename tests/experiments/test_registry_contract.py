@@ -1,10 +1,12 @@
 """Contract tests over the experiment registry."""
 
 import inspect
+import json
 
 import pytest
 
 from repro.experiments import ALL_EXPERIMENTS
+from repro.experiments.runner import main as runner_main
 
 
 class TestExperimentContract:
@@ -70,3 +72,34 @@ class TestExperimentContract:
         # Deterministic: the same seed reproduces the same accounting.
         again = ALL_EXPERIMENTS["faults"](tier="tiny", seed=7)
         assert again.data == result.data
+
+    def test_faults_json_through_runner_cli(self, tmp_path, capsys):
+        """``repro-experiments run faults --json`` writes the schema a
+        consumer of ``faults.json`` reads."""
+        args = ["run", "faults", "--tier", "tiny", "--seed", "7"]
+        assert runner_main(args + ["--json", str(tmp_path)]) == 0
+        data = json.loads((tmp_path / "faults.json").read_text())
+        spec = data["spec"]
+        assert spec["seed"] == 7
+        for key in ("horizon", "num_parts", "replication_factor", "events"):
+            assert type(spec[key]) is int, key
+        arches = data["architectures"]
+        assert set(arches) == {
+            "distributed",
+            "distributed-ndp",
+            "disaggregated",
+            "disaggregated-ndp",
+        }
+        for name, row in arches.items():
+            for key in (
+                "fault_free_bytes",
+                "degraded_bytes",
+                "recovery_bytes",
+                "fault_events",
+                "checkpoint_bytes",
+                "overhead_pct",
+                "slowdown_pct",
+            ):
+                assert key in row, (name, key)
+            assert row["recovery_bytes"] > 0, name
+            assert row["degraded_bytes"] >= row["fault_free_bytes"], name

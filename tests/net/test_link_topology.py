@@ -90,6 +90,50 @@ class TestTopology:
         t = topo.memory_fanin_seconds(np.zeros(3), np.zeros(3))
         assert t == 0.0
 
+    def test_fanin_matches_per_node_oracle(self):
+        """One transfer of the busiest active node's bytes equals the
+        slowest of the per-node transfers, bit for bit, on healthy and
+        degraded links."""
+
+        def per_node(link, nbytes, active):
+            times = [
+                link.transfer_seconds(float(b), int(a))
+                for b, a in zip(nbytes, active)
+                if b > 0 or a
+            ]
+            return max(times, default=0.0)
+
+        rng = np.random.default_rng(2024)
+        for _ in range(2000):
+            link = Link(
+                bandwidth_bps=float(10.0 ** rng.uniform(-3, 12)),
+                latency_s=float(rng.choice([0.0, 10.0 ** rng.uniform(-9, -3)])),
+            )
+            topo = ClusterTopology(
+                num_compute=1,
+                num_memory=int(rng.integers(1, 40)),
+                memory_link=link,
+            )
+            if rng.random() < 0.3:
+                topo = topo.with_degraded_links(
+                    bandwidth_scale=float(rng.uniform(0.01, 1.0)),
+                    extra_latency_s=float(rng.choice([0.0, 5e-6])),
+                )
+            n = topo.num_memory
+            nbytes = rng.integers(0, 10 ** int(rng.integers(1, 10)), size=n)
+            nbytes[rng.random(n) < 0.4] = 0
+            active = (nbytes > 0) & (rng.random(n) < 0.9)
+            active |= rng.random(n) < 0.1
+            expected = per_node(topo.memory_link, nbytes, active)
+            assert topo.memory_fanin_seconds(nbytes, active) == expected
+
+    def test_fanin_rejects_negative_bytes(self):
+        topo = ClusterTopology(num_compute=1, num_memory=3)
+        with pytest.raises(ConfigError):
+            topo.memory_fanin_seconds(
+                np.array([5, -1, 0]), np.array([True, True, False])
+            )
+
     def test_host_fanout_parallel_across_hosts(self):
         one_host = ClusterTopology(num_compute=1, num_memory=2)
         four_hosts = ClusterTopology(num_compute=4, num_memory=2)

@@ -1,9 +1,8 @@
-"""Property-based tests on kernel semantics and the DOBFS driver."""
+"""Property-based tests on kernel semantics."""
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from repro.analysis.dobfs import run_direction_optimized_bfs
 from repro.arch.disaggregated import DisaggregatedSimulator
 from repro.graph.csr import CSRGraph
 from repro.kernels import reference
@@ -30,16 +29,6 @@ def graphs_with_source(draw, max_vertices=25, max_edges=80):
 def run_engine(graph, kernel, source=None):
     sim = DisaggregatedSimulator(SystemConfig(num_memory_nodes=3))
     return sim.run(graph, kernel, source=source)
-
-
-@given(graphs_with_source(), st.sampled_from(["auto", "push", "pull"]))
-@settings(max_examples=40, deadline=None)
-def test_dobfs_matches_reference_on_random_graphs(data, direction):
-    graph, source = data
-    result = run_direction_optimized_bfs(
-        graph, source, num_parts=3, direction=direction
-    )
-    assert np.array_equal(result.levels, reference.bfs(graph, source))
 
 
 @given(graphs_with_source())

@@ -22,7 +22,6 @@ ALLOWED_UNREACHED = {
     "repro.partition.reference": "item 2: oracles move to test support",
     "repro.graph.stats": "item 2: oracles move to test support",
     "repro.serve.loadgen": "item 5: one load client, under benchmarks/",
-    "repro.trace.analyze": "item 7: repro.trace folds into an obs exporter",
 }
 
 
