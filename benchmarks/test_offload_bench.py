@@ -4,10 +4,11 @@ The closed-loop controller's contract is that deciding placement at every
 iteration boundary is effectively free next to the iteration itself: its
 feature extraction and calibration are O(num_parts) numpy work, while an
 iteration executes O(E) kernel numerics.  This bench measures both sides
-— the full per-iteration decision cycle (``decide_per_part`` over a
-representative per-part outlook plus the ``observe_bytes`` calibration
-update) and the engine iteration it rides on — and gates their ratio at
-<= 2%, the same bar the observability layer is held to.
+— the per-iteration decision cycle the simulator runs (``decide`` over a
+representative per-part outlook plus the ``observe`` feedback, which
+calibrates both the occupancy counts and the byte correction) and the
+engine iteration it rides on — and gates their ratio at <= 2%, the same
+bar the observability layer is held to.
 
 The two sides are timed separately (min-of-N each) rather than as an
 end-to-end A/B diff: the controller's true cost is tens of microseconds
@@ -64,7 +65,7 @@ def _run(graph, graph_name, cfg, policy):
 
 
 def _decision_cycle_seconds(graph) -> float:
-    """Min-of-N cost of one full decide + calibrate cycle, in seconds.
+    """Min-of-N cost of one ``decide`` + ``observe`` cycle, in seconds.
 
     The outlook mirrors the bench workload's dense steady state (every
     vertex in the frontier, edge mass split across the memory nodes) —
@@ -88,9 +89,13 @@ def _decision_cycle_seconds(graph) -> float:
     for _ in range(ROUNDS):
         start = time.perf_counter()
         for _ in range(DECISION_CALLS):
-            mask = policy.decide_per_part(kernel, outlook)
-            policy.observe_bytes(
-                outlook, host_link_bytes=1.0e6, offloaded_mask=mask
+            mask = policy.decide(kernel, outlook)
+            policy.observe(
+                outlook,
+                partial_pairs=graph.num_edges // 2,
+                distinct_destinations=graph.num_vertices // 2,
+                host_link_bytes=1.0e6,
+                offloaded_mask=mask,
             )
         best = min(best, (time.perf_counter() - start) / DECISION_CALLS)
     return best

@@ -68,16 +68,13 @@ class DisaggregatedNDPSimulator(DisaggregatedSimulator):
         outlook = self._outlook(profile, ctx)
 
         capability = check_offload(ctx.kernel, ctx.config.ndp_device, phase="traverse")
-        mask = self.policy.decide_per_part(
-            ctx.kernel, outlook, switch=ctx_switch, inc_enabled=inc_enabled
-        )
-        if mask is None:
-            offload = self.policy.decide(
+        mask = np.full(
+            ctx.assignment.num_parts,
+            self.policy.decide(
                 ctx.kernel, outlook, switch=ctx_switch, inc_enabled=inc_enabled
-            )
-            mask = np.full(ctx.assignment.num_parts, offload)
-        else:
-            mask = np.asarray(mask, dtype=bool)
+            ),
+            dtype=bool,
+        )
         offloaded = int(np.count_nonzero(mask))
         denied_capability = denied_fault = 0
         if offloaded and not capability.allowed:
@@ -96,13 +93,6 @@ class DisaggregatedNDPSimulator(DisaggregatedSimulator):
                 mask = mask & ~down
                 offloaded -= denied_fault
 
-        # Feed the realized counts back to adaptive policies (a real runtime
-        # sees the update buffers at the end of every iteration).
-        self.policy.observe(
-            outlook,
-            partial_pairs=profile.partial_update_pairs,
-            distinct_destinations=profile.distinct_destinations,
-        )
         if offloaded == 0:
             ctx.result.counters.add(M.ITERATIONS_FETCH)
             mode = "fetch"
@@ -114,16 +104,16 @@ class DisaggregatedNDPSimulator(DisaggregatedSimulator):
             mode = "mixed"
         stats = self._account_split(profile, ctx, mask, inc_enabled)
 
-        # Byte-level feedback: hand the policy the exact ledger bytes this
-        # iteration moved, against the mask that actually executed (post
-        # capability/fault denials).
-        updated = self.policy.observe_bytes(
+        # Feed back what a real runtime sees at the end of the iteration:
+        # the realized update counts and the exact ledger bytes, against
+        # the mask that actually executed (post capability/fault denials).
+        if self.policy.observe(
             outlook,
+            partial_pairs=profile.partial_update_pairs,
+            distinct_destinations=profile.distinct_destinations,
             host_link_bytes=float(stats.host_link_bytes),
-            network_bytes=float(stats.network_bytes),
             offloaded_mask=mask,
-        )
-        if updated:
+        ):
             ctx.result.counters.add(M.POLICY_CALIBRATION_UPDATES)
 
         decision = {

@@ -107,7 +107,6 @@ def record_trace(
     graph_name: str = "graph",
     seed: SeedLike = 0,
     with_mirrors: bool = True,
-    cache: Optional[StructuralProfileCache] = None,
     memory_budget_bytes: Optional[int] = None,
 ) -> ExecutionTrace:
     """Execute ``kernel`` on ``graph`` once and record every iteration.
@@ -116,11 +115,10 @@ def record_trace(
     required unless an explicit ``assignment`` is given.  ``with_mirrors``
     builds the master/mirror table so distributed simulators can replay
     the trace too (skip it to save the construction when only
-    disaggregated accounting is needed).  ``cache`` overrides the
-    structural-profile cache (pass ``None`` for the default fresh cache).
-    ``memory_budget_bytes`` caps the engine's per-iteration edge
-    transients; over budget, edges stream in blocks with bit-identical
-    profiles and numerics (telemetry lands on the returned trace).
+    disaggregated accounting is needed).  ``memory_budget_bytes`` caps
+    the engine's per-iteration edge transients; over budget, edges stream
+    in blocks with bit-identical profiles and numerics (telemetry lands on
+    the returned trace).
     """
     trace = prepare_trace(
         graph,
@@ -136,7 +134,6 @@ def record_trace(
     iterations = engine_iterations(
         trace,
         max_iterations=max_iterations,
-        cache=cache,
         memory_budget_bytes=memory_budget_bytes,
     )
     with get_tracer().span(
@@ -227,7 +224,6 @@ def engine_iterations(
     trace: ExecutionTrace,
     *,
     max_iterations: Optional[int] = None,
-    cache: Optional[StructuralProfileCache] = None,
     memory_budget_bytes: Optional[int] = None,
 ) -> IterationStream:
     """The engine loop: execute ``trace.kernel`` from the trace's state.
@@ -240,7 +236,7 @@ def engine_iterations(
     """
     kernel = trace.kernel
     state = trace.final_state
-    cache = cache if cache is not None else StructuralProfileCache()
+    cache = StructuralProfileCache()
     telemetry = EngineTelemetry()
     tracer = get_tracer()
     cap = max_iterations if max_iterations is not None else kernel.max_iterations

@@ -17,6 +17,7 @@ import numpy as np
 
 from repro.arch.disaggregated import DisaggregatedSimulator
 from repro.arch.disaggregated_ndp import DisaggregatedNDPSimulator
+from repro.arch.trace import record_trace
 from repro.experiments.common import DEFAULT_SEED, DEFAULT_TIER, ExperimentResult
 from repro.graph.datasets import load_dataset
 from repro.kernels.registry import get_kernel
@@ -49,21 +50,26 @@ def run_dynamic_policy(
     data: Dict[str, Dict[str, float]] = {}
     for kernel_name, dataset, parts in WORKLOADS:
         graph, ds = load_dataset(dataset, tier=tier, seed=seed)
-        source = int(graph.out_degrees.argmax())
+        kernel = get_kernel(kernel_name)
+        trace = record_trace(
+            graph,
+            kernel,
+            num_parts=parts,
+            source=int(graph.out_degrees.argmax()) if kernel.needs_source else None,
+            max_iterations=max_iterations,
+            graph_name=ds.name,
+            seed=seed,
+            with_mirrors=False,
+        )
         config = SystemConfig(num_memory_nodes=parts)
-        totals = {}
-        for policy_name in policies:
-            kernel = get_kernel(kernel_name)
-            sim = DisaggregatedNDPSimulator(config, policy=get_policy(policy_name))
-            run_result = sim.run(
-                graph,
-                kernel,
-                source=source if kernel.needs_source else None,
-                max_iterations=max_iterations,
-                graph_name=ds.name,
-                seed=seed,
+        totals = {
+            name: float(
+                DisaggregatedNDPSimulator(config, policy=get_policy(name))
+                .replay(trace)
+                .total_host_link_bytes
             )
-            totals[policy_name] = float(run_result.total_host_link_bytes)
+            for name in policies
+        }
         best = min(totals, key=totals.get)  # type: ignore[arg-type]
         table.add_row(
             kernel_name,
@@ -129,30 +135,26 @@ def run_per_part_offload(
     scale = {"tiny": 9, "small": 12, "medium": 14}.get(tier, 12)
     graph = _mixed_density_graph(scale, seed)
     assignment = RangePartitioner().partition(graph, num_partitions)
+    trace = record_trace(
+        graph,
+        get_kernel("pagerank", max_iterations=max_iterations),
+        assignment=assignment,
+        max_iterations=max_iterations,
+        seed=seed,
+        with_mirrors=False,
+    )
     config = SystemConfig(num_memory_nodes=num_partitions)
     policies = ("never", "always", "dynamic", "per-part", "oracle")
     totals = {}
     mixed_iters = {}
     for name in policies:
         sim = DisaggregatedNDPSimulator(config, policy=get_policy(name))
-        run_result = sim.run(
-            graph,
-            get_kernel("pagerank", max_iterations=max_iterations),
-            assignment=assignment,
-            max_iterations=max_iterations,
-            seed=seed,
-        )
+        run_result = sim.replay(trace)
         totals[name] = float(run_result.total_host_link_bytes)
         mixed_iters[name] = float(run_result.counters["iterations-mixed"])
     oracle_pp = DisaggregatedNDPSimulator(
         config, policy=get_policy("per-part", oracle=True)
-    ).run(
-        graph,
-        get_kernel("pagerank", max_iterations=max_iterations),
-        assignment=assignment,
-        max_iterations=max_iterations,
-        seed=seed,
-    )
+    ).replay(trace)
     totals["per-part-oracle"] = float(oracle_pp.total_host_link_bytes)
 
     table = TextTable(
@@ -452,17 +454,15 @@ def run_scale(
     return result
 
 
-def _hub_bfs_profile(
-    tier: str, dataset: str, num_partitions: int, seed: int, *, final_iteration: bool
-):
-    """Price the traversal directions of one engine BFS from the hub.
+def _hub_bfs_profile(tier: str, dataset: str, num_partitions: int, seed: int):
+    """Price the traversal directions of every iteration of one engine BFS
+    from the hub, the last (which scans the deepest level and discovers
+    nothing) included.
 
     The BFS is recorded once and replayed by the fetch and NDP
-    deployments.  ``final_iteration`` keeps the run's last iteration,
-    which scans the deepest level and discovers nothing.
+    deployments.
     """
     from repro.analysis import direction_profile
-    from repro.arch.trace import record_trace
 
     graph, ds = load_dataset(dataset, tier=tier, seed=seed)
     bfs = get_kernel("bfs")
@@ -476,17 +476,15 @@ def _hub_bfs_profile(
         with_mirrors=False,
     )
     config = SystemConfig(num_memory_nodes=num_partitions)
-    levels = bfs.result(trace.final_state)
-    iterations = trace.num_iterations if final_iteration else int(levels.max())
     fetch = DisaggregatedSimulator(config).replay(trace)
     offload = DisaggregatedNDPSimulator(config).replay(trace)
     profile = direction_profile(
         graph,
-        levels,
+        bfs.result(trace.final_state),
         bfs,
         num_parts=num_partitions,
-        push_offload_bytes=offload.per_iteration_bytes()[:iterations],
-        push_fetch_bytes=fetch.per_iteration_bytes()[:iterations],
+        push_offload_bytes=offload.per_iteration_bytes(),
+        push_fetch_bytes=fetch.per_iteration_bytes(),
     )
     return ds, profile
 
@@ -502,12 +500,9 @@ def run_direction(
 
     Direction-optimizing BFS switches to pull when the frontier is dense;
     on disaggregated NDP the pull iterations ship one update per discovery
-    instead of one partial per (destination, node) pair.  The table covers
-    the iterations that discover a level.
+    instead of one partial per (destination, node) pair.
     """
-    ds, profile = _hub_bfs_profile(
-        tier, dataset, num_partitions, seed, final_iteration=False
-    )
+    ds, profile = _hub_bfs_profile(tier, dataset, num_partitions, seed)
     table = TextTable(
         [
             "iteration",
@@ -562,9 +557,7 @@ def run_dobfs(
     directions discover the same vertices, so one engine BFS serves all
     three modes.
     """
-    ds, profile = _hub_bfs_profile(
-        tier, dataset, num_partitions, seed, final_iteration=True
-    )
+    ds, profile = _hub_bfs_profile(tier, dataset, num_partitions, seed)
     directions = profile.offload_directions()
     auto = profile.auto_offload_bytes()
     table = TextTable(

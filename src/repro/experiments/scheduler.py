@@ -80,9 +80,9 @@ class SweepScheduler(ABC):
 
 
 class LocalScheduler(SweepScheduler):
-    """Single-host execution: in-process, or ``jobs`` forked workers.
+    """Single-host execution: in-process, or ``opts.jobs`` forked workers.
 
-    ``jobs > 1`` runs :class:`~repro.experiments.remote.RemoteScheduler`
+    ``opts.jobs > 1`` runs :class:`~repro.experiments.remote.RemoteScheduler`
     bound to ``127.0.0.1:0`` with a fresh random token, fed by a
     :class:`~repro.experiments.worker.ForkedFleet`: the workers run the
     ``repro-worker`` serve loop and inherit the graphs the coordinator
@@ -90,10 +90,6 @@ class LocalScheduler(SweepScheduler):
     """
 
     name = "local"
-
-    def __init__(self, *, jobs: Optional[int] = None) -> None:
-        #: overrides ``opts.jobs`` when given (run_sweep passes via opts)
-        self.jobs = jobs
 
     def execute(
         self,
@@ -103,9 +99,8 @@ class LocalScheduler(SweepScheduler):
         chaos: "ChaosPlan",
         opts: SweepOptions,
     ) -> None:
-        jobs = self.jobs if self.jobs is not None else opts.jobs
         # Imported here: these modules import this one for the seam types.
-        if jobs <= 1:
+        if opts.jobs <= 1:
             from repro.experiments.sweep import _run_serial
 
             _run_serial(
@@ -120,7 +115,7 @@ class LocalScheduler(SweepScheduler):
         from repro.experiments.remote import RemoteScheduler
         from repro.experiments.worker import ForkedFleet
 
-        workers = min(jobs, len(todo))
+        workers = min(opts.jobs, len(todo))
         RemoteScheduler(
             token=secrets.token_hex(16),
             min_workers=workers,

@@ -367,7 +367,6 @@ def run_sweep(
     timeout: Optional[float] = None,
     retries: int = 2,
     backoff_s: float = 0.25,
-    backoff_cap_s: float = 8.0,
     keep_going: bool = False,
     chaos_plan: Optional[ChaosPlan] = None,
     collect_spans: bool = False,
@@ -391,7 +390,7 @@ def run_sweep(
     stale for ``heartbeat_timeout_s`` (frozen, not crashed) or whose task
     overruns ``timeout`` costs only the task it was running one attempt;
     that task is retried up to ``retries`` times with exponential backoff
-    (``backoff_s * 2**attempt``, capped at ``backoff_cap_s``).
+    (``backoff_s * 2**attempt``, capped at 8 s).
     Deterministic in-task exceptions are not retried.  With
     ``keep_going`` a task that exhausts its retries becomes a placeholder
     outcome carrying ``error`` (the rest of the sweep completes); the
@@ -442,7 +441,7 @@ def run_sweep(
         jobs=jobs,
         timeout=timeout,
         retries=retries,
-        backoff=BackoffPolicy(base_s=backoff_s, cap_s=backoff_cap_s),
+        backoff=BackoffPolicy(base_s=backoff_s),
         keep_going=keep_going,
         collect_spans=collect_spans,
         poison_threshold=poison_threshold,

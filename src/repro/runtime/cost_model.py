@@ -174,10 +174,10 @@ def estimate_movement(
     )
     if edges_per_part is None:
         edges_per_part = np.full(num_parts, edges_traversed / max(num_parts, 1))
-    else:
-        edges_per_part = np.asarray(edges_per_part, dtype=np.float64)
+    # Summed left to right in part order; np.sum adds pairwise and can
+    # round differently.
     partial_pairs = sum(
-        estimate_distinct_destinations(e, num_vertices) for e in edges_per_part
+        estimate_distinct_destinations_per_part(edges_per_part, num_vertices).tolist()
     )
     distinct = estimate_distinct_destinations(edges_traversed, num_vertices)
     push = frontier_push_bytes(

@@ -4,9 +4,11 @@ The paper's central runtime finding is that "offload is not always the
 better option" and the winner "can vary even across iterations of the same
 graph application".  A policy decides, before each iteration runs, whether
 the traversal executes on the NDP memory nodes (offload) or on the hosts
-after an edge fetch.  The policy sees an :class:`IterationOutlook` — the
-frontier statistics a real runtime can compute cheaply — and, for the
-idealized oracle, the exact counts the simulator knows.
+after an edge fetch, for all memory nodes at once or node by node.  The
+policy sees an :class:`IterationOutlook` — the frontier statistics a real
+runtime can compute cheaply — and, for the idealized oracles, the exact
+counts the simulator knows.  Once the iteration is accounted it observes
+what moved.
 """
 
 from __future__ import annotations
@@ -14,14 +16,21 @@ from __future__ import annotations
 import abc
 import difflib
 from dataclasses import dataclass
-from typing import Any, Dict, Optional, Type
+from typing import Any, Dict, Optional, Tuple, Type, Union
 
 import numpy as np
 
 from repro.errors import ConfigError
-from repro.kernels.base import VertexProgram
+from repro.kernels.base import VERTEX_ID_BYTES, VertexProgram
 from repro.net.switch import SwitchModel
-from repro.runtime.cost_model import estimate_movement, exact_movement
+from repro.runtime.cost_model import (
+    edge_record_bytes,
+    estimate_distinct_destinations,
+    estimate_distinct_destinations_per_part,
+    estimate_movement,
+    exact_movement,
+    frontier_push_bytes,
+)
 
 
 @dataclass(frozen=True)
@@ -30,7 +39,7 @@ class IterationOutlook:
 
     The first block is cheaply computable from the frontier and the
     partition map (the paper's proposed heuristics); the ``exact_*`` block
-    is only populated for the oracle policy.
+    is only read by the oracle policies.
     """
 
     iteration: int
@@ -38,8 +47,8 @@ class IterationOutlook:
     edges_traversed: int  # Σ outdeg over the frontier
     num_vertices: int
     num_parts: int
-    edges_per_part: Optional[np.ndarray] = None
-    frontier_per_part: Optional[np.ndarray] = None
+    edges_per_part: np.ndarray  # Σ outdeg over the frontier, per memory node
+    frontier_per_part: np.ndarray  # frontier vertices per memory node
     #: ``bool[num_parts]`` — memory nodes whose NDP device is currently out
     #: of service (fault injection); ``None`` when no faults are active.
     #: Policies may ignore it: the simulator enforces the fallback anyway.
@@ -59,11 +68,13 @@ class IterationOutlook:
 
 
 class OffloadPolicy(abc.ABC):
-    """Strategy interface: offload this iteration's traversal or not."""
+    """Strategy interface: where this iteration's traversal runs.
+
+    The simulator calls :meth:`decide` once before every iteration and
+    :meth:`observe` once after accounting it.
+    """
 
     name: str = "abstract"
-    #: whether the policy needs the simulator to fill the exact_* fields
-    requires_oracle: bool = False
     #: the policy's explanation of its most recent decision (a plain dict,
     #: or ``None`` for policies that do not explain themselves).  The
     #: simulator merges it into the iteration span's ``decision`` attrs.
@@ -77,25 +88,11 @@ class OffloadPolicy(abc.ABC):
         *,
         switch: Optional[SwitchModel] = None,
         inc_enabled: bool = False,
-    ) -> bool:
-        """Return True to offload the traversal near-data."""
-
-    def decide_per_part(
-        self,
-        kernel: VertexProgram,
-        outlook: IterationOutlook,
-        *,
-        switch: Optional[SwitchModel] = None,
-        inc_enabled: bool = False,
-    ) -> Optional[np.ndarray]:
-        """Optional fine-grained decision: offload mask per memory node.
-
-        Returning ``None`` (the default) means the policy only makes the
-        global decision and :meth:`decide` applies to every node.  The
-        paper's §IV asks for control over *which* operations to offload
-        "and where" — a per-node mask is the "where".
-        """
-        return None
+    ) -> Union[bool, np.ndarray]:
+        """Return True to offload every memory node's traversal near-data,
+        False to fetch everywhere, or a ``bool[num_parts]`` mask of the
+        nodes that offload — the paper's §IV asks which operations run
+        near-data "and where"."""
 
     def observe(
         self,
@@ -103,31 +100,17 @@ class OffloadPolicy(abc.ABC):
         *,
         partial_pairs: int,
         distinct_destinations: int,
-    ) -> None:
-        """Feedback hook: the realized counts of the iteration just run.
-
-        The simulator calls this after every iteration, regardless of the
-        decision, so adaptive policies can calibrate their estimators
-        against reality (no-op by default).
-        """
-
-    def observe_bytes(
-        self,
-        outlook: IterationOutlook,
-        *,
         host_link_bytes: float,
-        network_bytes: float = 0.0,
-        offloaded_mask: Optional[np.ndarray] = None,
+        offloaded_mask: np.ndarray,
     ) -> bool:
-        """Byte-level feedback: the exact ledger bytes the iteration moved.
+        """Feedback on the iteration just accounted.
 
-        Unlike :meth:`observe` (realized *counts*), this closes the loop at
-        the byte level — the quantity the policy actually predicted.  The
-        simulator calls it after accounting each iteration with the ledger's
-        host-link/network bytes and the offload mask it *executed* (which
-        may differ from the policy's request after capability or fault
-        denials).  Returns True when the policy updated calibration state;
-        no-op returning False by default.
+        ``partial_pairs``/``distinct_destinations`` are its realized update
+        counts, ``host_link_bytes`` the movement ledger's bytes, and
+        ``offloaded_mask`` the mask that executed (which may differ from
+        the decision after capability or fault denials).  Returns True
+        when the policy moved its byte-level calibration; no-op returning
+        False by default.
         """
         return False
 
@@ -175,6 +158,25 @@ class ThresholdPolicy(OffloadPolicy):
         return outlook.avg_frontier_degree >= self.min_avg_degree
 
 
+def _per_part_costs(
+    kernel: VertexProgram, outlook: IterationOutlook, update_bytes: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """``(offload, fetch)`` bytes per memory node.
+
+    Offloading node ``p`` pushes its frontier's properties down and ships
+    ``update_bytes[p]`` of partial updates; fetching it requests its
+    frontier's edge lists and receives them.
+    """
+    frontier = np.asarray(outlook.frontier_per_part, dtype=np.float64)
+    edges = np.asarray(outlook.edges_per_part, dtype=np.float64)
+    push_per_vertex = (
+        kernel.prop_push_bytes if kernel.pushes_values else VERTEX_ID_BYTES
+    )
+    offload = push_per_vertex * frontier + update_bytes
+    fetch = VERTEX_ID_BYTES * frontier + edge_record_bytes(kernel) * edges
+    return offload, fetch
+
+
 class DynamicCostPolicy(OffloadPolicy):
     """Per-iteration cost-model decision (the paper's proposed mechanism).
 
@@ -210,8 +212,6 @@ class DynamicCostPolicy(OffloadPolicy):
             edges_per_part=outlook.edges_per_part,
         )
         # Re-derive the update-dependent parts with the learned corrections.
-        from repro.runtime.cost_model import frontier_push_bytes
-
         wire = kernel.message.wire_bytes
         push = frontier_push_bytes(
             kernel,
@@ -226,21 +226,16 @@ class DynamicCostPolicy(OffloadPolicy):
         offload_cost = offload_inc if inc_enabled else offload
         return offload_cost < est.fetch_bytes
 
-    def observe(self, outlook, *, partial_pairs, distinct_destinations) -> None:
+    def observe(self, outlook, *, partial_pairs, distinct_destinations, **_) -> bool:
         if not self.calibrate:
-            return
-        from repro.runtime.cost_model import estimate_distinct_destinations
-
-        if outlook.edges_per_part is not None:
-            est_pairs = sum(
-                estimate_distinct_destinations(float(e), outlook.num_vertices)
-                for e in outlook.edges_per_part
-            )
-        else:
-            est_pairs = outlook.num_parts * estimate_distinct_destinations(
-                outlook.edges_traversed / max(outlook.num_parts, 1),
-                outlook.num_vertices,
-            )
+            return False
+        # Summed left to right in part order; np.sum adds pairwise and can
+        # round differently.
+        est_pairs = sum(
+            estimate_distinct_destinations_per_part(
+                outlook.edges_per_part, outlook.num_vertices
+            ).tolist()
+        )
         est_distinct = estimate_distinct_destinations(
             outlook.edges_traversed, outlook.num_vertices
         )
@@ -254,6 +249,14 @@ class DynamicCostPolicy(OffloadPolicy):
                 (1 - a) * self._distinct_correction
                 + a * distinct_destinations / est_distinct
             )
+        return False
+
+    def _estimated_pairs_per_part(self, outlook: IterationOutlook) -> np.ndarray:
+        """Calibrated occupancy estimate of each node's partial updates."""
+        pairs = estimate_distinct_destinations_per_part(
+            outlook.edges_per_part, outlook.num_vertices
+        )
+        return pairs * self._pairs_correction
 
 
 class OraclePolicy(OffloadPolicy):
@@ -264,7 +267,6 @@ class OraclePolicy(OffloadPolicy):
     """
 
     name = "oracle"
-    requires_oracle = True
 
     def decide(self, kernel, outlook, *, switch=None, inc_enabled=False) -> bool:
         if outlook.exact_partial_pairs is None:
@@ -304,42 +306,17 @@ class PerPartCostPolicy(DynamicCostPolicy):
         super().__init__(**kwargs)  # type: ignore[arg-type]
         self.oracle = oracle
 
-    @property
-    def requires_oracle(self) -> bool:  # type: ignore[override]
-        return self.oracle
-
-    def decide_per_part(
+    def decide(
         self, kernel, outlook, *, switch=None, inc_enabled=False
-    ) -> Optional[np.ndarray]:
-        if outlook.edges_per_part is None or outlook.frontier_per_part is None:
-            return None  # fall back to the global decision
-        from repro.runtime.cost_model import (
-            VERTEX_ID_BYTES,
-            edge_record_bytes,
-            estimate_distinct_destinations_per_part,
-        )
-
-        edges = np.asarray(outlook.edges_per_part, dtype=np.float64)
-        frontier = np.asarray(outlook.frontier_per_part, dtype=np.float64)
+    ) -> np.ndarray:
         if self.oracle and outlook.exact_partials_per_part is not None:
             pairs = np.asarray(outlook.exact_partials_per_part, dtype=np.float64)
         else:
-            pairs = estimate_distinct_destinations_per_part(
-                edges, outlook.num_vertices
-            )
-            pairs = pairs * self._pairs_correction
-        push_per_vertex = (
-            kernel.prop_push_bytes if kernel.pushes_values else VERTEX_ID_BYTES
+            pairs = self._estimated_pairs_per_part(outlook)
+        offload_cost, fetch_cost = _per_part_costs(
+            kernel, outlook, kernel.message.wire_bytes * pairs
         )
-        offload_cost = push_per_vertex * frontier + kernel.message.wire_bytes * pairs
-        fetch_cost = VERTEX_ID_BYTES * frontier + edge_record_bytes(kernel) * edges
         return offload_cost < fetch_cost
-
-    def decide(self, kernel, outlook, *, switch=None, inc_enabled=False) -> bool:
-        # Used only when per-part information is unavailable.
-        return super().decide(
-            kernel, outlook, switch=switch, inc_enabled=inc_enabled
-        )
 
 
 class AdaptiveOffloadPolicy(DynamicCostPolicy):
@@ -354,7 +331,7 @@ class AdaptiveOffloadPolicy(DynamicCostPolicy):
     * the realized update *counts* of completed iterations, folded into the
       occupancy estimate exactly like :class:`DynamicCostPolicy`;
     * the exact movement-ledger *bytes* of completed iterations, fed back
-      through :meth:`observe_bytes` — predict, observe, reweight.  The
+      through :meth:`observe` — predict, observe, reweight.  The
       multiplicative ``byte_correction`` absorbs everything the analytic
       per-part model cannot see (in-network aggregation merging partials,
       push-size misestimates), so the controller converges onto the true
@@ -374,77 +351,13 @@ class AdaptiveOffloadPolicy(DynamicCostPolicy):
     def __init__(self, *, calibrate: bool = True, ema_alpha: float = 0.5) -> None:
         super().__init__(calibrate=calibrate, ema_alpha=ema_alpha)
         self._byte_correction = 1.0
-        self._pending: Optional[Dict[str, Any]] = None
+        #: ``(iteration, offload bytes, fetch bytes)`` of the last decision
+        self._pending: Optional[Tuple[int, np.ndarray, np.ndarray]] = None
 
-    def decide(self, kernel, outlook, *, switch=None, inc_enabled=False) -> bool:
-        # Global fallback (no per-part structure available): the dynamic
-        # cost comparison with the byte correction on the offload side.
-        est = estimate_movement(
-            kernel,
-            frontier_size=outlook.frontier_size,
-            edges_traversed=outlook.edges_traversed,
-            num_vertices=outlook.num_vertices,
-            num_parts=outlook.num_parts,
-            edges_per_part=outlook.edges_per_part,
-        )
-        from repro.runtime.cost_model import frontier_push_bytes
-
-        wire = kernel.message.wire_bytes
-        push = frontier_push_bytes(
-            kernel,
-            outlook.frontier_size,
-            num_vertices=outlook.num_vertices,
-            num_parts=outlook.num_parts,
-        )
-        raw_pairs = (est.offload_bytes - push) / wire if wire else 0.0
-        raw_distinct = (est.offload_inc_bytes - push) / wire if wire else 0.0
-        offload = push + wire * raw_pairs * self._pairs_correction
-        offload_inc = push + wire * raw_distinct * self._distinct_correction
-        offload_cost = (offload_inc if inc_enabled else offload)
-        offload_cost *= self._byte_correction
-        offloads = bool(offload_cost < est.fetch_bytes)
-        self._pending = {
-            "iteration": outlook.iteration,
-            "offload_cost": np.asarray([offload_cost], dtype=np.float64),
-            "fetch_cost": np.asarray([est.fetch_bytes], dtype=np.float64),
-        }
-        self.last_decision = {
-            "policy": self.name,
-            "iteration": outlook.iteration,
-            "frontier_size": outlook.frontier_size,
-            "edges_traversed": outlook.edges_traversed,
-            "avg_frontier_degree": outlook.avg_frontier_degree,
-            "predicted_fetch_bytes": float(est.fetch_bytes),
-            "predicted_offload_bytes": float(offload_cost),
-            "pairs_correction": self._pairs_correction,
-            "distinct_correction": self._distinct_correction,
-            "byte_correction": self._byte_correction,
-            "planned_offload_parts": outlook.num_parts if offloads else 0,
-        }
-        return offloads
-
-    def decide_per_part(
+    def decide(
         self, kernel, outlook, *, switch=None, inc_enabled=False
-    ) -> Optional[np.ndarray]:
-        if outlook.edges_per_part is None or outlook.frontier_per_part is None:
-            self._pending = None
-            return None  # fall back to the global decision
-        from repro.runtime.cost_model import (
-            VERTEX_ID_BYTES,
-            edge_record_bytes,
-            estimate_distinct_destinations,
-            estimate_distinct_destinations_per_part,
-        )
-
-        edges = np.asarray(outlook.edges_per_part, dtype=np.float64)
-        frontier = np.asarray(outlook.frontier_per_part, dtype=np.float64)
-        pairs = estimate_distinct_destinations_per_part(
-            edges, outlook.num_vertices
-        )
-        pairs = pairs * self._pairs_correction
-        push_per_vertex = (
-            kernel.prop_push_bytes if kernel.pushes_values else VERTEX_ID_BYTES
-        )
+    ) -> np.ndarray:
+        pairs = self._estimated_pairs_per_part(outlook)
         # In-network aggregation merges partials across memory nodes: the
         # host-link apply traffic collapses from one update per (dest, part)
         # pair to roughly one per distinct destination.  Scale each part's
@@ -452,6 +365,7 @@ class AdaptiveOffloadPolicy(DynamicCostPolicy):
         # the bytes will actually take.
         merge = 1.0
         if inc_enabled and switch is not None:
+            edges = np.asarray(outlook.edges_per_part, dtype=np.float64)
             est_pairs = float(pairs.sum())
             est_distinct = (
                 estimate_distinct_destinations(
@@ -461,22 +375,16 @@ class AdaptiveOffloadPolicy(DynamicCostPolicy):
             )
             if est_pairs > 0.0:
                 merge = min(est_distinct / est_pairs, 1.0)
-        offload_cost = (
-            push_per_vertex * frontier + kernel.message.wire_bytes * pairs * merge
-        ) * self._byte_correction
-        fetch_cost = VERTEX_ID_BYTES * frontier + edge_record_bytes(kernel) * edges
+        offload_cost, fetch_cost = _per_part_costs(
+            kernel, outlook, kernel.message.wire_bytes * pairs * merge
+        )
+        offload_cost = offload_cost * self._byte_correction
         mask = offload_cost < fetch_cost
         if outlook.failed_parts is not None:
             mask = mask & ~np.asarray(outlook.failed_parts, dtype=bool)
-        self._pending = {
-            "iteration": outlook.iteration,
-            "offload_cost": offload_cost,
-            "fetch_cost": fetch_cost,
-        }
+        self._pending = (outlook.iteration, offload_cost, fetch_cost)
         planned = int(np.count_nonzero(mask))
-        predicted = float(
-            np.where(mask, offload_cost, fetch_cost).sum()
-        )
+        predicted = float(np.where(mask, offload_cost, fetch_cost).sum())
         self.last_decision = {
             "policy": self.name,
             "iteration": outlook.iteration,
@@ -498,39 +406,20 @@ class AdaptiveOffloadPolicy(DynamicCostPolicy):
         }
         return mask
 
-    def observe_bytes(
-        self,
-        outlook,
-        *,
-        host_link_bytes,
-        network_bytes=0.0,
-        offloaded_mask=None,
-    ) -> bool:
+    def observe(self, outlook, *, host_link_bytes, offloaded_mask, **counts) -> bool:
+        super().observe(outlook, **counts)
         if not self.calibrate:
             return False
-        pending = self._pending
-        self._pending = None
-        if pending is None or pending["iteration"] != outlook.iteration:
+        pending, self._pending = self._pending, None
+        if pending is None or pending[0] != outlook.iteration:
             return False
-        offload_cost = pending["offload_cost"]
-        fetch_cost = pending["fetch_cost"]
-        if offloaded_mask is None:
-            # Global decision: the executed mode is all-or-nothing.
-            executed = np.zeros(len(offload_cost), dtype=bool)
-        else:
-            executed = np.asarray(offloaded_mask, dtype=bool)
-            if len(executed) != len(offload_cost):
-                executed = np.full(
-                    len(offload_cost), bool(executed.any()), dtype=bool
-                )
+        _, offload_cost, fetch_cost = pending
+        executed = np.asarray(offloaded_mask, dtype=bool)
         predicted_offload = float(offload_cost[executed].sum())
+        self.last_decision["observed_host_link_bytes"] = float(host_link_bytes)
         if predicted_offload <= 0.0:
             # Pure fetch executed: the fetch side is a closed form with no
             # estimation error, so there is nothing to reweight.
-            if self.last_decision is not None:
-                self.last_decision["observed_host_link_bytes"] = float(
-                    host_link_bytes
-                )
             return False
         predicted_fetch = float(fetch_cost[~executed].sum())
         realized_offload = max(float(host_link_bytes) - predicted_fetch, 0.0)
@@ -540,11 +429,7 @@ class AdaptiveOffloadPolicy(DynamicCostPolicy):
         ratio = min(max(ratio, 0.1), 10.0)
         a = self.ema_alpha
         self._byte_correction = (1 - a) * self._byte_correction + a * ratio
-        if self.last_decision is not None:
-            self.last_decision["observed_host_link_bytes"] = float(
-                host_link_bytes
-            )
-            self.last_decision["byte_correction"] = self._byte_correction
+        self.last_decision["byte_correction"] = self._byte_correction
         return True
 
 

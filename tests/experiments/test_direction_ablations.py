@@ -27,8 +27,8 @@ ABLATIONS = ("ablation-direction", "ablation-dobfs")
 #: ``experiment id -> (sha256 of render(), sha256 of canonical data)``
 PINNED = {
     "ablation-direction": (
-        "84a892417fd89c89c94730621e687132eca442cad5f7f9db975479cb2ed01351",
-        "a94c24dde27db114201daa588f39ec7f7bb4866954e4204093e216e0847b82ac",
+        "b2f8c8051eaca5eae6f0bb9129dfa957227432ad25d3d222cae8da2cd364715f",
+        "94db7956a57d8fd6c1a3440a5eba79e8bffaca7c9ff022f626521180e2e39715",
     ),
     "ablation-dobfs": (
         "41bfe590a2ac44ae7210fe89e50d892f7c10d2b1bf9a2d6cf1420963f8508a9d",

@@ -32,13 +32,6 @@ class TestLocalScheduler:
             o.result_sha256 for o in explicit
         ]
 
-    def test_scheduler_jobs_override(self):
-        serial = run_sweep(TASKS)
-        parallel = run_sweep(TASKS, scheduler=LocalScheduler(jobs=2))
-        assert [o.ledger_sha256 for o in serial] == [
-            o.ledger_sha256 for o in parallel
-        ]
-
 
 class _RecordingScheduler(SweepScheduler):
     """Seam probe: records what run_sweep hands to a scheduler."""

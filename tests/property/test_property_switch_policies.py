@@ -14,6 +14,19 @@ from repro.runtime.cost_model import (
 from repro.runtime.offload import DynamicCostPolicy, IterationOutlook, ThresholdPolicy
 
 
+def even_outlook(frontier, edges, n, parts):
+    """An outlook whose frontier and edge mass split evenly over the parts."""
+    return IterationOutlook(
+        iteration=0,
+        frontier_size=frontier,
+        edges_traversed=edges,
+        num_vertices=n,
+        num_parts=parts,
+        edges_per_part=np.full(parts, edges / parts),
+        frontier_per_part=np.full(parts, frontier / parts),
+    )
+
+
 @st.composite
 def aggregation_inputs(draw):
     """Self-consistent (per_part, fan-in histogram, distinct) triples:
@@ -107,20 +120,8 @@ def test_exact_movement_monotone(frontier, edges, pairs, distinct):
 )
 @settings(max_examples=100, deadline=None)
 def test_threshold_policy_is_degree_monotone(frontier, edges, n, parts):
-    outlook_sparse = IterationOutlook(
-        iteration=0,
-        frontier_size=frontier,
-        edges_traversed=edges,
-        num_vertices=n,
-        num_parts=parts,
-    )
-    outlook_dense = IterationOutlook(
-        iteration=0,
-        frontier_size=frontier,
-        edges_traversed=edges * 2 + frontier * 10,
-        num_vertices=n,
-        num_parts=parts,
-    )
+    outlook_sparse = even_outlook(frontier, edges, n, parts)
+    outlook_dense = even_outlook(frontier, edges * 2 + frontier * 10, n, parts)
     policy = ThresholdPolicy(min_avg_degree=4.0)
     kernel = PageRank()
     if policy.decide(kernel, outlook_sparse):
@@ -136,13 +137,7 @@ def test_threshold_policy_is_degree_monotone(frontier, edges, n, parts):
 @settings(max_examples=60, deadline=None)
 def test_dynamic_policy_consistent_with_estimates(frontier, edges, n, parts):
     kernel = PageRank()
-    outlook = IterationOutlook(
-        iteration=0,
-        frontier_size=frontier,
-        edges_traversed=edges,
-        num_vertices=n,
-        num_parts=parts,
-    )
+    outlook = even_outlook(frontier, edges, n, parts)
     decision = DynamicCostPolicy(calibrate=False).decide(kernel, outlook)
     est = estimate_movement(
         kernel,

@@ -33,8 +33,23 @@ def outlook(
         edges_traversed=edges,
         num_vertices=n,
         num_parts=parts,
+        edges_per_part=np.full(parts, edges / parts),
+        frontier_per_part=np.full(parts, frontier / parts),
         exact_partial_pairs=exact_pairs,
         exact_distinct_destinations=exact_distinct,
+    )
+
+
+def observe(policy, o, *, pairs=0, distinct=0, host_link_bytes=0.0, mask=None):
+    """Feed one iteration's realized counts and ledger bytes back."""
+    if mask is None:
+        mask = np.zeros(o.num_parts, dtype=bool)
+    return policy.observe(
+        o,
+        partial_pairs=pairs,
+        distinct_destinations=distinct,
+        host_link_bytes=host_link_bytes,
+        offloaded_mask=mask,
     )
 
 
@@ -89,14 +104,14 @@ class TestDynamicPolicy:
         policy = DynamicCostPolicy(ema_alpha=1.0)
         o = outlook(frontier=1000, edges=4000, n=2000, parts=8)
         assert not policy.decide(PageRank(), o)
-        policy.observe(o, partial_pairs=100, distinct_destinations=80)
+        assert not observe(policy, o, pairs=100, distinct=80)
         assert policy.decide(PageRank(), o)
 
     def test_calibration_can_be_disabled(self):
         policy = DynamicCostPolicy(calibrate=False)
         o = outlook(frontier=1000, edges=4000, n=2000, parts=8)
         before = policy.decide(PageRank(), o)
-        policy.observe(o, partial_pairs=1, distinct_destinations=1)
+        observe(policy, o, pairs=1, distinct=1)
         assert policy.decide(PageRank(), o) == before
 
     def test_alpha_validation(self):
@@ -115,10 +130,6 @@ class TestOraclePolicy:
         lose = outlook(frontier=100, edges=150, exact_pairs=140, exact_distinct=140)
         assert policy.decide(PageRank(), win)
         assert not policy.decide(PageRank(), lose)
-
-    def test_flag(self):
-        assert OraclePolicy.requires_oracle
-        assert not DynamicCostPolicy.requires_oracle
 
 
 class TestAdaptivePolicy:
@@ -140,7 +151,7 @@ class TestAdaptivePolicy:
 
     def test_per_part_mask_splits_dense_and_sparse(self):
         policy = AdaptiveOffloadPolicy()
-        mask = policy.decide_per_part(PageRank(), self._outlook())
+        mask = policy.decide(PageRank(), self._outlook())
         assert mask is not None
         # Dense shards offload, the sparse tail fetches.
         assert mask[0] and mask[1]
@@ -149,12 +160,12 @@ class TestAdaptivePolicy:
     def test_failed_parts_masked_proactively(self):
         policy = AdaptiveOffloadPolicy()
         failed = np.array([True, False, False, False])
-        mask = policy.decide_per_part(PageRank(), self._outlook(failed=failed))
+        mask = policy.decide(PageRank(), self._outlook(failed=failed))
         assert not mask[0]
 
     def test_last_decision_records_features(self):
         policy = AdaptiveOffloadPolicy()
-        policy.decide_per_part(PageRank(), self._outlook())
+        policy.decide(PageRank(), self._outlook())
         record = policy.last_decision
         assert record is not None
         assert record["policy"] == "adaptive"
@@ -162,60 +173,69 @@ class TestAdaptivePolicy:
         assert record["byte_correction"] == 1.0
         assert "predicted_offload_bytes" in record
 
-    def test_observe_bytes_reweights(self):
+    def test_observe_reweights_bytes(self):
         policy = AdaptiveOffloadPolicy(ema_alpha=1.0)
         o = self._outlook()
-        mask = policy.decide_per_part(PageRank(), o)
+        mask = policy.decide(PageRank(), o)
         # Ledger reports half the predicted offload bytes: the correction
         # moves toward the realized/predicted ratio.
-        predicted = policy._pending["offload_cost"][mask].sum()
-        fetch_side = policy._pending["fetch_cost"][~mask].sum()
-        updated = policy.observe_bytes(
+        _, offload_cost, fetch_cost = policy._pending
+        predicted = offload_cost[mask].sum()
+        updated = observe(
+            policy,
             o,
-            host_link_bytes=fetch_side + predicted / 2,
-            offloaded_mask=mask,
+            host_link_bytes=fetch_cost[~mask].sum() + predicted / 2,
+            mask=mask,
         )
         assert updated
         assert policy._byte_correction == pytest.approx(0.5)
+        assert policy.last_decision["byte_correction"] == pytest.approx(0.5)
 
     def test_pure_fetch_produces_no_update(self):
         policy = AdaptiveOffloadPolicy()
         o = self._outlook()
-        policy.decide_per_part(PageRank(), o)
-        updated = policy.observe_bytes(
-            o,
-            host_link_bytes=123.0,
-            offloaded_mask=np.zeros(4, dtype=bool),
-        )
-        assert not updated
+        policy.decide(PageRank(), o)
+        assert not observe(policy, o, host_link_bytes=123.0)
         assert policy._byte_correction == 1.0
+        assert policy.last_decision["observed_host_link_bytes"] == 123.0
 
     def test_stale_feedback_ignored(self):
         policy = AdaptiveOffloadPolicy()
-        policy.decide_per_part(PageRank(), self._outlook(iteration=3))
-        updated = policy.observe_bytes(
+        policy.decide(PageRank(), self._outlook(iteration=3))
+        updated = observe(
+            policy,
             self._outlook(iteration=7),
             host_link_bytes=1.0,
-            offloaded_mask=np.ones(4, dtype=bool),
+            mask=np.ones(4, dtype=bool),
         )
         assert not updated
 
     def test_ratio_clipped(self):
         policy = AdaptiveOffloadPolicy(ema_alpha=1.0)
         o = self._outlook()
-        mask = policy.decide_per_part(PageRank(), o)
-        policy.observe_bytes(
-            o, host_link_bytes=1e12, offloaded_mask=mask
-        )
+        mask = policy.decide(PageRank(), o)
+        observe(policy, o, host_link_bytes=1e12, mask=mask)
         assert policy._byte_correction == 10.0
 
     def test_calibration_can_be_disabled(self):
         policy = AdaptiveOffloadPolicy(calibrate=False)
         o = self._outlook()
-        mask = policy.decide_per_part(PageRank(), o)
-        assert not policy.observe_bytes(
-            o, host_link_bytes=1.0, offloaded_mask=mask
+        mask = policy.decide(PageRank(), o)
+        assert not observe(
+            policy, o, pairs=10, distinct=5, host_link_bytes=1.0, mask=mask
         )
+        assert policy._byte_correction == 1.0
+        assert policy._pairs_correction == 1.0
+
+    def test_observe_calibrates_counts_too(self):
+        # One observe call carries both feedback loops: the inherited
+        # count calibration moves along with the byte correction.
+        policy = AdaptiveOffloadPolicy(ema_alpha=1.0)
+        o = self._outlook()
+        mask = policy.decide(PageRank(), o)
+        observe(policy, o, pairs=10, distinct=5, host_link_bytes=1e6, mask=mask)
+        assert policy._pairs_correction != 1.0
+        assert policy._distinct_correction != 1.0
 
 
 class TestRegistry:

@@ -59,9 +59,6 @@ class FixedMask(OffloadPolicy):
         self.mask = np.asarray(mask, dtype=bool)
 
     def decide(self, kernel, outlook, **kw):
-        return False
-
-    def decide_per_part(self, kernel, outlook, **kw):
         return self.mask
 
 
@@ -80,27 +77,15 @@ class TestPerPartDecisions:
             edges_per_part=np.array([5000, 200, 90, 10]),
             frontier_per_part=np.array([25, 25, 25, 25]),
         )
-        mask = policy.decide_per_part(PageRank(), outlook)
+        mask = policy.decide(PageRank(), outlook)
         assert mask.shape == (4,)
         assert mask.dtype == bool
         # Dense part offloads, near-empty part fetches.
         assert mask[0]
         assert not mask[3]
 
-    def test_falls_back_without_part_info(self):
-        policy = PerPartCostPolicy()
-        outlook = IterationOutlook(
-            iteration=0,
-            frontier_size=100,
-            edges_traversed=1000,
-            num_vertices=1000,
-            num_parts=4,
-        )
-        assert policy.decide_per_part(PageRank(), outlook) is None
-
     def test_oracle_variant_uses_exact_pairs(self):
         policy = PerPartCostPolicy(oracle=True)
-        assert policy.requires_oracle
         outlook = IterationOutlook(
             iteration=0,
             frontier_size=40,
@@ -111,7 +96,7 @@ class TestPerPartDecisions:
             frontier_per_part=np.array([20, 20]),
             exact_partials_per_part=np.array([10, 990]),
         )
-        mask = policy.decide_per_part(PageRank(), outlook)
+        mask = policy.decide(PageRank(), outlook)
         assert mask[0] and not mask[1]
 
 

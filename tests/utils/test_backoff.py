@@ -1,14 +1,12 @@
-"""Shared retry/backoff helpers: schedule shape, caps, jitter determinism.
+"""Shared retry/backoff helpers: schedule shape and caps.
 
 These helpers pace three very different consumers — the sweep's retry
 rounds, the remote scheduler's per-task re-queues, and the serving
 daemon's Retry-After hints — so the contract (pure function of attempt,
-capped, deterministic without an explicit rng) is pinned here once.
+capped) is pinned here once.
 """
 
 from __future__ import annotations
-
-import random
 
 import pytest
 
@@ -46,29 +44,6 @@ class TestExponentialDelay:
         with pytest.raises(ValueError, match="base"):
             exponential_delay(0, base=-0.1)
 
-    def test_jitter_range_validated(self):
-        with pytest.raises(ValueError, match="jitter"):
-            exponential_delay(0, jitter=1.5, rng=random.Random(1))
-        with pytest.raises(ValueError, match="jitter"):
-            exponential_delay(0, jitter=-0.1, rng=random.Random(1))
-
-    def test_jitter_requires_explicit_rng(self):
-        # Implicit global randomness would break sweep determinism.
-        with pytest.raises(ValueError, match="rng"):
-            exponential_delay(0, jitter=0.5)
-
-    def test_jitter_spreads_upward_within_fraction(self):
-        rng = random.Random(42)
-        base_value = exponential_delay(3, base=0.5, cap=60.0)
-        for _ in range(50):
-            delay = exponential_delay(3, base=0.5, cap=60.0, jitter=0.5, rng=rng)
-            assert base_value <= delay <= base_value * 1.5
-
-    def test_jitter_never_exceeds_cap(self):
-        rng = random.Random(7)
-        for _ in range(50):
-            assert exponential_delay(9, base=1.0, cap=8.0, jitter=1.0, rng=rng) <= 8.0
-
 
 class TestBackoffPolicy:
     def test_default_matches_historical_sweep_schedule(self):
@@ -78,21 +53,11 @@ class TestBackoffPolicy:
             0.25, 0.5, 1.0, 2.0, 4.0, 8.0, 8.0,
         ]
 
-    def test_delays_enumerates_retry_budget(self):
-        policy = BackoffPolicy(base_s=1.0, cap_s=4.0)
-        assert list(policy.delays(4)) == [1.0, 2.0, 4.0, 4.0]
-
-    def test_jittered_delay_is_deterministic_per_attempt(self):
-        policy = BackoffPolicy(base_s=1.0, cap_s=60.0, jitter=0.5, seed=7)
-        assert policy.delay(3) == policy.delay(3)
-        other = BackoffPolicy(base_s=1.0, cap_s=60.0, jitter=0.5, seed=8)
-        assert policy.delay(3) != other.delay(3)
-
     def test_invalid_policy_rejected_at_construction(self):
         with pytest.raises(ValueError):
             BackoffPolicy(base_s=-1.0)
         with pytest.raises(ValueError):
-            BackoffPolicy(jitter=2.0)
+            BackoffPolicy(cap_s=-1.0)
 
 
 class TestRetryAfterHint:
