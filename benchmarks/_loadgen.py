@@ -1,32 +1,25 @@
-"""Load generator for the serving daemon.
+"""HTTP load client for the serving benchmarks (``BENCH_serve.json``).
 
 A pool of keep-alive TCP clients drives a request mix against a running
-daemon and reports sustained throughput plus latency percentiles — the
-numbers ``BENCH_serve.json`` and the CI smoke job are built on.
+daemon and reports sustained throughput plus latency percentiles;
+:func:`http_post` sends one blocking request.
 
-The generator is deliberately dependency-free (stdlib asyncio + the
-daemon's own protocol helpers) and deterministic: requests are issued
-round-robin over the mix, so two runs against the same daemon state see
-the same workload in the same order per client.
-
-Usage as a library::
+The client is deliberately dependency-free (stdlib asyncio and
+``http.client``) and deterministic: requests are issued round-robin over
+the mix, so two runs against the same daemon state see the same workload
+in the same order per client::
 
     report = run_load_sync("127.0.0.1", 8577, mix, total=200, concurrency=8)
-
-or as a tool::
-
-    python -m repro.serve.loadgen --port 8577 --total 200 --concurrency 8
 """
 
 from __future__ import annotations
 
-import argparse
 import asyncio
+import http.client
 import json
-import sys
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Mapping, Sequence, Tuple
 
 #: (kind, payload) templates cycled round-robin by the generator.
 RequestMix = Sequence[Tuple[str, Mapping[str, Any]]]
@@ -150,7 +143,6 @@ async def run_load(
     *,
     total: int = 100,
     concurrency: int = 4,
-    tenant: Optional[str] = None,
 ) -> LoadReport:
     """Issue ``total`` requests over ``concurrency`` keep-alive clients."""
     report = LoadReport(total=total, concurrency=concurrency, seconds=0.0)
@@ -167,8 +159,6 @@ async def run_load(
                         return
                     counter["next"] = index + 1
                 kind, payload = mix[index % len(mix)]
-                if tenant is not None:
-                    payload = {**payload, "tenant": tenant}
                 body = json.dumps(payload).encode()
                 started = time.monotonic()
                 try:
@@ -225,97 +215,29 @@ def run_load_sync(
     *,
     total: int = 100,
     concurrency: int = 4,
-    tenant: Optional[str] = None,
 ) -> LoadReport:
     """Blocking wrapper around :func:`run_load` (runs its own loop)."""
     return asyncio.run(
-        run_load(
-            host, port, mix, total=total, concurrency=concurrency,
-            tenant=tenant,
+        run_load(host, port, mix, total=total, concurrency=concurrency)
+    )
+
+
+def http_post(
+    port: int,
+    path: str,
+    payload: Mapping[str, Any],
+    *,
+    timeout: float = 300.0,
+) -> Tuple[int, Dict[str, str], bytes]:
+    """One blocking POST to the daemon on localhost."""
+    conn = http.client.HTTPConnection("127.0.0.1", port, timeout=timeout)
+    try:
+        conn.request(
+            "POST", path, body=json.dumps(payload).encode(),
+            headers={"Content-Type": "application/json"},
         )
-    )
-
-
-def _load_mix(path: Optional[str]) -> RequestMix:
-    if path is None:
-        return DEFAULT_MIX
-    with open(path, "r", encoding="utf-8") as handle:
-        raw = json.load(handle)
-    if not isinstance(raw, list) or not raw:
-        raise SystemExit(f"{path}: mix file must be a non-empty JSON list")
-    mix = []
-    for entry in raw:
-        if (
-            not isinstance(entry, dict)
-            or "kind" not in entry
-            or "payload" not in entry
-        ):
-            raise SystemExit(
-                f"{path}: each mix entry needs 'kind' and 'payload' keys"
-            )
-        mix.append((entry["kind"], entry["payload"]))
-    return tuple(mix)
-
-
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.serve.loadgen",
-        description="Drive a request mix against a repro-serve daemon.",
-    )
-    parser.add_argument("--host", default="127.0.0.1")
-    parser.add_argument("--port", type=int, required=True)
-    parser.add_argument("--total", type=int, default=100)
-    parser.add_argument("--concurrency", type=int, default=4)
-    parser.add_argument("--tenant", default=None)
-    parser.add_argument(
-        "--mix-file",
-        default=None,
-        help="JSON list of {kind, payload} request templates "
-        "(default: built-in small mix)",
-    )
-    parser.add_argument(
-        "--json", default=None, help="write the report as JSON to this path"
-    )
-    parser.add_argument(
-        "--allow-shed",
-        action="store_true",
-        help="treat 429/503 responses as expected (overload experiments)",
-    )
-    args = parser.parse_args(argv)
-
-    report = run_load_sync(
-        args.host,
-        args.port,
-        _load_mix(args.mix_file),
-        total=args.total,
-        concurrency=args.concurrency,
-        tenant=args.tenant,
-    )
-    summary = report.summary()
-    print(json.dumps(summary, indent=2, sort_keys=True))
-    if args.json:
-        with open(args.json, "w", encoding="utf-8") as handle:
-            json.dump(summary, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-    if report.divergent_digests:
-        print(
-            "ERROR: divergent response bodies for digests: "
-            f"{report.divergent_digests}",
-            file=sys.stderr,
-        )
-        return 1
-    if report.server_errors or report.client_errors:
-        return 1
-    rejected = report.shed + report.quota_rejected
-    if rejected and not args.allow_shed:
-        print(
-            f"ERROR: {rejected} requests were shed/rejected "
-            "(pass --allow-shed if intentional)",
-            file=sys.stderr,
-        )
-        return 1
-    return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())
+        response = conn.getresponse()
+        headers = {k.lower(): v for k, v in response.getheaders()}
+        return response.status, headers, response.read()
+    finally:
+        conn.close()

@@ -1,373 +1,155 @@
 #!/usr/bin/env python3
-"""Bench-regression gate: engine profiling throughput at the medium preset.
+"""The perf gate: every benchmark bar, one row each, in one table.
 
-Compares the ``profile_throughput_medium`` section of a freshly generated
-``benchmarks/out/BENCH_engine.json`` against the committed baseline and
-fails (exit 1) when the throughput metric dropped more than 20%.
+Each row names a BENCH file under ``benchmarks/out/``, a dotted metric
+path into it, a comparison and a bound.  A row with a ``baseline`` bounds
+the metric by a fraction of the same metric in that file under
+``benchmarks/baseline/``; a row with ``only_if`` applies only while
+another metric of the same file is at least a minimum (the sweep's
+two-worker speedup needs two cores to be expressible).
 
-The gated metric is the fast path's *speedup over the sort-based oracle*,
-not raw seconds: both sides of the ratio run on the same machine in the
-same process, so the number is portable across runner hardware while still
-collapsing to ~1x if the O(E) path ever regresses to sort-bound behaviour.
-The committed baseline is deliberately conservative (below typically
-measured values) so runner-to-runner noise does not trip the gate; a real
-algorithmic regression overshoots 20% by an order of magnitude.
+The benches write their sections through ``benchmarks/conftest.py``'s
+``write_bench``, which holds each fresh section to its rows here, so a bar
+is written once and checked both inside its bench and over the whole set::
 
-A second gate covers the observability layer: the ``noop_tracer_overhead``
-section (benchmarks/test_obs_bench.py) must report a disabled-tracer
-engine overhead of at most 2%.
+    python benchmarks/check_regression.py
 
-A third gate covers the serving daemon: the ``serve_throughput`` section
-of ``BENCH_serve.json`` (benchmarks/test_serve_bench.py) must report warm
-serving at least 5x the cold path, and its ``serve_overload`` section
-typed shedding with zero transport or server errors.
-
-A fourth gate covers the distributed sweep: the ``remote_scaling_medium``
-section of ``BENCH_sweep.json`` (benchmarks/test_sweep_bench.py) must
-report ledger-identical outcomes across 1/2/4 workers and at least a
-1.6x two-worker speedup — the speedup floor applies only on hosts with
-two or more cores (single-core runners pass with a note).
-
-A fifth gate covers the adaptive offload controller: the
-``adaptive_policy_overhead`` section of ``BENCH_offload.json``
-(benchmarks/test_offload_bench.py) must report a per-iteration decision
-cycle costing at most 2% of the engine iteration it steers — the same
-bar as the observability layer.
-
-``--only`` selects which gates run: ``engine``, ``obs``, ``serve``,
-``sweep``, and ``offload`` each require their section; the
-default ``all`` requires the engine section and checks the others when
-present.
-
-Usage::
-
-    python benchmarks/check_regression.py \\
-        [--current benchmarks/out/BENCH_engine.json] \\
-        [--baseline benchmarks/baseline/BENCH_engine.medium.json] \\
-        [--only {all,engine,obs,serve,sweep,offload}]
+prints one line per row and exits 0 when every row passes, 1 when a row
+fails and 2 when a file, section or metric is missing.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
+import operator
 import sys
+from dataclasses import dataclass
 from pathlib import Path
+from typing import Optional, Tuple, Union
 
-SECTION = "profile_throughput_medium"
-METRIC = "speedup"
-MAX_DROP = 0.20
+BENCH_DIR = Path(__file__).resolve().parent
+OUT_DIR = BENCH_DIR / "out"
+BASELINE_DIR = BENCH_DIR / "baseline"
 
-#: Optional gate: disabled-tracer engine overhead (benchmarks/test_obs_bench.py).
-OBS_SECTION = "noop_tracer_overhead"
-OBS_METRIC = "overhead_pct"
-OBS_MAX_PCT = 2.0
-
-#: Optional gate: serving daemon (benchmarks/test_serve_bench.py).
-SERVE_THROUGHPUT_SECTION = "serve_throughput"
-SERVE_THROUGHPUT_METRIC = "mid_speedup_vs_cold"
-SERVE_MIN_SPEEDUP = 5.0
-SERVE_OVERLOAD_SECTION = "serve_overload"
-
-#: Optional gate: distributed sweep scaling (benchmarks/test_sweep_bench.py).
-SWEEP_SECTION = "remote_scaling_medium"
-SWEEP_METRIC = "speedup_2w"
-SWEEP_MIN_SPEEDUP = 1.6
-
-#: Optional gate: adaptive offload controller (benchmarks/test_offload_bench.py).
-OFFLOAD_SECTION = "adaptive_policy_overhead"
-OFFLOAD_METRIC = "overhead_pct"
-OFFLOAD_MAX_PCT = 2.0
-
-REPO_ROOT = Path(__file__).resolve().parent.parent
+OPS = {">=": operator.ge, ">": operator.gt, "<=": operator.le, "<": operator.lt,
+       "==": operator.eq}
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--current",
-        default=str(REPO_ROOT / "benchmarks" / "out" / "BENCH_engine.json"),
-    )
-    parser.add_argument(
-        "--baseline",
-        default=str(
-            REPO_ROOT / "benchmarks" / "baseline" / "BENCH_engine.medium.json"
-        ),
-    )
-    parser.add_argument(
-        "--serve-current",
-        default=str(REPO_ROOT / "benchmarks" / "out" / "BENCH_serve.json"),
-    )
-    parser.add_argument(
-        "--sweep-current",
-        default=str(REPO_ROOT / "benchmarks" / "out" / "BENCH_sweep.json"),
-    )
-    parser.add_argument(
-        "--offload-current",
-        default=str(REPO_ROOT / "benchmarks" / "out" / "BENCH_offload.json"),
-    )
-    parser.add_argument(
-        "--only",
-        choices=("all", "engine", "obs", "serve", "sweep", "offload"),
-        default="all",
-        help="which gates to enforce (default: engine required, obs/"
-        "serve/sweep/offload checked when their sections are present)",
-    )
-    args = parser.parse_args(argv)
+@dataclass(frozen=True)
+class Row:
+    file: str
+    metric: str
+    op: str
+    bound: Union[float, bool]
+    #: file under benchmarks/baseline/; ``bound`` is then a fraction of it
+    baseline: Optional[str] = None
+    #: ``(metric, minimum)``: the row applies only when that metric is >= minimum
+    only_if: Optional[Tuple[str, float]] = None
 
-    if args.only == "serve":
-        return _check_serve(args.serve_current, required=True)
-    if args.only == "sweep":
-        return _check_sweep(args.sweep_current, required=True)
-    if args.only == "offload":
-        return _check_offload(args.offload_current, required=True)
+    @property
+    def section(self) -> str:
+        return self.metric.split(".", 1)[0]
 
+
+ROWS = (
+    # Execute-once engine (test_micro_bench.py, test_obs_bench.py).
+    Row("BENCH_engine.json", "trace_replay_vs_reexecute.speedup", ">=", 2.5),
+    Row("BENCH_engine.json", "cached_vs_uncached_profile.speedup", ">=", 2.0),
+    Row("BENCH_engine.json", "structural_profile_fast_vs_oracle.speedup", ">=", 3.0),
+    Row("BENCH_engine.json", "profile_throughput_medium.speedup", ">=", 0.8,
+        baseline="BENCH_engine.medium.json"),
+    Row("BENCH_engine.json", "noop_tracer_overhead.overhead_pct", "<=", 2.0),
+    # Adaptive offload controller (test_offload_bench.py).
+    Row("BENCH_offload.json", "adaptive_policy_overhead.overhead_pct", "<=", 2.0),
+    # Setup path (test_partition_bench.py), at the largest scale.
+    Row("BENCH_partition.json", "ldg.medium.speedup", ">=", 3.0),
+    Row("BENCH_partition.json", "bfs_grow.medium.speedup", ">=", 3.0),
+    Row("BENCH_partition.json", "csr_build.medium.speedup", ">=", 3.0),
+    Row("BENCH_partition.json", "mirror_build.medium.speedup", ">=", 5.0),
+    Row("BENCH_partition.json", "dataset_generation.medium.speedup", ">=", 5.0),
+    Row("BENCH_partition.json", "sweep_setup.speedup", ">=", 5.0),
+    # Serving daemon (test_serve_bench.py).
+    Row("BENCH_serve.json", "serve_throughput.mid_speedup_vs_cold", ">=", 5.0),
+    Row("BENCH_serve.json", "serve_overload.shed_demonstrated", "==", True),
+    Row("BENCH_serve.json", "serve_overload.client_errors", "==", 0),
+    Row("BENCH_serve.json", "serve_overload.server_errors", "==", 0),
+    Row("BENCH_serve.json", "serve_overload.wall_seconds", "<", 120.0),
+    # Distributed sweep (test_sweep_bench.py).
+    Row("BENCH_sweep.json", "remote_scaling_medium.ledger_identical", "==", True),
+    Row("BENCH_sweep.json", "remote_scaling_medium.speedup_2w", ">=", 1.6,
+        only_if=("remote_scaling_medium.cores", 2)),
+    # Write-ahead journal (test_resilience_bench.py).
+    Row("BENCH_resilience.json", "journal_overhead.overhead_pct", "<=", 2.0),
+    Row("BENCH_resilience.json", "resume_replay.speedup", ">", 5.0),
+)
+
+
+class Missing(Exception):
+    """A row's file, section or metric is absent."""
+
+
+def _load(path: Path) -> dict:
     try:
-        current_doc = json.loads(Path(args.current).read_text())
+        return json.loads(path.read_text())
     except FileNotFoundError:
-        print(
-            f"bench-regression: {args.current} missing — run the micro "
-            "benches first (pytest benchmarks/test_micro_bench.py or "
-            "benchmarks/test_obs_bench.py)",
-            file=sys.stderr,
-        )
-        return 2
-
-    if args.only in ("all", "engine"):
-        baseline_doc = json.loads(Path(args.baseline).read_text())
-        if SECTION not in current_doc:
-            print(
-                f"bench-regression: section {SECTION!r} missing from "
-                f"{args.current}",
-                file=sys.stderr,
-            )
-            return 2
-        current = float(current_doc[SECTION][METRIC])
-        baseline = float(baseline_doc[SECTION][METRIC])
-        floor = baseline * (1.0 - MAX_DROP)
-
-        print(
-            f"bench-regression: {SECTION}.{METRIC} = {current:.2f} "
-            f"(baseline {baseline:.2f}, floor {floor:.2f})"
-        )
-        if current < floor:
-            drop = 100.0 * (1.0 - current / baseline)
-            print(
-                f"bench-regression: FAIL — throughput dropped {drop:.1f}% "
-                f"(> {MAX_DROP:.0%}) vs the committed baseline",
-                file=sys.stderr,
-            )
-            return 1
-
-    if args.only == "obs" and OBS_SECTION not in current_doc:
-        print(
-            f"bench-regression: section {OBS_SECTION!r} missing from "
-            f"{args.current} — run pytest benchmarks/test_obs_bench.py",
-            file=sys.stderr,
-        )
-        return 2
-    # With --only all the obs gate is advisory-by-presence: the engine
-    # benches alone don't emit the section, so it is checked when there.
-    if args.only in ("all", "obs") and OBS_SECTION in current_doc:
-        overhead = float(current_doc[OBS_SECTION][OBS_METRIC])
-        print(
-            f"bench-regression: {OBS_SECTION}.{OBS_METRIC} = "
-            f"{overhead:.2f}% (max {OBS_MAX_PCT:.0f}%)"
-        )
-        if overhead > OBS_MAX_PCT:
-            print(
-                f"bench-regression: FAIL — disabled-tracer overhead "
-                f"{overhead:.2f}% exceeds {OBS_MAX_PCT:.0f}%",
-                file=sys.stderr,
-            )
-            return 1
-
-    # Like the obs gate, the serve gate is advisory-by-presence under
-    # --only all: its bench writes a separate file, checked when there.
-    if args.only == "all" and Path(args.serve_current).exists():
-        code = _check_serve(args.serve_current, required=False)
-        if code:
-            return code
-
-    # And so does the distributed-sweep scaling gate.
-    if args.only == "all" and Path(args.sweep_current).exists():
-        code = _check_sweep(args.sweep_current, required=False)
-        if code:
-            return code
-
-    # And the adaptive offload-controller gate.
-    if args.only == "all" and Path(args.offload_current).exists():
-        code = _check_offload(args.offload_current, required=False)
-        if code:
-            return code
-
-    print("bench-regression: OK")
-    return 0
+        raise Missing(f"{path.name} not found in {path.parent}") from None
 
 
-def _check_serve(path: str, *, required: bool) -> int:
-    """Gate the serving daemon's numbers recorded in BENCH_serve.json.
+def _lookup(doc: dict, metric: str, name: str):
+    value = doc
+    for key in metric.split("."):
+        if not isinstance(value, dict) or key not in value:
+            raise Missing(f"{name}: {metric} not found")
+        value = value[key]
+    return value
 
-    Two conditions: warm serving at the middle concurrency tier must be
-    at least 5x the naive cold path (coalescing + warm pool + result
-    cache doing their job), and the overload experiment must have
-    demonstrated *typed* shedding with zero transport/server errors.
+
+def _fmt(value) -> str:
+    return str(value) if isinstance(value, bool) else f"{value:g}"
+
+
+def check(row: Row, out_dir: Path = OUT_DIR) -> Tuple[str, str]:
+    """``(status, line)`` for one row; status is ``ok``, ``FAIL`` or ``skip``.
+
+    Raises :class:`Missing` when the row cannot be resolved.
     """
-    try:
-        doc = json.loads(Path(path).read_text())
-    except FileNotFoundError:
-        print(
-            f"bench-regression: {path} missing — run "
-            "pytest benchmarks/test_serve_bench.py first",
-            file=sys.stderr,
-        )
-        return 2
-    if SERVE_THROUGHPUT_SECTION not in doc:
-        print(
-            f"bench-regression: section {SERVE_THROUGHPUT_SECTION!r} "
-            f"missing from {path}",
-            file=sys.stderr,
-        )
-        return 2
-    speedup = float(doc[SERVE_THROUGHPUT_SECTION][SERVE_THROUGHPUT_METRIC])
-    print(
-        f"bench-regression: {SERVE_THROUGHPUT_SECTION}."
-        f"{SERVE_THROUGHPUT_METRIC} = {speedup:.2f}x "
-        f"(min {SERVE_MIN_SPEEDUP:.1f}x)"
-    )
-    if speedup < SERVE_MIN_SPEEDUP:
-        print(
-            f"bench-regression: FAIL — warm serving is only {speedup:.2f}x "
-            f"the cold path (floor {SERVE_MIN_SPEEDUP:.1f}x)",
-            file=sys.stderr,
-        )
-        return 1
-    if SERVE_OVERLOAD_SECTION not in doc:
-        print(
-            f"bench-regression: section {SERVE_OVERLOAD_SECTION!r} missing "
-            f"from {path}",
-            file=sys.stderr,
-        )
-        return 2
-    overload = doc[SERVE_OVERLOAD_SECTION]
-    shed_ok = bool(overload.get("shed_demonstrated", False))
-    errors = int(overload.get("client_errors", 0)) + int(
-        overload.get("server_errors", 0)
-    )
-    print(
-        f"bench-regression: {SERVE_OVERLOAD_SECTION}: "
-        f"shed={overload.get('shed', 0)} "
-        f"quota_rejected={overload.get('quota_rejected', 0)} "
-        f"errors={errors}"
-    )
-    if not shed_ok or errors:
-        print(
-            "bench-regression: FAIL — overload must shed typed errors "
-            f"(shed_demonstrated={shed_ok}, raw errors={errors})",
-            file=sys.stderr,
-        )
-        return 1
-    if required:
-        print("bench-regression: OK")
-    return 0
+    doc = _load(out_dir / row.file)
+    value = _lookup(doc, row.metric, row.file)
+    bound, note = row.bound, ""
+    if row.baseline is not None:
+        base = _lookup(_load(BASELINE_DIR / row.baseline), row.metric, row.baseline)
+        bound, note = row.bound * base, f", {row.bound:.0%} of baseline {base:g}"
+    line = f"{row.file} {row.metric} = {_fmt(value)} ({row.op} {_fmt(bound)}{note})"
+    if row.only_if is not None:
+        metric, minimum = row.only_if
+        actual = _lookup(doc, metric, row.file)
+        if actual < minimum:
+            return "skip", f"{line}; exempt while {metric} = {actual:g} < {minimum:g}"
+    return ("ok" if OPS[row.op](value, bound) else "FAIL"), line
 
 
-def _check_sweep(path: str, *, required: bool) -> int:
-    """Gate the distributed sweep scaling recorded in BENCH_sweep.json.
-
-    Two conditions: the 1/2/4-worker runs must have produced ledger-
-    identical outcomes (a speedup that changes answers is a bug), and the
-    two-worker speedup must clear its floor — but only on hosts with at
-    least two cores, since compute-bound workers cannot scale past the
-    physical core count; a single-core runner passes with a note.
-    """
-    try:
-        doc = json.loads(Path(path).read_text())
-    except FileNotFoundError:
-        print(
-            f"bench-regression: {path} missing — run "
-            "pytest benchmarks/test_sweep_bench.py first",
-            file=sys.stderr,
-        )
-        return 2
-    if SWEEP_SECTION not in doc:
-        print(
-            f"bench-regression: section {SWEEP_SECTION!r} missing from "
-            f"{path}",
-            file=sys.stderr,
-        )
-        return 2
-    section = doc[SWEEP_SECTION]
-    if not section.get("ledger_identical", False):
-        print(
-            "bench-regression: FAIL — remote sweep outcomes diverged "
-            "from the single-host ledgers",
-            file=sys.stderr,
-        )
-        return 1
-    if int(section.get("cores", 1)) < 2:
-        print(
-            "bench-regression: sweep gate skipped — single-core runner, "
-            "multi-worker speedup is not expressible (OK; "
-            f"recorded {SWEEP_METRIC}="
-            f"{float(section.get(SWEEP_METRIC, 0.0)):.2f}x)"
-        )
-        return 0
-    speedup = float(section[SWEEP_METRIC])
-    print(
-        f"bench-regression: {SWEEP_SECTION}.{SWEEP_METRIC} = "
-        f"{speedup:.2f}x (min {SWEEP_MIN_SPEEDUP:.1f}x)"
-    )
-    if speedup < SWEEP_MIN_SPEEDUP:
-        print(
-            f"bench-regression: FAIL — 2-worker sweep speedup "
-            f"{speedup:.2f}x below the {SWEEP_MIN_SPEEDUP:.1f}x floor",
-            file=sys.stderr,
-        )
-        return 1
-    if required:
-        print("bench-regression: OK")
-    return 0
+def assert_section(file: str, section: str, out_dir: Path = OUT_DIR) -> None:
+    """Raise AssertionError naming every row of ``file``/``section`` that fails."""
+    failed = []
+    for row in ROWS:
+        if row.file == file and row.section == section:
+            status, line = check(row, out_dir)
+            if status == "FAIL":
+                failed.append(line)
+    assert not failed, "bar missed: " + "; ".join(failed)
 
 
-def _check_offload(path: str, *, required: bool) -> int:
-    """Gate the adaptive controller's overhead recorded in BENCH_offload.json.
-
-    The per-iteration decide + calibrate cycle must cost at most 2% of
-    the engine iteration it steers — per-iteration placement decisions
-    are only viable if making them is effectively free.
-    """
-    try:
-        doc = json.loads(Path(path).read_text())
-    except FileNotFoundError:
-        print(
-            f"bench-regression: {path} missing — run "
-            "pytest benchmarks/test_offload_bench.py first",
-            file=sys.stderr,
-        )
-        return 2
-    if OFFLOAD_SECTION not in doc:
-        print(
-            f"bench-regression: section {OFFLOAD_SECTION!r} missing from "
-            f"{path}",
-            file=sys.stderr,
-        )
-        return 2
-    overhead = float(doc[OFFLOAD_SECTION][OFFLOAD_METRIC])
-    print(
-        f"bench-regression: {OFFLOAD_SECTION}.{OFFLOAD_METRIC} = "
-        f"{overhead:.2f}% (max {OFFLOAD_MAX_PCT:.0f}%)"
-    )
-    if overhead > OFFLOAD_MAX_PCT:
-        print(
-            f"bench-regression: FAIL — adaptive controller overhead "
-            f"{overhead:.2f}% exceeds {OFFLOAD_MAX_PCT:.0f}%",
-            file=sys.stderr,
-        )
-        return 1
-    if required:
-        print("bench-regression: OK")
-    return 0
+def main(out_dir: Path = OUT_DIR) -> int:
+    code = 0
+    for row in ROWS:
+        try:
+            status, line = check(row, out_dir)
+        except Missing as exc:
+            status, line, code = "MISSING", str(exc), 2
+        if status == "FAIL" and code == 0:
+            code = 1
+        print(f"{status:<7} {line}")
+    return code
 
 
 if __name__ == "__main__":

@@ -12,12 +12,12 @@ engine's peak tracked transients required to stay under the budget.
 """
 
 import hashlib
-import json
 import os
 import time
 
 import numpy as np
 import pytest
+from conftest import write_bench
 
 from repro.arch.engine import EngineTelemetry, execute_iteration, prepare_graph
 from repro.graph.csr import CSRGraph
@@ -73,7 +73,7 @@ def _run_cell(graph, budget):
     }, digest
 
 
-def test_engine_scale_sweep(bench_out_dir):
+def test_engine_scale_sweep():
     data = {
         "edge_factor": EDGE_FACTOR,
         "partitions": PARTS,
@@ -127,15 +127,14 @@ def test_engine_scale_sweep(bench_out_dir):
             scale, "uint32", False, "peak_tracked_bytes"
         )
 
-    path = bench_out_dir / "BENCH_scale.json"
-    path.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
+    write_bench("BENCH_scale.json", "scale_sweep", data)
 
 
 @pytest.mark.skipif(
     os.environ.get("REPRO_BENCH_SCALE25") != "1",
     reason="paper-scale acceptance run; set REPRO_BENCH_SCALE25=1",
 )
-def test_scale25_pagerank_under_8g_budget(bench_out_dir):
+def test_scale25_pagerank_under_8g_budget():
     """Acceptance: scale-25 RMAT PageRank under an 8 GiB engine budget.
 
     At EDGE_FACTOR 16 the deduped edge set (~520M edges) carries ~16 GiB
@@ -149,16 +148,17 @@ def test_scale25_pagerank_under_8g_budget(bench_out_dir):
     assert metrics["streamed_iterations"] == ITERATIONS
     assert metrics["peak_tracked_bytes"] < budget
 
-    path = bench_out_dir / "BENCH_scale.json"
-    data = json.loads(path.read_text()) if path.exists() else {}
-    data["scale25_acceptance"] = {
-        "scale": 25,
-        "edge_factor": EDGE_FACTOR,
-        "vertices": int(graph.num_vertices),
-        "edges": int(graph.num_edges),
-        "index_dtype": "uint32",
-        "budget_bytes": budget,
-        "rank_sha256": digest,
-        **metrics,
-    }
-    path.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
+    write_bench(
+        "BENCH_scale.json",
+        "scale25_acceptance",
+        {
+            "scale": 25,
+            "edge_factor": EDGE_FACTOR,
+            "vertices": int(graph.num_vertices),
+            "edges": int(graph.num_edges),
+            "index_dtype": "uint32",
+            "budget_bytes": budget,
+            "rank_sha256": digest,
+            **metrics,
+        },
+    )

@@ -7,11 +7,9 @@ harness.  The execute-once benchmarks additionally emit machine-readable
 numbers to ``benchmarks/out/BENCH_engine.json``.
 """
 
-import json
-import time
-
 import numpy as np
 import pytest
+from conftest import min_of, write_bench
 
 from repro.arch.disaggregated import DisaggregatedSimulator
 from repro.arch.disaggregated_ndp import DisaggregatedNDPSimulator
@@ -88,30 +86,12 @@ def test_engine_iteration_pagerank(benchmark, lj_small):
 # Execute-once engine benchmarks (BENCH_engine.json)
 # --------------------------------------------------------------------------- #
 
-def _min_of(fn, rounds=3):
-    """Best-of-N wall time: robust against scheduler noise on shared CI."""
-    best = float("inf")
-    result = None
-    for _ in range(rounds):
-        start = time.perf_counter()
-        result = fn()
-        best = min(best, time.perf_counter() - start)
-    return best, result
-
-
-def _write_bench_engine(bench_out_dir, section, payload):
-    path = bench_out_dir / "BENCH_engine.json"
-    data = json.loads(path.read_text()) if path.exists() else {}
-    data[section] = payload
-    path.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
-
-
-def test_trace_replay_vs_reexecute(lj_small, bench_out_dir):
+def test_trace_replay_vs_reexecute(lj_small):
     """Record once + replay four ways must beat four independent runs.
 
-    The acceptance bar for the execute-once engine: >= 2.5x on PageRank,
-    livejournal-sim (small tier), 8 partitions, 5 iterations — with
-    byte-identical movement totals on every architecture.
+    PageRank on livejournal-sim (small tier), 8 partitions, 5 iterations,
+    with byte-identical movement totals on every architecture; the
+    speedup's bar is its row in ``check_regression.py``.
     """
     kernel = PageRank()
     cfg = SystemConfig(num_memory_nodes=8)
@@ -137,8 +117,8 @@ def test_trace_replay_vs_reexecute(lj_small, bench_out_dir):
             for sim in simulators()
         ]
 
-    shared_seconds, shared_runs = _min_of(shared_path)
-    independent_seconds, independent_runs = _min_of(independent_path)
+    shared_seconds, shared_runs = min_of(shared_path)
+    independent_seconds, independent_runs = min_of(independent_path)
 
     for rep, ind in zip(shared_runs, independent_runs):
         assert rep.total_host_link_bytes == ind.total_host_link_bytes
@@ -146,8 +126,8 @@ def test_trace_replay_vs_reexecute(lj_small, bench_out_dir):
         assert rep.iterations == ind.iterations
 
     speedup = independent_seconds / shared_seconds
-    _write_bench_engine(
-        bench_out_dir,
+    write_bench(
+        "BENCH_engine.json",
         "trace_replay_vs_reexecute",
         {
             "workload": "pagerank/livejournal-sim/small",
@@ -159,20 +139,16 @@ def test_trace_replay_vs_reexecute(lj_small, bench_out_dir):
             "movement_identical": True,
         },
     )
-    assert speedup >= 2.5, (
-        f"execute-once speedup {speedup:.2f}x below the 2.5x bar "
-        f"({shared_seconds * 1e3:.1f} ms vs {independent_seconds * 1e3:.1f} ms)"
-    )
 
 
-def test_cached_vs_uncached_profile(lj_small, bench_out_dir):
+def test_cached_vs_uncached_profile(lj_small):
     """A warm structural-profile cache must dominate the |E|-key re-sort."""
     assignment = HashPartitioner().partition(lj_small, 8, seed=7)
     frontier = np.arange(lj_small.num_vertices, dtype=np.int64)
 
     # Each uncached round profiles under a fresh assignment, so the pair
     # pass the assignment caches is timed every round, never served.
-    uncached_seconds, fresh = _min_of(
+    uncached_seconds, fresh = min_of(
         lambda: frontier_structure(
             lj_small, frontier, PartitionAssignment(assignment.parts, 8)
         ),
@@ -180,7 +156,7 @@ def test_cached_vs_uncached_profile(lj_small, bench_out_dir):
     )
     cache = StructuralProfileCache()
     frontier_structure(lj_small, frontier, assignment, cache=cache)
-    cached_seconds, cached = _min_of(
+    cached_seconds, cached = min_of(
         lambda: frontier_structure(lj_small, frontier, assignment, cache=cache),
         rounds=5,
     )
@@ -188,8 +164,8 @@ def test_cached_vs_uncached_profile(lj_small, bench_out_dir):
     np.testing.assert_array_equal(cached.pair_dst, fresh.pair_dst)
 
     speedup = uncached_seconds / cached_seconds
-    _write_bench_engine(
-        bench_out_dir,
+    write_bench(
+        "BENCH_engine.json",
         "cached_vs_uncached_profile",
         {
             "workload": "pagerank-frontier/livejournal-sim/small",
@@ -199,12 +175,10 @@ def test_cached_vs_uncached_profile(lj_small, bench_out_dir):
             "speedup": speedup,
         },
     )
-    # A hit is an O(|F|) comparison; anything < 2x means the cache broke.
-    assert speedup >= 2.0
 
 
-def test_structural_profile_fast_vs_oracle(bench_out_dir):
-    """The O(E) flag-array profiler must beat the sort oracle >= 3x.
+def test_structural_profile_fast_vs_oracle():
+    """The O(E) flag-array profiler against the sort oracle.
 
     Measured on BFS's widest frontier at the large preset — the
     profiling-dominated regime where the sort oracle pays two |E| log |E|
@@ -229,10 +203,10 @@ def test_structural_profile_fast_vs_oracle(bench_out_dir):
             widest = state.frontier.copy()
         execute_iteration(kernel, state, assignment)
 
-    fast_seconds, fast = _min_of(
+    fast_seconds, fast = min_of(
         lambda: frontier_structure(prepared, widest, assignment), rounds=5
     )
-    oracle_seconds, ref = _min_of(
+    oracle_seconds, ref = min_of(
         lambda: frontier_structure_reference(prepared, widest, assignment),
         rounds=5,
     )
@@ -243,8 +217,8 @@ def test_structural_profile_fast_vs_oracle(bench_out_dir):
     )
 
     speedup = oracle_seconds / fast_seconds
-    _write_bench_engine(
-        bench_out_dir,
+    write_bench(
+        "BENCH_engine.json",
         "structural_profile_fast_vs_oracle",
         {
             "workload": "bfs-widest-frontier/livejournal-sim/large",
@@ -256,18 +230,14 @@ def test_structural_profile_fast_vs_oracle(bench_out_dir):
             "speedup": speedup,
         },
     )
-    assert speedup >= 3.0, (
-        f"O(E) profiling speedup {speedup:.2f}x below the 3x bar "
-        f"({fast_seconds * 1e3:.1f} ms vs {oracle_seconds * 1e3:.1f} ms)"
-    )
 
 
-def test_profile_throughput_medium(bench_out_dir):
+def test_profile_throughput_medium():
     """Medium-preset profiling throughput — the bench-regression anchor.
 
-    ``benchmarks/check_regression.py`` compares this section against the
-    committed baseline and fails CI on a > 20% drop in the fast path's
-    speedup over the (stable, sort-based) oracle.  The ratio is used rather
+    Its row in ``benchmarks/check_regression.py`` bounds the fast path's
+    speedup over the (stable, sort-based) oracle by a fraction of the
+    committed baseline.  The ratio is used rather
     than raw seconds so the check is portable across runner hardware; the
     absolute edges/second figure is recorded for human eyes.
     """
@@ -278,20 +248,20 @@ def test_profile_throughput_medium(bench_out_dir):
     # A fresh assignment per round: one object would serve every round
     # after the first from its cached pair pass, and the ratio would stop
     # measuring the pass.
-    fast_seconds, fast = _min_of(
+    fast_seconds, fast = min_of(
         lambda: frontier_structure(
             graph, frontier, PartitionAssignment(assignment.parts, 16)
         ),
         rounds=5,
     )
-    oracle_seconds, ref = _min_of(
+    oracle_seconds, ref = min_of(
         lambda: frontier_structure_reference(graph, frontier, assignment),
         rounds=3,
     )
     np.testing.assert_array_equal(fast.pair_dst, ref.pair_dst)
 
-    _write_bench_engine(
-        bench_out_dir,
+    write_bench(
+        "BENCH_engine.json",
         "profile_throughput_medium",
         {
             "workload": "all-vertices/livejournal-sim/medium",

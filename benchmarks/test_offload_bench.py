@@ -7,8 +7,8 @@ iteration executes O(E) kernel numerics.  This bench measures both sides
 — the per-iteration decision cycle the simulator runs (``decide`` over a
 representative per-part outlook plus the ``observe`` feedback, which
 calibrates both the occupancy counts and the byte correction) and the
-engine iteration it rides on — and gates their ratio at <= 2%, the same
-bar the observability layer is held to.
+engine iteration it rides on — and records their ratio, which its row in
+``check_regression.py`` holds to the observability layer's bar.
 
 The two sides are timed separately (min-of-N each) rather than as an
 end-to-end A/B diff: the controller's true cost is tens of microseconds
@@ -24,10 +24,10 @@ before any clock starts.
 
 from __future__ import annotations
 
-import json
 import time
 
 import numpy as np
+from conftest import write_bench
 
 from repro.arch.disaggregated_ndp import DisaggregatedNDPSimulator
 from repro.graph.datasets import load_dataset
@@ -42,15 +42,7 @@ from repro.runtime.offload import (
 ITERATIONS = 10
 ROUNDS = 7
 DECISION_CALLS = 2000
-MAX_OVERHEAD_PCT = 2.0
 PARTITIONS = 8
-
-
-def _write_bench_offload(bench_out_dir, section, payload):
-    path = bench_out_dir / "BENCH_offload.json"
-    data = json.loads(path.read_text()) if path.exists() else {}
-    data[section] = payload
-    path.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
 
 
 def _run(graph, graph_name, cfg, policy):
@@ -70,25 +62,31 @@ def _decision_cycle_seconds(graph) -> float:
     The outlook mirrors the bench workload's dense steady state (every
     vertex in the frontier, edge mass split across the memory nodes) —
     the controller's cost is O(num_parts) regardless, but the features
-    should look like what the simulator actually feeds it.
+    should look like what the simulator actually feeds it.  The simulator
+    builds a fresh outlook every iteration, so each timed cycle gets its
+    own (built before the clock starts): an outlook's memoized estimates
+    are never served across cycles.
     """
     kernel = get_kernel("pagerank")
     edges = np.full(PARTITIONS, graph.num_edges / PARTITIONS)
     frontier = np.full(PARTITIONS, graph.num_vertices / PARTITIONS)
-    outlook = IterationOutlook(
-        iteration=0,
-        frontier_size=graph.num_vertices,
-        edges_traversed=graph.num_edges,
-        num_vertices=graph.num_vertices,
-        num_parts=PARTITIONS,
-        edges_per_part=edges,
-        frontier_per_part=frontier,
-    )
     policy = AdaptiveOffloadPolicy()
     best = float("inf")
     for _ in range(ROUNDS):
+        outlooks = [
+            IterationOutlook(
+                iteration=0,
+                frontier_size=graph.num_vertices,
+                edges_traversed=graph.num_edges,
+                num_vertices=graph.num_vertices,
+                num_parts=PARTITIONS,
+                edges_per_part=edges,
+                frontier_per_part=frontier,
+            )
+            for _ in range(DECISION_CALLS)
+        ]
         start = time.perf_counter()
-        for _ in range(DECISION_CALLS):
+        for outlook in outlooks:
             mask = policy.decide(kernel, outlook)
             policy.observe(
                 outlook,
@@ -111,9 +109,8 @@ def _iteration_seconds(graph, graph_name, cfg) -> float:
     return best
 
 
-def test_adaptive_policy_overhead(bench_out_dir):
-    """Per-iteration adaptive decisions must stay within 2% of the
-    iteration they steer."""
+def test_adaptive_policy_overhead():
+    """Per-iteration adaptive decisions against the iteration they steer."""
     graph, ds = load_dataset("livejournal-sim", tier="medium", seed=7)
     cfg = SystemConfig(num_memory_nodes=PARTITIONS).with_options(
         enable_inc=True
@@ -130,8 +127,8 @@ def test_adaptive_policy_overhead(bench_out_dir):
     decision_s = _decision_cycle_seconds(graph)
     iteration_s = _iteration_seconds(graph, ds.name, cfg)
     overhead_pct = 100.0 * decision_s / iteration_s
-    _write_bench_offload(
-        bench_out_dir,
+    write_bench(
+        "BENCH_offload.json",
         "adaptive_policy_overhead",
         {
             "workload": "pagerank/livejournal-sim/medium",
@@ -142,9 +139,4 @@ def test_adaptive_policy_overhead(bench_out_dir):
             "iteration_seconds": iteration_s,
             "overhead_pct": overhead_pct,
         },
-    )
-    assert overhead_pct <= MAX_OVERHEAD_PCT, (
-        f"adaptive controller cycle {decision_s * 1e6:.1f} us is "
-        f"{overhead_pct:.2f}% of a {iteration_s * 1e3:.2f} ms iteration "
-        f"(bar: {MAX_OVERHEAD_PCT:.0f}%)"
     )

@@ -6,17 +6,15 @@ implementations (which are kept, verbatim, in
 the sort-based code they replaced (kept here), plus the artifact cache on
 the full setup path (dataset generation -> ``prepare_trace``: closure,
 partition, mirror table).  The execute-once benchmarks emit
-machine-readable numbers to ``benchmarks/out/BENCH_partition.json`` and
-assert same-process ratio bars at the largest scale: >= 3x on both
-partitioners, >= 5x for the flag-pass mirror table over ``np.unique``,
->= 3x for the one-key CSR sort over ``np.lexsort`` in ``symmetrized()``,
-and >= 5x on warm-cache setup.
+machine-readable numbers to ``benchmarks/out/BENCH_partition.json``; the
+same-process ratio bars at the largest scale are rows in
+``check_regression.py``.
 """
 
-import json
 import time
 
 import numpy as np
+from conftest import min_of, write_bench
 
 from repro import cache as repro_cache
 from repro.arch.trace import prepare_trace
@@ -37,39 +35,21 @@ NUM_PARTS = 16
 SEED = 7
 
 
-def _min_of(fn, rounds=3):
-    """Best-of-N wall time: robust against scheduler noise on shared CI."""
-    best = float("inf")
-    result = None
-    for _ in range(rounds):
-        start = time.perf_counter()
-        result = fn()
-        best = min(best, time.perf_counter() - start)
-    return best, result
-
-
-def _write_bench(bench_out_dir, section, payload):
-    path = bench_out_dir / "BENCH_partition.json"
-    data = json.loads(path.read_text()) if path.exists() else {}
-    data[section] = payload
-    path.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
-
-
 def _graph(tier):
     graph, _ = load_dataset(DATASET, tier=tier, seed=SEED)
     return graph
 
 
-def test_ldg_vectorized_vs_reference(bench_out_dir):
-    """Vectorized LDG: bit-identical to the reference and >= 3x at scale."""
+def test_ldg_vectorized_vs_reference():
+    """Vectorized LDG: bit-identical to the reference, timed against it."""
     payload = {}
     for label, tier in SCALES:
         graph = _graph(tier)
         partitioner = LDGStreamingPartitioner()
-        ref_seconds, ref = _min_of(
+        ref_seconds, ref = min_of(
             lambda: ldg_reference(graph, NUM_PARTS, seed=SEED)
         )
-        vec_seconds, vec = _min_of(
+        vec_seconds, vec = min_of(
             lambda: partitioner.partition(graph, NUM_PARTS, seed=SEED)
         )
         np.testing.assert_array_equal(vec.parts, ref.parts)
@@ -83,24 +63,19 @@ def test_ldg_vectorized_vs_reference(bench_out_dir):
             "speedup": ref_seconds / vec_seconds,
             "bit_identical": True,
         }
-    _write_bench(bench_out_dir, "ldg", payload)
-    largest = payload[SCALES[-1][0]]
-    assert largest["speedup"] >= 3.0, (
-        f"LDG speedup {largest['speedup']:.2f}x below the 3x bar at "
-        f"{largest['dataset']}"
-    )
+    write_bench("BENCH_partition.json", "ldg", payload)
 
 
-def test_bfs_grow_vectorized_vs_reference(bench_out_dir):
-    """Frontier-batched BFS-grow: bit-identical and >= 3x at scale."""
+def test_bfs_grow_vectorized_vs_reference():
+    """Frontier-batched BFS-grow: bit-identical to the reference, timed against it."""
     payload = {}
     for label, tier in SCALES:
         graph = _graph(tier)
         partitioner = BFSGrowPartitioner()
-        ref_seconds, ref = _min_of(
+        ref_seconds, ref = min_of(
             lambda: bfs_grow_reference(graph, NUM_PARTS, seed=SEED)
         )
-        vec_seconds, vec = _min_of(
+        vec_seconds, vec = min_of(
             lambda: partitioner.partition(graph, NUM_PARTS, seed=SEED)
         )
         np.testing.assert_array_equal(vec.parts, ref.parts)
@@ -114,12 +89,7 @@ def test_bfs_grow_vectorized_vs_reference(bench_out_dir):
             "speedup": ref_seconds / vec_seconds,
             "bit_identical": True,
         }
-    _write_bench(bench_out_dir, "bfs_grow", payload)
-    largest = payload[SCALES[-1][0]]
-    assert largest["speedup"] >= 3.0, (
-        f"BFS-grow speedup {largest['speedup']:.2f}x below the 3x bar at "
-        f"{largest['dataset']}"
-    )
+    write_bench("BENCH_partition.json", "bfs_grow", payload)
 
 
 def _unique_mirror_pairs(graph, assignment):
@@ -148,8 +118,8 @@ def _lexsort_symmetrized(graph):
     return CSRGraph(indptr, d, validate=False)
 
 
-def test_mirror_build(bench_out_dir):
-    """Flag-pass mirror tables: equal to the ``np.unique`` oracle, >= 5x at scale.
+def test_mirror_build():
+    """Flag-pass mirror tables: equal to the ``np.unique`` oracle, timed against it.
 
     Each round builds for a fresh assignment object, as every simulator
     run does, so the cached per-edge source parts are paid inside the
@@ -163,8 +133,8 @@ def test_mirror_build(bench_out_dir):
         def fresh():
             return PartitionAssignment(parts, NUM_PARTS)
 
-        seconds, table = _min_of(lambda: build_mirror_table(graph, fresh()))
-        oracle_seconds, (vert, part) = _min_of(
+        seconds, table = min_of(lambda: build_mirror_table(graph, fresh()))
+        oracle_seconds, (vert, part) = min_of(
             lambda: _unique_mirror_pairs(graph, fresh())
         )
         np.testing.assert_array_equal(table.mirror_vertices, vert)
@@ -178,18 +148,12 @@ def test_mirror_build(bench_out_dir):
             "speedup": oracle_seconds / seconds,
             "bit_identical": True,
         }
-    _write_bench(bench_out_dir, "mirror_build", payload)
-    largest = payload[SCALES[-1][0]]
-    assert largest["num_mirrors"] > 0
-    assert largest["speedup"] >= 5.0, (
-        f"mirror-table speedup {largest['speedup']:.2f}x below the 5x bar at "
-        f"{largest['dataset']} ({largest['seconds'] * 1e3:.1f} ms vs "
-        f"{largest['oracle_seconds'] * 1e3:.1f} ms)"
-    )
+    write_bench("BENCH_partition.json", "mirror_build", payload)
+    assert payload[SCALES[-1][0]]["num_mirrors"] > 0
 
 
-def test_csr_build(bench_out_dir):
-    """One-key ``symmetrized()``: equal to the ``np.lexsort`` oracle, >= 3x at scale.
+def test_csr_build():
+    """One-key ``symmetrized()``: equal to the ``np.lexsort`` oracle, timed against it.
 
     Each round symmetrizes a fresh view of the graph, so the cached
     closure never answers.
@@ -201,8 +165,8 @@ def test_csr_build(bench_out_dir):
         def fresh():
             return CSRGraph(graph.indptr, graph.indices, validate=False)
 
-        seconds, closure = _min_of(lambda: fresh().symmetrized())
-        oracle_seconds, expected = _min_of(lambda: _lexsort_symmetrized(fresh()))
+        seconds, closure = min_of(lambda: fresh().symmetrized())
+        oracle_seconds, expected = min_of(lambda: _lexsort_symmetrized(fresh()))
         assert closure == expected
         payload[label] = {
             "dataset": f"{DATASET}/{tier}",
@@ -214,28 +178,22 @@ def test_csr_build(bench_out_dir):
             "speedup": oracle_seconds / seconds,
             "bit_identical": True,
         }
-    _write_bench(bench_out_dir, "csr_build", payload)
-    largest = payload[SCALES[-1][0]]
-    assert largest["speedup"] >= 3.0, (
-        f"one-key symmetrize speedup {largest['speedup']:.2f}x below the 3x bar "
-        f"at {largest['dataset']} ({largest['seconds'] * 1e3:.1f} ms vs "
-        f"{largest['oracle_seconds'] * 1e3:.1f} ms)"
-    )
+    write_bench("BENCH_partition.json", "csr_build", payload)
 
 
-def test_dataset_generation_cold_vs_warm(tmp_path, bench_out_dir):
-    """Cached dataset loads must be >= 5x faster than regeneration."""
+def test_dataset_generation_cold_vs_warm(tmp_path):
+    """Cached dataset loads against regeneration."""
     cache = ArtifactCache(tmp_path / "dscache")
     payload = {}
     for label, tier in SCALES:
-        cold_seconds, graph = _min_of(
+        cold_seconds, graph = min_of(
             lambda: load_dataset(DATASET, tier=tier, seed=SEED)[0],
             rounds=2,
         )
         repro_cache.load_dataset_cached(
             DATASET, tier=tier, seed=SEED, cache=cache
         )
-        warm_seconds, warm = _min_of(
+        warm_seconds, warm = min_of(
             lambda: repro_cache.load_dataset_cached(
                 DATASET, tier=tier, seed=SEED, cache=cache
             )[0],
@@ -248,21 +206,16 @@ def test_dataset_generation_cold_vs_warm(tmp_path, bench_out_dir):
             "warm_seconds": warm_seconds,
             "speedup": cold_seconds / warm_seconds,
         }
-    _write_bench(bench_out_dir, "dataset_generation", payload)
-    largest = payload[SCALES[-1][0]]
-    assert largest["speedup"] >= 5.0, (
-        f"warm dataset load {largest['speedup']:.2f}x below the 5x bar"
-    )
+    write_bench("BENCH_partition.json", "dataset_generation", payload)
 
 
-def test_sweep_setup_cold_vs_warm(tmp_path, bench_out_dir, monkeypatch):
+def test_sweep_setup_cold_vs_warm(tmp_path, monkeypatch):
     """The full setup path (graph + ``prepare_trace``) through the cache.
 
     ``prepare_trace`` is where every run, compare and sweep task prepares
     its workload; with LDG and a cc kernel it reads the dataset, the
     symmetrized graph and the assignment from the cache and rebuilds the
-    mirror table.  The acceptance bar is a >= 5x warm/cold ratio at the
-    largest scale.
+    mirror table.  The warm/cold ratio is recorded at the largest scale.
     """
     tier = SCALES[-1][1]
     cache = ArtifactCache(tmp_path / "setupcache")
@@ -282,7 +235,7 @@ def test_sweep_setup_cold_vs_warm(tmp_path, bench_out_dir, monkeypatch):
     cold = setup()
     cold_seconds = time.perf_counter() - cold_start
 
-    warm_seconds, warm = _min_of(setup, rounds=3)
+    warm_seconds, warm = min_of(setup, rounds=3)
 
     assert warm.graph.digest == cold.graph.digest
     np.testing.assert_array_equal(warm.assignment.parts, cold.assignment.parts)
@@ -297,8 +250,8 @@ def test_sweep_setup_cold_vs_warm(tmp_path, bench_out_dir, monkeypatch):
     assert cache.counters["cache.symmetrized.hits"] >= 3
 
     speedup = cold_seconds / warm_seconds
-    _write_bench(
-        bench_out_dir,
+    write_bench(
+        "BENCH_partition.json",
         "sweep_setup",
         {
             "dataset": f"{DATASET}/{tier}",
@@ -307,8 +260,4 @@ def test_sweep_setup_cold_vs_warm(tmp_path, bench_out_dir, monkeypatch):
             "warm_seconds": warm_seconds,
             "speedup": speedup,
         },
-    )
-    assert speedup >= 5.0, (
-        f"warm setup {speedup:.2f}x below the 5x bar "
-        f"({warm_seconds * 1e3:.1f} ms vs {cold_seconds * 1e3:.1f} ms)"
     )

@@ -9,12 +9,12 @@ scaling curve.  Every run must produce the exact ledger set of a
 single-host ``jobs=2`` run — a speedup that changes answers is a bug,
 not a result.
 
-The acceptance bar is >= 1.6x at two workers (gated via
-``check_regression.py --only sweep``); four-worker scaling is recorded
-as informational since CI core counts vary.  The speedup floor is only
-enforced when the host has at least two cores — compute-bound workers cannot scale past
-the physical core count, and a single-core runner records the curve
-(and still asserts outcome identity) without failing the suite.
+The two-worker speedup is held to its row in ``check_regression.py``;
+four-worker scaling is recorded as informational since CI core counts
+vary.  The row applies only when the host has at least two cores —
+compute-bound workers cannot scale past the physical core count, and a
+single-core runner records the curve (and still asserts outcome
+identity) without failing the suite.
 
 Workers share the benchmark session's artifact cache directory, so the
 timed region measures dispatch + execution, not dataset generation —
@@ -23,7 +23,6 @@ the same steady state a long-lived cluster cache converges to.
 
 from __future__ import annotations
 
-import json
 import os
 import signal
 import subprocess
@@ -31,12 +30,13 @@ import sys
 import time
 from pathlib import Path
 
+from conftest import write_bench
+
 from repro import cache as repro_cache
 from repro.experiments.remote import RemoteScheduler
 from repro.experiments.sweep import SweepTask, run_sweep
 
 TOKEN = "bench-sweep-token"
-MIN_SPEEDUP_2W = 1.6
 
 #: 24 near-uniform compute-bound tasks: pagerank at the medium tier runs
 #: ~0.4s per task once max_iterations exceeds convergence (~130), so the
@@ -48,13 +48,6 @@ TASKS = [
     for parts in (4, 8)
     for cap in (200, 220, 240, 260)
 ]
-
-
-def _write_bench_sweep(bench_out_dir, section, payload):
-    path = bench_out_dir / "BENCH_sweep.json"
-    data = json.loads(path.read_text()) if path.exists() else {}
-    data[section] = payload
-    path.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
 
 
 class _Fleet:
@@ -102,8 +95,8 @@ class _Fleet:
         self.procs = []
 
 
-def test_remote_worker_scaling(bench_out_dir):
-    """1/2/4-worker scaling with bit-identical outcomes, >=1.6x at 2w."""
+def test_remote_worker_scaling():
+    """1/2/4-worker scaling with bit-identical outcomes."""
     cache = repro_cache.get_cache()
     assert cache is not None, "bench session cache must be configured"
 
@@ -135,26 +128,18 @@ def test_remote_worker_scaling(bench_out_dir):
         finally:
             fleet.kill()
 
-    speedup_2w = elapsed[1] / elapsed[2]
-    speedup_4w = elapsed[1] / elapsed[4]
-    cores = os.cpu_count() or 1
-    payload = {
-        "tier": "medium",
-        "tasks": len(TASKS),
-        "cores": cores,
-        "elapsed_1w_s": round(elapsed[1], 4),
-        "elapsed_2w_s": round(elapsed[2], 4),
-        "elapsed_4w_s": round(elapsed[4], 4),
-        "speedup_2w": round(speedup_2w, 3),
-        "speedup_4w": round(speedup_4w, 3),
-        "ledger_identical": True,
-        "min_speedup_2w": MIN_SPEEDUP_2W,
-    }
-    _write_bench_sweep(bench_out_dir, "remote_scaling_medium", payload)
-
-    if cores < 2:
-        return  # correctness asserted above; scaling needs real cores
-    assert speedup_2w >= MIN_SPEEDUP_2W, (
-        f"2-worker speedup {speedup_2w:.2f}x below the "
-        f"{MIN_SPEEDUP_2W}x floor: {payload}"
+    write_bench(
+        "BENCH_sweep.json",
+        "remote_scaling_medium",
+        {
+            "tier": "medium",
+            "tasks": len(TASKS),
+            "cores": os.cpu_count() or 1,
+            "elapsed_1w_s": round(elapsed[1], 4),
+            "elapsed_2w_s": round(elapsed[2], 4),
+            "elapsed_4w_s": round(elapsed[4], 4),
+            "speedup_2w": round(elapsed[1] / elapsed[2], 3),
+            "speedup_4w": round(elapsed[1] / elapsed[4], 3),
+            "ledger_identical": True,
+        },
     )

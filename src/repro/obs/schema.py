@@ -96,7 +96,7 @@ def validate_chrome_trace(
     return len(events)
 
 
-def _main(argv=None) -> int:  # pragma: no cover - exercised via CI
+def _main(argv=None) -> int:
     import argparse
     import sys
 

@@ -167,11 +167,6 @@ def estimate_movement(
     cheap to maintain from the partition map) sharpens the partial-pair
     estimate; without it the edge mass is assumed evenly spread.
     """
-    wire = kernel.message.wire_bytes
-    fetch = (
-        VERTEX_ID_BYTES * frontier_size
-        + edge_record_bytes(kernel) * edges_traversed
-    )
     if edges_per_part is None:
         edges_per_part = np.full(num_parts, edges_traversed / max(num_parts, 1))
     # Summed left to right in part order; np.sum adds pairwise and can
@@ -179,14 +174,14 @@ def estimate_movement(
     partial_pairs = sum(
         estimate_distinct_destinations_per_part(edges_per_part, num_vertices).tolist()
     )
-    distinct = estimate_distinct_destinations(edges_traversed, num_vertices)
-    push = frontier_push_bytes(
-        kernel, frontier_size, num_vertices=num_vertices, num_parts=num_parts
-    )
-    offload = push + wire * partial_pairs
-    inc = push + wire * distinct
-    return MovementEstimate(
-        fetch_bytes=float(fetch),
-        offload_bytes=float(offload),
-        offload_inc_bytes=float(inc),
+    return exact_movement(
+        kernel,
+        frontier_size=frontier_size,
+        edges_traversed=edges_traversed,
+        partial_pairs=partial_pairs,
+        distinct_destinations=estimate_distinct_destinations(
+            edges_traversed, num_vertices
+        ),
+        num_vertices=num_vertices,
+        num_parts=num_parts,
     )

@@ -16,7 +16,8 @@ from __future__ import annotations
 import abc
 import difflib
 from dataclasses import dataclass
-from typing import Any, Dict, Optional, Tuple, Type, Union
+from functools import cached_property
+from typing import Any, Dict, NamedTuple, Optional, Tuple, Type, Union
 
 import numpy as np
 
@@ -27,7 +28,6 @@ from repro.runtime.cost_model import (
     edge_record_bytes,
     estimate_distinct_destinations,
     estimate_distinct_destinations_per_part,
-    estimate_movement,
     exact_movement,
     frontier_push_bytes,
 )
@@ -65,6 +65,34 @@ class IterationOutlook:
         if self.frontier_size == 0:
             return 0.0
         return self.edges_traversed / self.frontier_size
+
+    @cached_property
+    def occupancy(self) -> "Occupancy":
+        """The balls-in-bins estimates, computed once per outlook: ``decide``
+        and ``observe`` of one iteration both read them."""
+        per_part = estimate_distinct_destinations_per_part(
+            self.edges_per_part, self.num_vertices
+        )
+        return Occupancy(
+            pairs_per_part=per_part,
+            # Summed left to right in part order; np.sum adds pairwise and
+            # can round differently.
+            pairs=sum(per_part.tolist()),
+            distinct=estimate_distinct_destinations(
+                self.edges_traversed, self.num_vertices
+            ),
+        )
+
+
+class Occupancy(NamedTuple):
+    """Uncalibrated occupancy estimates of one iteration's update counts."""
+
+    #: partial updates (distinct destinations) of each memory node
+    pairs_per_part: np.ndarray
+    #: their sum over the memory nodes
+    pairs: float
+    #: distinct destinations over the whole frontier
+    distinct: float
 
 
 class OffloadPolicy(abc.ABC):
@@ -203,13 +231,14 @@ class DynamicCostPolicy(OffloadPolicy):
         self._distinct_correction = 1.0
 
     def decide(self, kernel, outlook, *, switch=None, inc_enabled=False) -> bool:
-        est = estimate_movement(
+        est = exact_movement(
             kernel,
             frontier_size=outlook.frontier_size,
             edges_traversed=outlook.edges_traversed,
+            partial_pairs=outlook.occupancy.pairs,
+            distinct_destinations=outlook.occupancy.distinct,
             num_vertices=outlook.num_vertices,
             num_parts=outlook.num_parts,
-            edges_per_part=outlook.edges_per_part,
         )
         # Re-derive the update-dependent parts with the learned corrections.
         wire = kernel.message.wire_bytes
@@ -229,16 +258,7 @@ class DynamicCostPolicy(OffloadPolicy):
     def observe(self, outlook, *, partial_pairs, distinct_destinations, **_) -> bool:
         if not self.calibrate:
             return False
-        # Summed left to right in part order; np.sum adds pairwise and can
-        # round differently.
-        est_pairs = sum(
-            estimate_distinct_destinations_per_part(
-                outlook.edges_per_part, outlook.num_vertices
-            ).tolist()
-        )
-        est_distinct = estimate_distinct_destinations(
-            outlook.edges_traversed, outlook.num_vertices
-        )
+        _, est_pairs, est_distinct = outlook.occupancy
         a = self.ema_alpha
         if est_pairs > 0 and partial_pairs > 0:
             self._pairs_correction = (
@@ -253,10 +273,7 @@ class DynamicCostPolicy(OffloadPolicy):
 
     def _estimated_pairs_per_part(self, outlook: IterationOutlook) -> np.ndarray:
         """Calibrated occupancy estimate of each node's partial updates."""
-        pairs = estimate_distinct_destinations_per_part(
-            outlook.edges_per_part, outlook.num_vertices
-        )
-        return pairs * self._pairs_correction
+        return outlook.occupancy.pairs_per_part * self._pairs_correction
 
 
 class OraclePolicy(OffloadPolicy):
@@ -365,14 +382,8 @@ class AdaptiveOffloadPolicy(DynamicCostPolicy):
         # the bytes will actually take.
         merge = 1.0
         if inc_enabled and switch is not None:
-            edges = np.asarray(outlook.edges_per_part, dtype=np.float64)
             est_pairs = float(pairs.sum())
-            est_distinct = (
-                estimate_distinct_destinations(
-                    float(edges.sum()), outlook.num_vertices
-                )
-                * self._distinct_correction
-            )
+            est_distinct = outlook.occupancy.distinct * self._distinct_correction
             if est_pairs > 0.0:
                 merge = min(est_distinct / est_pairs, 1.0)
         offload_cost, fetch_cost = _per_part_costs(

@@ -16,8 +16,7 @@ service.  The pieces, each its own module:
 * :mod:`repro.serve.executor`  — thread-pool execution through the
   facade's single code path (bit-identical to the CLIs);
 * :mod:`repro.serve.server`    — the asyncio HTTP front door tying it
-  together, plus :class:`ServerThread` for in-process harnesses;
-* :mod:`repro.serve.loadgen`   — the benchmark/CI load generator.
+  together, plus :class:`ServerThread` for in-process harnesses.
 
 See ``docs/serving.md`` for the protocol and operational story.
 """
@@ -40,6 +39,5 @@ __getattr__, __dir__, __all__ = lazy_exports(
         "repro.arch.results": ("result_sha256",),
         ".results": ("ResultCache",),
         ".server": ("AnalyticsServer", "RequestTimeout", "ServerThread"),
-        ".loadgen": ("DEFAULT_MIX", "LoadReport", "run_load", "run_load_sync"),
     },
 )

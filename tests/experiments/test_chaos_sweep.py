@@ -5,16 +5,17 @@ ledgers as an uninterrupted run)."""
 
 from __future__ import annotations
 
+import json
 import os
 import signal
 import threading
-from pathlib import Path
 
 import pytest
 
 from repro.chaos import ChaosPlan, ChaosSpec
 from repro.errors import ExperimentError, SweepInterrupted
 from repro.experiments.journal import SweepJournal
+from repro.experiments.runner import main
 from repro.experiments.sweep import SweepTask, run_sweep
 
 pytestmark = pytest.mark.skipif(
@@ -30,13 +31,6 @@ TASKS = [
 
 def _kill_plan(label: str, times: int = 1) -> ChaosPlan:
     return ChaosPlan(actions={label: ["kill"] * times})
-
-
-def _shm_segments() -> set:
-    root = Path("/dev/shm")
-    if not root.is_dir():  # pragma: no cover - non-Linux
-        return set()
-    return {p.name for p in root.glob("rsw-*")}
 
 
 class TestChaosKill:
@@ -90,8 +84,9 @@ class TestChaosKill:
         for idx, out in enumerate(resumed):
             assert recovery.completed[idx]["ledger_sha256"] == out.ledger_sha256
 
-    def test_chaos_sweep_leaves_no_shm_residue(self, tmp_path):
-        before = _shm_segments()
+    def test_chaos_sweep_leaves_no_live_worker(self, tmp_path, live_children):
+        """The forked fleet is killed and reaped when a SIGKILL downs it."""
+        before = live_children()
         with pytest.raises(ExperimentError):
             run_sweep(
                 TASKS,
@@ -101,7 +96,7 @@ class TestChaosKill:
                 journal_path=str(tmp_path / "j"),
                 chaos_plan=_kill_plan(TASKS[0].label),
             )
-        assert _shm_segments() == before
+        assert live_children() - before == set()
 
 
 class TestChaosHang:
@@ -169,9 +164,9 @@ class TestQuarantine:
 
 
 class TestGracefulShutdown:
-    def test_sigterm_flushes_journal_and_cleans_up(self, tmp_path):
+    def test_sigterm_flushes_journal_and_cleans_up(self, tmp_path, live_children):
         path = tmp_path / "sweep.journal"
-        before = _shm_segments()
+        before = live_children()
         # Freeze one worker so the sweep is still in its poll loop when
         # the signal lands (nothing completes the frozen task).
         timer = threading.Timer(
@@ -190,7 +185,7 @@ class TestGracefulShutdown:
                 )
         finally:
             timer.cancel()
-        assert _shm_segments() == before
+        assert live_children() - before == set()
         recovery = SweepJournal.recover(path)
         assert recovery.interrupted
         assert not recovery.ended
@@ -226,3 +221,35 @@ class TestChaosSpecPlumbing:
         labels = {t.label for t in TASKS}
         assert set(result.data) == labels
         assert all("error" not in row for row in result.data.values())
+
+
+class TestRunnerCLI:
+    SWEEP = ["run", "sweep", "--tier", "tiny", "--seed", "7"]
+
+    def test_killed_sweep_exits_2_and_resumes_to_the_clean_run(
+        self, tmp_path, capsys
+    ):
+        """The runner CLI's chaos path: a SIGKILL under --retries 0 downs
+        the sweep with exit 2 and leaves the journal behind; --resume then
+        merges to the ledgers and results of an uninterrupted run."""
+        journal = tmp_path / "sweep.journal"
+        assert main(self.SWEEP + ["--json", str(tmp_path / "clean")]) == 0
+        chaos = [
+            "--jobs", "2", "--retries", "0", "--journal", str(journal),
+            "--heartbeat-timeout", "5",
+            "--chaos-seed", "7", "--chaos-kill", "1", "--chaos-hang", "1",
+        ]
+        assert main(self.SWEEP + chaos) == 2
+        assert journal.stat().st_size > 0
+        resume = [
+            "--jobs", "2", "--journal", str(journal), "--resume",
+            "--json", str(tmp_path / "resumed"),
+        ]
+        assert main(self.SWEEP + resume) == 0
+        capsys.readouterr()
+        clean = json.loads((tmp_path / "clean" / "sweep.json").read_text())
+        resumed = json.loads((tmp_path / "resumed" / "sweep.json").read_text())
+        assert clean and clean.keys() == resumed.keys()
+        for label, row in clean.items():
+            for field in ("ledger_sha256", "result_sha256"):
+                assert resumed[label][field] == row[field], (label, field)

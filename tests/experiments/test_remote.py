@@ -15,6 +15,7 @@ import os
 import signal
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
 
@@ -24,6 +25,7 @@ from repro.cache import ArtifactCache
 from repro.chaos import ChaosPlan
 from repro.errors import SchedulerError
 from repro.experiments.remote import RemoteScheduler, write_ready_file
+from repro.experiments.runner import main
 from repro.experiments.sweep import SweepTask, run_sweep
 
 pytestmark = pytest.mark.skipif(
@@ -128,6 +130,51 @@ class TestRemoteParity:
         assert ArtifactCache(fleet.cache_dir).stats()["entries"] >= 1
         # Workers exit 0 on coordinator-initiated shutdown.
         assert [p.wait(timeout=20) for p in fleet.procs] == [0, 0]
+
+
+class TestRemoteCLI:
+    def test_cli_sweep_with_a_killed_worker_matches_local(
+        self, fleet, tmp_path, capsys
+    ):
+        """The runner CLI's remote path with two ``repro-worker`` processes,
+        one SIGKILL'd mid-task by chaos: the sweep gives the shas of a local
+        ``--jobs 2`` run, the victim dies by SIGKILL and the survivor exits
+        clean."""
+        sweep = ["run", "sweep", "--tier", "tiny", "--seed", "7"]
+        ready = tmp_path / "coord.json"
+
+        def spawn_when_ready():
+            deadline = time.monotonic() + 30
+            while not ready.exists() and time.monotonic() < deadline:
+                time.sleep(0.05)
+            if ready.exists():
+                info = json.loads(ready.read_text())
+                fleet.spawn(info["host"], info["port"], count=2)
+
+        watcher = threading.Thread(target=spawn_when_ready)
+        watcher.start()
+        try:
+            remote = [
+                "--scheduler", "remote", "--bind", "127.0.0.1:0",
+                "--token", TOKEN, "--ready-file", str(ready),
+                "--min-workers", "2", "--chaos-seed", "7", "--chaos-kill", "1",
+                "--json", str(tmp_path / "remote"),
+            ]
+            assert main(sweep + remote) == 0
+        finally:
+            watcher.join(timeout=40)
+        assert not watcher.is_alive()
+        local = ["--jobs", "2", "--json", str(tmp_path / "local")]
+        assert main(sweep + local) == 0
+        capsys.readouterr()
+        expected = json.loads((tmp_path / "local" / "sweep.json").read_text())
+        got = json.loads((tmp_path / "remote" / "sweep.json").read_text())
+        assert expected and expected.keys() == got.keys()
+        for label, row in expected.items():
+            for field in ("ledger_sha256", "result_sha256"):
+                assert got[label][field] == row[field], (label, field)
+        codes = sorted(p.wait(timeout=20) for p in fleet.procs)
+        assert codes == [-signal.SIGKILL, 0]
 
 
 class TestRemoteFaults:

@@ -36,23 +36,6 @@ def _shm_segments() -> set:
     return {p.name for p in root.glob("rsw-*")}
 
 
-def _children() -> set:
-    """Processes whose parent is this one, live or waiting to be reaped."""
-    found = set()
-    for entry in Path("/proc").iterdir():
-        if not entry.name.isdigit():
-            continue
-        try:
-            # the state and ppid fields follow the parenthesised name
-            stat = (entry / "stat").read_text()
-            _state, ppid = stat.rsplit(")", 1)[1].split()[:2]
-        except (OSError, ValueError):
-            continue
-        if int(ppid) == os.getpid():
-            found.add(int(entry.name))
-    return found
-
-
 class TestRunSweep:
     def test_empty(self):
         assert run_sweep([]) == []
@@ -162,12 +145,11 @@ class TestSweepFaultTolerance:
         run_sweep(SMALL_TASKS, jobs=2)
         assert _shm_segments() == before
 
-    @pytest.mark.skipif(not os.path.isdir("/proc"), reason="needs Linux /proc")
     @pytest.mark.parametrize("case", ["hang-and-kill", "fail-fast"])
-    def test_no_worker_outlives_the_sweep(self, case):
+    def test_no_worker_outlives_the_sweep(self, case, live_children):
         """Every forked worker is killed and reaped before run_sweep
         returns or raises — a SIGSTOP'd one included."""
-        before = _children()
+        before = live_children()
         if case == "hang-and-kill":
             chaos = ChaosPlan(
                 actions={
@@ -188,7 +170,7 @@ class TestSweepFaultTolerance:
                         {t.label: ["crash"] * 99 for t in SMALL_TASKS}
                     ),
                 )
-        assert _children() - before == set()
+        assert live_children() - before == set()
 
 
 class TestSweepFaultInjection:

@@ -9,7 +9,9 @@ import pytest
 from repro.cli import build_parser as run_parser
 from repro.cli import main as run_main
 from repro.experiments.runner import build_parser as exp_parser
+from repro.experiments.runner import main as exp_main
 from repro.obs import validate_chrome_trace
+from repro.obs.schema import _main as schema_main
 
 RUN_ARGS = [
     "--dataset", "wikitalk-sim",
@@ -87,6 +89,29 @@ class TestRunTracing:
             "disaggregated",
             "disaggregated-ndp",
         }
+
+
+class TestSweepTracing:
+    def test_traced_faulty_parallel_sweep_is_valid_chrome_trace(
+        self, tmp_path, capsys
+    ):
+        """A ``--jobs 2 --fault-seed`` sweep's trace holds the forked
+        workers' task and engine spans and passes the schema."""
+        out = tmp_path / "sweep.trace.json"
+        args = [
+            "run", "sweep", "--tier", "tiny", "--seed", "7", "--jobs", "2",
+            "--fault-seed", "9", "--trace-out", str(out),
+        ]
+        assert exp_main(args) == 0
+        assert validate_chrome_trace(str(out)) > 0
+        doc = json.loads(out.read_text())
+        assert {"task", "iteration"} <= {ev["cat"] for ev in doc["traceEvents"]}
+        assert f"trace written to {out}" in capsys.readouterr().out
+        # ``python -m repro.obs.schema`` accepts it and rejects a torn copy.
+        assert schema_main([str(out)]) == 0
+        torn = tmp_path / "torn.trace.json"
+        torn.write_text(out.read_text()[:-2])
+        assert schema_main([str(torn)]) == 1
 
 
 #: old spellings whose hidden aliases were removed; with prefix matching

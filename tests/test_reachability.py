@@ -21,7 +21,6 @@ ALLOWED_UNREACHED = {
     "repro.kernels.reference": "item 2: oracles move to test support",
     "repro.partition.reference": "item 2: oracles move to test support",
     "repro.graph.stats": "item 2: oracles move to test support",
-    "repro.serve.loadgen": "item 5: one load client, under benchmarks/",
 }
 
 
