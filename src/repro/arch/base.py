@@ -19,7 +19,7 @@ from typing import Any, Dict, Optional
 import numpy as np
 
 from repro.errors import FaultError, RecoveryError, SimulationError
-from repro.obs.metrics import METRICS, M
+from repro.obs.metrics import M
 from repro.obs.span import (
     CATEGORY_PHASE,
     CATEGORY_RUN,
@@ -207,7 +207,6 @@ class ArchitectureSimulator(abc.ABC):
             bytes_by_phase=dict(stats.bytes_by_phase),
             modeled_seconds=stats.iteration_seconds,
         )
-        METRICS.histogram(M.ITERATION_SECONDS).observe(stats.iteration_seconds)
 
     def _annotate_run_span(self, span, result: RunResult) -> None:
         """Attach whole-run totals to the run span."""

@@ -9,7 +9,7 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from repro.kernels.base import KernelState, VertexProgram
-from repro.obs.metrics import CounterSet, strict_counters
+from repro.obs.metrics import CounterSet
 from repro.telemetry.movement import MovementLedger
 from repro.utils.tables import TextTable
 from repro.utils.units import format_bytes
@@ -76,7 +76,7 @@ class RunResult:
     final_state: Optional[KernelState] = None
     kernel_program: Optional[VertexProgram] = None
     ledger: MovementLedger = field(default_factory=MovementLedger)
-    counters: CounterSet = field(default_factory=strict_counters)
+    counters: CounterSet = field(default_factory=CounterSet)
     converged: bool = False
 
     # ------------------------------------------------------------------ #

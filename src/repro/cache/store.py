@@ -35,7 +35,7 @@ from typing import Any, Dict, Mapping, Optional, Tuple
 import numpy as np
 
 from repro.errors import CacheError
-from repro.obs.metrics import METRICS, M, strict_counters
+from repro.obs.metrics import CounterSet, M
 from repro.obs.span import get_tracer
 
 _META_FIELD = "__meta__"
@@ -52,7 +52,7 @@ class ArtifactCache:
             raise CacheError(f"max_bytes must be >= 0, got {max_bytes}")
         self.root = Path(root)
         self.max_bytes = max_bytes
-        self.counters = strict_counters()
+        self.counters = CounterSet()
 
     # ------------------------------------------------------------------ #
     # Paths
@@ -284,11 +284,6 @@ class ArtifactCache:
                 self.counters.add(f"cache.{kind}.corrupt")
                 if evict and self._evict(path):
                     evicted += 1
-        METRICS.counter(M.CACHE_VERIFY_SCANNED).inc(scanned)
-        if corrupt:
-            METRICS.counter(M.CACHE_VERIFY_CORRUPT).inc(len(corrupt))
-        if evicted:
-            METRICS.counter(M.CACHE_VERIFY_EVICTED).inc(evicted)
         get_tracer().event(
             "cache-verify",
             scanned=scanned,
@@ -359,7 +354,6 @@ class ArtifactCache:
             stamped.append((st.st_mtime, st.st_size, path))
             total += st.st_size
         if total <= self.max_bytes:
-            METRICS.gauge(M.CACHE_SIZE_BYTES).set(total)
             return
         stamped.sort()  # oldest mtime first = least recently used
         for _, size, path in stamped:
@@ -368,4 +362,3 @@ class ArtifactCache:
             if self._evict(path):
                 total -= size
                 self.counters.add(M.CACHE_EVICTIONS)
-        METRICS.gauge(M.CACHE_SIZE_BYTES).set(total)

@@ -167,12 +167,11 @@ class ServerClosed(ServeError):
 
 
 class MetricError(ReproError):
-    """An undeclared metric name was used, or a declared one was misused.
+    """An undeclared metric name was written.
 
-    Raised when a counter/gauge/histogram name is not registered in the
-    central :data:`repro.obs.metrics.METRICS` registry (typically a typo —
-    the message suggests the closest declared name), or when a name is
-    re-declared with a different kind.
+    Raised when a counter name is not registered in the central
+    :data:`repro.obs.metrics.METRICS` registry (typically a typo — the
+    message suggests the closest declared name).
     """
 
 

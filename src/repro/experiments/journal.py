@@ -46,7 +46,6 @@ from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 from repro.api import PolicySpec
 from repro.cache.keys import canonical_key
 from repro.errors import JournalError
-from repro.obs.metrics import METRICS, M
 
 #: Bump when the record layout changes; old journals then refuse to resume
 #: instead of silently misreading.
@@ -347,8 +346,6 @@ class SweepJournal:
             )
         recovery.torn_records = torn
         recovery.valid_bytes = valid_bytes
-        if torn:
-            METRICS.counter(M.JOURNAL_TORN_RECORDS).inc(torn)
         return recovery
 
     @classmethod
@@ -394,7 +391,6 @@ class SweepJournal:
         self._fh.flush()
         if self._fsync and record.get("type") in _DURABLE_TYPES:
             os.fsync(self._fh.fileno())
-        METRICS.counter(M.JOURNAL_RECORDS).inc()
 
     def start(self, idx: int, digest: str, attempt: int) -> None:
         self.append(

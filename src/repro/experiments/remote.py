@@ -85,7 +85,6 @@ from repro.experiments.journal import (
     task_to_json,
 )
 from repro.experiments.scheduler import SweepOptions, SweepScheduler
-from repro.obs.metrics import METRICS, M
 from repro.obs.span import get_tracer, stamp_batch
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
@@ -358,7 +357,6 @@ class _Coordinator:
             await server.wait_closed()
             if self.fleet is not None:
                 self.fleet.stop()
-            METRICS.gauge(M.SWEEP_REMOTE_WORKERS).set(0)
         if self.interrupted is not None:
             self.session.interrupt(self.interrupted)
             raise SweepInterrupted(
@@ -430,7 +428,6 @@ class _Coordinator:
         self.connected += 1
         self.handshakes += 1
         self._notify()
-        METRICS.gauge(M.SWEEP_REMOTE_WORKERS).set(self.connected)
         if not conn.forked:
             get_tracer().event("worker-connected", worker=conn.ident)
         pump = asyncio.ensure_future(self._pump(conn, reader))
@@ -446,7 +443,6 @@ class _Coordinator:
             self.conns.discard(conn)
             self.connected -= 1
             self._notify()
-            METRICS.gauge(M.SWEEP_REMOTE_WORKERS).set(max(self.connected, 0))
             try:
                 writer.close()
             except Exception:  # pragma: no cover - already severed
@@ -544,7 +540,6 @@ class _Coordinator:
             conn.outstanding = (idx, task, tries, time.time())
             conn.blame = None
             self.session.start(idx, tries + 1)
-            METRICS.counter(M.SWEEP_REMOTE_TASKS).inc()
             dispatched = await self._send(
                 conn,
                 {
@@ -560,7 +555,6 @@ class _Coordinator:
             )
             if not dispatched:
                 conn.outstanding = None
-                METRICS.counter(M.SWEEP_REMOTE_DISCONNECTS).inc()
                 self._charge(
                     conn, idx, task, tries,
                     f"worker crashed: connection to {conn.ident} lost",
@@ -573,7 +567,6 @@ class _Coordinator:
                     error = conn.blame or (
                         f"worker crashed: connection to {conn.ident} lost"
                     )
-                    METRICS.counter(M.SWEEP_REMOTE_DISCONNECTS).inc()
                     self._charge(conn, idx, task, tries, error)
                     return
                 if msg.get("t") != "result" or int(msg.get("idx", -1)) != idx:
@@ -664,7 +657,6 @@ class _Coordinator:
             )
             self.results[idx] = quarantined
             self.session.outcome(idx, "quarantined", quarantined)
-            METRICS.counter(M.SWEEP_QUARANTINED).inc()
             get_tracer().event(
                 "task-quarantined", label=task.label, kills=kills
             )
@@ -731,7 +723,6 @@ class _Coordinator:
                     )
                 else:
                     continue
-                METRICS.counter(M.SWEEP_HUNG_WORKERS).inc()
                 get_tracer().event(
                     "worker-hung",
                     worker=conn.ident,
@@ -782,8 +773,6 @@ class _Coordinator:
         except (ConnectionError, OSError):
             return
         if data is not None:
-            METRICS.counter(M.SWEEP_ARTIFACTS_SHIPPED).inc()
-            METRICS.counter(M.SWEEP_ARTIFACT_BYTES).inc(len(data))
             get_tracer().event(
                 "artifact-shipped",
                 worker=conn.ident,

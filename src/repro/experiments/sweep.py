@@ -60,7 +60,6 @@ from repro.faults.schedule import FaultSchedule, FaultSpec
 from repro.graph.csr import CSRGraph
 from repro.chaos import ChaosPlan, ChaosSpec
 from repro.kernels.registry import get_kernel
-from repro.obs.metrics import METRICS, M
 from repro.obs.span import (
     CATEGORY_RUN,
     CATEGORY_TASK,
@@ -322,8 +321,6 @@ class _JournalSession:
                     self.resumed[idx] = outcome_from_json(
                         record["outcome"], tasks[idx]
                     )
-            if self.resumed:
-                METRICS.counter(M.SWEEP_TASKS_RESUMED).inc(len(self.resumed))
             tracer = get_tracer()
             if tracer.enabled:
                 tracer.event(

@@ -14,6 +14,6 @@ __getattr__, __dir__, __all__ = lazy_exports(
         ".capabilities": (
             "OffloadCheck", "check_offload", "supported_kernels",
         ),
-        ".energy": ("EnergyModel", "estimate_energy"),
+        ".energy": ("EnergyModel",),
     },
 )

@@ -11,8 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.hardware.device import DeviceClass, DeviceModel
-
 #: picojoules, first-order figures from the accelerator literature
 PJ = 1e-12
 
@@ -34,29 +32,3 @@ class EnergyModel:
             + local_bytes * self.local_dram_pj_per_byte
             + ndp_bytes * self.ndp_internal_pj_per_byte
         )
-
-    def compute_joules(self, device: DeviceModel, ops: float) -> float:
-        """Energy for ``ops`` operations on ``device``."""
-        per_op = (
-            self.host_pj_per_op
-            if device.device_class is DeviceClass.HOST
-            else self.ndp_pj_per_op
-        )
-        return PJ * ops * per_op
-
-
-def estimate_energy(
-    *,
-    network_bytes: float,
-    local_bytes: float = 0.0,
-    ndp_bytes: float = 0.0,
-    host_ops: float = 0.0,
-    ndp_ops: float = 0.0,
-    model: EnergyModel | None = None,
-) -> float:
-    """Total energy in joules for one execution's movement + compute."""
-    m = model or EnergyModel()
-    total = m.movement_joules(network_bytes, local_bytes, ndp_bytes)
-    total += PJ * host_ops * m.host_pj_per_op
-    total += PJ * ndp_ops * m.ndp_pj_per_op
-    return total

@@ -5,9 +5,8 @@ The subsystem has three parts:
 * :mod:`repro.obs.span` — hierarchical span tracer (run → iteration →
   phase) with a zero-cost disabled mode (:data:`NOOP_TRACER`).
 * :mod:`repro.obs.metrics` — central registry of *declared* metric
-  names (:data:`METRICS`, constants on :class:`M`), typed
-  counter/gauge/histogram handles, and the strict-capable
-  :class:`CounterSet`.
+  names (:data:`METRICS`, constants on :class:`M`) and the
+  :class:`CounterSet` that rejects undeclared names on write.
 * :mod:`repro.obs.exporters` — JSONL event stream, Chrome
   ``chrome://tracing`` format, and the live ``--progress`` reporter.
 
@@ -31,14 +30,10 @@ from repro.obs.exporters import (
 )
 from repro.obs.metrics import (
     METRICS,
-    Counter,
     CounterSet,
-    Gauge,
-    Histogram,
     M,
     MetricSpec,
     MetricsRegistry,
-    strict_counters,
 )
 from repro.obs.schema import CHROME_TRACE_SCHEMA, validate_chrome_trace
 from repro.obs.span import (
@@ -54,11 +49,8 @@ from repro.obs.span import (
 
 __all__ = [
     "CHROME_TRACE_SCHEMA",
-    "Counter",
     "CounterSet",
     "DecisionTraceExporter",
-    "Gauge",
-    "Histogram",
     "JsonlStreamExporter",
     "M",
     "METRICS",
@@ -72,7 +64,6 @@ __all__ = [
     "chrome_trace_dict",
     "get_tracer",
     "set_tracer",
-    "strict_counters",
     "structural_view",
     "tracing_session",
     "use_tracer",

@@ -24,7 +24,6 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Optional
 
 from repro.errors import Overloaded, QuotaExceeded
-from repro.obs.metrics import METRICS, M
 from repro.utils.backoff import retry_after_hint
 
 
@@ -60,7 +59,6 @@ class Ticket:
 
     tenant: str
     priority: int
-    enqueued_at: float
     cancelled: bool = False
     #: the server attaches its queued job here (opaque to admission)
     job: Any = field(default=None, repr=False)
@@ -112,7 +110,6 @@ class AdmissionController:
                 )
             if not bucket.try_take(now):
                 self._quota_rejects += 1
-                METRICS.counter(M.SERVE_QUOTA_REJECTS).inc()
                 raise QuotaExceeded(
                     f"tenant {tenant!r} exceeded its rate limit "
                     f"({self.tenant_rate:g} req/s, burst {self.tenant_burst})",
@@ -123,7 +120,6 @@ class AdmissionController:
             and self._inflight.get(tenant, 0) >= self.tenant_max_inflight
         ):
             self._quota_rejects += 1
-            METRICS.counter(M.SERVE_QUOTA_REJECTS).inc()
             raise QuotaExceeded(
                 f"tenant {tenant!r} already has "
                 f"{self._inflight[tenant]} requests in flight "
@@ -133,7 +129,6 @@ class AdmissionController:
         if self._queued >= self.max_queue_depth:
             self._shed += 1
             self._shed_streak += 1
-            METRICS.counter(M.SERVE_SHED).inc()
             # Consecutive sheds escalate the hint (1s, 2s, 4s, ... capped)
             # so clients back off harder the longer the overload lasts.
             raise Overloaded(
@@ -142,13 +137,12 @@ class AdmissionController:
                 retry_after_s=retry_after_hint(self._shed_streak),
             )
         self._shed_streak = 0
-        ticket = Ticket(tenant=tenant, priority=priority, enqueued_at=now)
+        ticket = Ticket(tenant=tenant, priority=priority)
         self._seq += 1
         # Higher priority first; FIFO within a level.
         heapq.heappush(self._heap, _QueueItem((-priority, self._seq), ticket))
         self._queued += 1
         self._inflight[tenant] = self._inflight.get(tenant, 0) + 1
-        METRICS.gauge(M.SERVE_QUEUE_DEPTH).set(self._queued)
         return ticket
 
     def pop(self) -> Optional[Ticket]:
@@ -156,12 +150,8 @@ class AdmissionController:
         while self._heap:
             ticket = heapq.heappop(self._heap).ticket
             self._queued -= 1
-            METRICS.gauge(M.SERVE_QUEUE_DEPTH).set(self._queued)
             if ticket.cancelled:
                 continue
-            METRICS.histogram(M.SERVE_QUEUE_SECONDS).observe(
-                self.clock() - ticket.enqueued_at
-            )
             return ticket
         return None
 

@@ -17,8 +17,6 @@ from __future__ import annotations
 import asyncio
 from typing import Any, Dict, Optional, Tuple
 
-from repro.obs.metrics import METRICS, M
-
 
 class Coalescer:
     """Digest → in-flight future map with leader/attacher accounting."""
@@ -39,7 +37,6 @@ class Coalescer:
         future = self._inflight.get(digest)
         if future is not None:
             self._attached += 1
-            METRICS.counter(M.SERVE_COALESCED).inc()
             return False, future
         future = loop.create_future()
         self._inflight[digest] = future

@@ -26,7 +26,6 @@ from repro import api
 # Loaded now rather than by the first sweep request, which forks from it.
 from repro.experiments import worker as _sweep_workers  # noqa: F401
 from repro.experiments.sweep import run_sweep
-from repro.obs.metrics import METRICS, M
 from repro.serve.pool import GraphPool
 from repro.serve.protocol import (
     ServeRequest,
@@ -68,7 +67,6 @@ class ServeExecutor:
             self.pre_execute(request)
         with self._lock:
             self._executions += 1
-        METRICS.counter(M.SERVE_EXECUTIONS).inc()
         payload = self._payload(request)
         return canonical_bytes(payload)
 

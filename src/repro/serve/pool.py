@@ -28,7 +28,6 @@ from typing import Any, Dict, Optional, Tuple
 
 from repro.api import RunSpec
 from repro.graph.csr import CSRGraph
-from repro.obs.metrics import METRICS, M
 
 #: Pool key: everything that determines a generated dataset's content.
 PoolKey = Tuple[str, str, int, int]
@@ -111,8 +110,6 @@ class GraphPool:
                     entry.refs += 1
                     entry.hits += 1
                     entry.last_used = time.monotonic()
-                    METRICS.counter(M.SERVE_POOL_HITS).inc()
-                    self._publish_gauges()
                     return GraphLease(self, key, entry.graph, entry.graph_name)
                 if key in self._loading:
                     self._lock.wait()
@@ -139,9 +136,7 @@ class GraphPool:
                 graph=graph, graph_name=ds.name, nbytes=graph_nbytes(graph), refs=1
             )
             self._entries[key] = entry
-            METRICS.counter(M.SERVE_POOL_MISSES).inc()
             self._evict_over_budget()
-            self._publish_gauges()
             self._lock.notify_all()
             return GraphLease(self, key, entry.graph, entry.graph_name)
 
@@ -153,7 +148,6 @@ class GraphPool:
             entry.refs = max(0, entry.refs - 1)
             entry.last_used = time.monotonic()
             self._evict_over_budget()
-            self._publish_gauges()
 
     # ------------------------------------------------------------------ #
     # Eviction + introspection
@@ -183,15 +177,6 @@ class GraphPool:
                 break
             total -= self._entries.pop(key).nbytes
             self._evictions += 1
-            METRICS.counter(M.SERVE_POOL_EVICTIONS).inc()
-
-    def _publish_gauges(self) -> None:
-        METRICS.gauge(M.SERVE_POOL_BYTES).set(
-            sum(e.nbytes for e in self._entries.values())
-        )
-        METRICS.gauge(M.SERVE_POOL_PINNED).set(
-            sum(1 for e in self._entries.values() if e.refs > 0)
-        )
 
     @property
     def total_bytes(self) -> int:
@@ -224,7 +209,6 @@ class GraphPool:
     def clear(self) -> None:
         """Drop every entry (shutdown path).  Outstanding leases keep
         their graph objects alive via their own references; the pool
-        itself forgets everything and zeroes its gauges."""
+        itself forgets everything."""
         with self._lock:
             self._entries.clear()
-            self._publish_gauges()

@@ -25,7 +25,6 @@ import numpy as np
 
 from repro.cache.keys import result_key
 from repro.cache.store import ArtifactCache
-from repro.obs.metrics import METRICS, M
 
 
 class ResultCache:
@@ -53,7 +52,6 @@ class ResultCache:
             if payload is not None:
                 self._memory.move_to_end(digest)
                 self._hits += 1
-                METRICS.counter(M.SERVE_RESULT_HITS).inc()
                 return payload
         if self.artifacts is not None:
             entry = self.artifacts.get("result", result_key(digest))
@@ -65,7 +63,6 @@ class ResultCache:
                     with self._lock:
                         self._remember(digest, payload)
                         self._hits += 1
-                    METRICS.counter(M.SERVE_RESULT_HITS).inc()
                     return payload
         with self._lock:
             self._misses += 1

@@ -45,7 +45,6 @@ from repro.errors import (
     ServeError,
     ServerClosed,
 )
-from repro.obs.metrics import METRICS, M
 from repro.obs.span import CATEGORY_EVENT, get_tracer
 from repro.serve.admission import AdmissionController, Ticket
 from repro.serve.coalesce import Coalescer
@@ -411,9 +410,7 @@ class AnalyticsServer:
     async def _handle_analytics(
         self, kind: str, body: bytes
     ) -> Tuple[int, Dict[str, str], bytes]:
-        started = time.monotonic()
         self._requests_seen += 1
-        METRICS.counter(M.SERVE_REQUESTS).inc()
         headers: Dict[str, str] = {}
         try:
             try:
@@ -431,8 +428,6 @@ class AnalyticsServer:
             return 200, headers, payload
         except Exception as exc:  # typed below; never leaves a client hanging
             status = self._status_for(exc)
-            if status == 500:
-                METRICS.counter(M.SERVE_ERRORS).inc()
             retry = getattr(exc, "retry_after_s", None)
             if retry is not None:
                 headers["Retry-After"] = f"{float(retry):g}"
@@ -444,10 +439,6 @@ class AnalyticsServer:
                     error=type(exc).__name__,
                 )
             return status, headers, canonical_bytes(error_payload(exc))
-        finally:
-            METRICS.histogram(M.SERVE_REQUEST_SECONDS).observe(
-                time.monotonic() - started
-            )
 
     @staticmethod
     def _status_for(exc: Exception) -> int:
@@ -524,7 +515,6 @@ class AnalyticsServer:
             job: _Job = ticket.job
             self._inflight += 1
             self._inflight_jobs.add(job)
-            METRICS.gauge(M.SERVE_INFLIGHT).set(self._inflight)
             exec_started = time.monotonic()
             try:
                 payload_future = asyncio.wrap_future(
@@ -560,7 +550,6 @@ class AnalyticsServer:
                 self.admission.done(ticket)
                 self._inflight -= 1
                 self._inflight_jobs.discard(job)
-                METRICS.gauge(M.SERVE_INFLIGHT).set(self._inflight)
 
     def _resolve_job(self, job: _Job, payload: bytes) -> None:
         if job.coalesced:

@@ -1,11 +1,10 @@
-"""Measurement plumbing: counters, movement ledger, utilization, reports."""
+"""Measurement plumbing: movement ledger, utilization, reports."""
 
 from repro._lazy import lazy_exports
 
 __getattr__, __dir__, __all__ = lazy_exports(
     __name__,
     {
-        "repro.obs.metrics": ("CounterSet",),
         ".movement": ("MovementLedger",),
         ".utilization": (
             "UtilizationReport", "utilization_report", "classify_utilization",

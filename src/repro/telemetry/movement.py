@@ -10,7 +10,7 @@ Section IV counts with its message buffers.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Tuple
+from typing import Dict, List, Tuple
 
 from repro.net.link import LinkClass
 
@@ -34,8 +34,8 @@ def is_recovery_phase(phase: str) -> bool:
 class MovementLedger:
     """Byte/message counters keyed by (phase, link class)."""
 
-    _bytes: Dict[Tuple[str, LinkClass], int] = field(default_factory=dict)
-    _messages: Dict[Tuple[str, LinkClass], int] = field(default_factory=dict)
+    #: ``(phase, link) -> [bytes, messages]``
+    _entries: Dict[Tuple[str, LinkClass], List[int]] = field(default_factory=dict)
 
     def record(
         self, phase: str, link: LinkClass, nbytes: "int | float", messages: int = 1
@@ -44,12 +44,25 @@ class MovementLedger:
         if nbytes < 0 or messages < 0:
             raise ValueError("movement amounts must be >= 0")
         key = (phase, link)
-        self._bytes[key] = self._bytes.get(key, 0) + int(nbytes)
-        self._messages[key] = self._messages.get(key, 0) + int(messages)
+        entry = self._entries.get(key)
+        if entry is None:
+            self._entries[key] = [int(nbytes), int(messages)]
+        else:
+            entry[0] += int(nbytes)
+            entry[1] += int(messages)
 
     # ------------------------------------------------------------------ #
     # Queries
     # ------------------------------------------------------------------ #
+
+    def _total(
+        self, column: int, phase: "str | None", link: "LinkClass | None"
+    ) -> int:
+        return sum(
+            entry[column]
+            for (p, l), entry in self._entries.items()
+            if (phase is None or p == phase) and (link is None or l == link)
+        )
 
     def bytes_for(
         self,
@@ -58,11 +71,7 @@ class MovementLedger:
         link: "LinkClass | None" = None,
     ) -> int:
         """Total bytes matching the given phase and/or link filters."""
-        return sum(
-            v
-            for (p, l), v in self._bytes.items()
-            if (phase is None or p == phase) and (link is None or l == link)
-        )
+        return self._total(0, phase, link)
 
     def messages_for(
         self,
@@ -71,16 +80,14 @@ class MovementLedger:
         link: "LinkClass | None" = None,
     ) -> int:
         """Total messages matching the filters."""
-        return sum(
-            v
-            for (p, l), v in self._messages.items()
-            if (phase is None or p == phase) and (link is None or l == link)
-        )
+        return self._total(1, phase, link)
 
     def network_bytes(self) -> int:
         """The paper's headline metric: bytes crossing the interconnect."""
         return sum(
-            v for (_, l), v in self._bytes.items() if l in NETWORK_CLASSES
+            entry[0]
+            for (_, l), entry in self._entries.items()
+            if l in NETWORK_CLASSES
         )
 
     def host_link_bytes(self) -> int:
@@ -93,24 +100,25 @@ class MovementLedger:
         Counts every ``recovery-*`` phase plus ``checkpoint`` — zero for a
         fault-free run with no checkpoint policy (a tested invariant).
         """
-        return sum(v for (p, _), v in self._bytes.items() if is_recovery_phase(p))
+        return sum(
+            entry[0]
+            for (p, _), entry in self._entries.items()
+            if is_recovery_phase(p)
+        )
 
     def phases(self) -> Tuple[str, ...]:
         """Phases seen so far, sorted."""
-        return tuple(sorted({p for p, _ in self._bytes}))
+        return tuple(sorted({p for p, _ in self._entries}))
 
     def breakdown(self) -> Dict[str, Dict[str, int]]:
         """Nested ``{phase: {link: bytes}}`` snapshot."""
         out: Dict[str, Dict[str, int]] = {}
-        for (p, l), v in sorted(self._bytes.items(), key=lambda kv: (kv[0][0], kv[0][1].value)):
-            out.setdefault(p, {})[l.value] = v
+        for (p, l), entry in sorted(
+            self._entries.items(), key=lambda kv: (kv[0][0], kv[0][1].value)
+        ):
+            out.setdefault(p, {})[l.value] = entry[0]
         return out
 
-    def merge(self, other: "MovementLedger") -> None:
-        """Fold another ledger into this one."""
-        for (p, l), v in other._bytes.items():
-            self.record(p, l, v, other._messages.get((p, l), 0))
-
-    def items(self) -> Iterable[Tuple[Tuple[str, LinkClass], int]]:
-        """Raw (key, bytes) items."""
-        return self._bytes.items()
+    def items(self) -> List[Tuple[Tuple[str, LinkClass], int]]:
+        """Raw (key, bytes) items, in first-recorded order."""
+        return [(key, entry[0]) for key, entry in self._entries.items()]

@@ -323,6 +323,102 @@ def test_healthz_stats_and_errors(run_payload):
         assert status == 405
 
 
+def _shape(value):
+    """The nested key tree of a JSON object, leaves as type names."""
+    if isinstance(value, dict):
+        return {key: _shape(item) for key, item in value.items()}
+    return type(value).__name__
+
+
+#: The ``/v1/stats`` document a default daemon serves after the scripted
+#: sequence below; the e2e bench's serve layers read these fields.
+STATS_SHAPE = {
+    "uptime_s": "float",
+    "draining": "bool",
+    "requests": "int",
+    "inflight": "int",
+    "executor": {"executions": "int", "workers": "int", "sweep_jobs_cap": "int"},
+    "admission": {
+        "queued": "int",
+        "max_queue_depth": "int",
+        "shed": "int",
+        "quota_rejects": "int",
+        "inflight_by_tenant": {},
+        "tenant_rate": "NoneType",
+        "tenant_burst": "int",
+        "tenant_max_inflight": "int",
+    },
+    "coalescer": {"inflight": "int", "led": "int", "attached": "int"},
+    "pool": {
+        "entries": "int",
+        "bytes": "int",
+        "max_bytes": "int",
+        "pinned": "int",
+        "evictions": "int",
+        "graphs": {
+            "wikitalk-sim/tiny/7/0": {"bytes": "int", "refs": "int", "hits": "int"},
+        },
+    },
+    "results": {
+        "memory_entries": "int",
+        "memory_limit": "int",
+        "hits": "int",
+        "misses": "int",
+        "persistent": "bool",
+    },
+}
+
+
+def test_stats_after_cold_run_and_cache_hit(run_payload):
+    """A cold run, the same request again (a result-cache hit), then the
+    full ``/v1/stats`` tree and every count in it."""
+    with ServerThread(ServeConfig(port=0)) as server:
+        assert http_post(server.port, "/v1/run", run_payload)[0] == 200
+        status, headers, _b = http_post(server.port, "/v1/run", run_payload)
+        assert status == 200
+        assert headers.get("x-repro-cache") == "hit"
+        status, _h, body = http_get(server.port, "/v1/stats")
+    assert status == 200
+    stats = json.loads(body)
+    assert _shape(stats) == STATS_SHAPE
+    assert stats["uptime_s"] > 0
+    assert stats["draining"] is False
+    assert stats["requests"] == 2
+    assert stats["inflight"] == 0
+    assert stats["executor"] == {"executions": 1, "workers": 2, "sweep_jobs_cap": 2}
+    assert stats["admission"] == {
+        "queued": 0,
+        "max_queue_depth": 64,
+        "shed": 0,
+        "quota_rejects": 0,
+        "inflight_by_tenant": {},
+        "tenant_rate": None,
+        "tenant_burst": 16,
+        "tenant_max_inflight": 16,
+    }
+    assert stats["coalescer"] == {"inflight": 0, "led": 1, "attached": 0}
+    pool = stats["pool"]
+    graph = pool["graphs"]["wikitalk-sim/tiny/7/0"]
+    # The repeat was answered by the result cache: the pool saw one lease.
+    assert graph == {"bytes": graph["bytes"], "refs": 0, "hits": 0}
+    assert pool == {
+        "entries": 1,
+        "bytes": graph["bytes"],
+        "max_bytes": 1 << 30,
+        "pinned": 0,
+        "evictions": 0,
+        "graphs": {"wikitalk-sim/tiny/7/0": graph},
+    }
+    assert graph["bytes"] > 0
+    assert stats["results"] == {
+        "memory_entries": 1,
+        "memory_limit": 256,
+        "hits": 1,
+        "misses": 1,
+        "persistent": False,
+    }
+
+
 def test_oversized_body_rejected(run_payload):
     with ServerThread(ServeConfig(port=0, max_body_bytes=64)) as server:
         status, _h, body = http_post(server.port, "/v1/run", run_payload)

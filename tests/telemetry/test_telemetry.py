@@ -5,7 +5,7 @@ import json
 import pytest
 
 from repro.net.link import LinkClass
-from repro.obs.metrics import CounterSet
+from repro.obs.metrics import CounterSet, M
 from repro.telemetry.movement import MovementLedger
 from repro.telemetry.report import movement_table, to_csv, to_json
 from repro.telemetry.utilization import (
@@ -17,28 +17,22 @@ from repro.telemetry.utilization import (
 class TestCounterSet:
     def test_add_and_get(self):
         c = CounterSet()
-        c.add("x")
-        c.add("x", 2)
-        assert c.get("x") == 3
-        assert c["x"] == 3
+        c.add(M.FAULT_EVENTS)
+        c.add(M.FAULT_EVENTS, 2)
+        assert c.get(M.FAULT_EVENTS) == 3
+        assert c[M.FAULT_EVENTS] == 3
 
     def test_missing_is_zero(self):
         assert CounterSet().get("nope") == 0.0
 
-    def test_merge(self):
-        a = CounterSet({"x": 1})
-        b = CounterSet({"x": 2, "y": 5})
-        a.merge(b)
-        assert a.get("x") == 3 and a.get("y") == 5
-
     def test_container_protocol(self):
-        c = CounterSet({"a": 1, "b": 2})
+        c = CounterSet({M.CHECKPOINT_COUNT: 1, M.CHECKPOINT_BYTES: 2})
         assert len(c) == 2
-        assert set(c) == {"a", "b"}
-        assert c.as_dict() == {"a": 1, "b": 2}
+        assert set(c) == {M.CHECKPOINT_COUNT, M.CHECKPOINT_BYTES}
+        assert c.as_dict() == {M.CHECKPOINT_COUNT: 1, M.CHECKPOINT_BYTES: 2}
 
     def test_repr(self):
-        assert "x=2" in repr(CounterSet({"x": 2}))
+        assert "fault-events=2" in repr(CounterSet({M.FAULT_EVENTS: 2}))
 
 
 class TestMovementLedger:
@@ -76,15 +70,6 @@ class TestMovementLedger:
         ledger.record("apply", LinkClass.HOST_LINK, 10)
         bd = ledger.breakdown()
         assert bd == {"apply": {"host-link": 10}}
-
-    def test_merge(self):
-        a = MovementLedger()
-        a.record("x", LinkClass.HOST_LINK, 1, 1)
-        b = MovementLedger()
-        b.record("x", LinkClass.HOST_LINK, 2, 3)
-        a.merge(b)
-        assert a.bytes_for(phase="x") == 3
-        assert a.messages_for(phase="x") == 4
 
     def test_phases_sorted(self):
         ledger = MovementLedger()
