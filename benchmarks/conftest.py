@@ -9,12 +9,19 @@ the full set of regenerated tables behind.
 from __future__ import annotations
 
 import json
+import sys
 import time
+from pathlib import Path
 from typing import Any, Callable, Mapping, Tuple
 
 import pytest
 
 from check_regression import OUT_DIR, assert_section
+
+# The benches import the test-side oracles (``support``) from ``tests/``.
+# Appended, not prepended, so ``from conftest import ...`` in a bench still
+# finds this file rather than ``tests/conftest.py``.
+sys.path.append(str(Path(__file__).resolve().parents[1] / "tests"))
 
 #: Tier used by the figure/table benchmarks.
 BENCH_TIER = "small"
@@ -47,9 +54,11 @@ def write_bench(file: str, section: str, payload: Mapping[str, Any]) -> None:
 def bench_artifact_cache():
     """Share one artifact cache across the whole benchmark session.
 
-    Every benchmark loading the same (dataset, tier, seed) graph hits the
-    cache after the first generation, so the suite spends its time in the
-    simulators rather than in dataset setup.  Runs honour an existing
+    The experiment drivers and sweeps load their graphs through it, so
+    each (dataset, tier, seed) graph is generated once per session and the
+    suite spends its time in the simulators rather than in dataset setup.
+    Benches that call ``repro.graph.datasets.load_dataset`` directly (to
+    time generation, say) bypass it.  Runs honour an existing
     ``REPRO_CACHE_DIR``; otherwise the cache lives under ``benchmarks/out``.
     """
     from repro import cache as repro_cache

@@ -20,7 +20,6 @@ from repro.arch.engine import (
     execute_iteration,
     frontier_structure,
 )
-from repro.arch.reference import frontier_structure_reference
 from repro.arch.trace import record_trace
 from repro.graph.datasets import load_dataset
 from repro.graph.generators import rmat
@@ -29,6 +28,7 @@ from repro.partition import HashPartitioner, MetisPartitioner
 from repro.partition.base import PartitionAssignment
 from repro.partition.mirrors import build_mirror_table
 from repro.runtime.config import SystemConfig
+from support.structure_reference import frontier_structure_reference
 
 
 @pytest.fixture(scope="module")

@@ -1,9 +1,9 @@
 """Partitioning-pipeline benchmarks (BENCH_partition.json).
 
 Times the vectorized streaming partitioners against their scalar reference
-implementations (which are kept, verbatim, in
-``repro.partition.reference``), the graph-preparation primitives against
-the sort-based code they replaced (kept here), plus the artifact cache on
+implementations (kept, verbatim, in ``tests/support/partition_reference.py``),
+the graph-preparation primitives against the sort-based code they replaced
+(kept here), plus the artifact cache on
 the full setup path (dataset generation -> ``prepare_trace``: closure,
 partition, mirror table).  The execute-once benchmarks emit
 machine-readable numbers to ``benchmarks/out/BENCH_partition.json``; the
@@ -25,8 +25,8 @@ from repro.kernels.cc import ConnectedComponents
 from repro.partition.base import PartitionAssignment
 from repro.partition.bfs_grow import BFSGrowPartitioner
 from repro.partition.mirrors import build_mirror_table
-from repro.partition.reference import bfs_grow_reference, ldg_reference
 from repro.partition.streaming import LDGStreamingPartitioner
+from support.partition_reference import bfs_grow_reference, ldg_reference
 
 #: (label, tier) pairs; the last entry is the acceptance scale.
 SCALES = [("small", "small"), ("medium", "medium")]

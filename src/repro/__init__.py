@@ -55,7 +55,7 @@ __getattr__, __dir__, __all__ = lazy_exports(
         ),
         ".graph": (
             "CSRGraph", "rmat", "erdos_renyi", "barabasi_albert",
-            "list_datasets", "compute_stats",
+            "list_datasets",
         ),
         ".partition": (
             "PartitionAssignment", "HashPartitioner", "RandomPartitioner",

@@ -9,7 +9,7 @@ __getattr__, __dir__, __all__ = lazy_exports(
         ".base": ("ArchitectureSimulator",),
         ".engine": (
             "IterationProfile", "StructuralProfileCache", "execute_iteration",
-            "numeric_execution_count", "prepare_graph",
+            "prepare_graph",
         ),
         ".results": ("IterationStats", "RunResult"),
         ".trace": ("ExecutionTrace", "record_trace"),

@@ -18,17 +18,15 @@ The per-iteration work is split into two halves:
   buffers (:func:`repro.partition.base.distinct_pairs`, the same pass
   mirror tables and communication volume use) — no sorting of |E| keys
   anywhere on the hot path.  The sort-based formulation survives as a
-  differential oracle in :mod:`repro.arch.reference`, and the structure can
-  be cached across iterations whose frontier is unchanged
+  differential oracle in ``tests/support/structure_reference.py``, and the
+  structure can be cached across iterations whose frontier is unchanged
   (:class:`StructuralProfileCache`) — the common case for topology-driven
   kernels like PageRank, where the frontier is all vertices every
   iteration.
 
 * **numeric execution** (:func:`apply_numeric`) — the traverse → reduce →
   apply pipeline that actually mutates the kernel state.  This half runs
-  exactly once per iteration no matter how many architectures account it;
-  :func:`numeric_execution_count` exposes a process-wide counter so tests
-  can assert the execute-once property.
+  exactly once per iteration no matter how many architectures account it.
 
 When a ``memory_budget_bytes`` is set and one frontier's gathered edge set
 would exceed it, both halves switch to **blocked edge streaming**: the
@@ -57,9 +55,6 @@ from repro.kernels.base import KernelState, VertexProgram
 from repro.obs.span import CATEGORY_PHASE
 from repro.partition.base import PartitionAssignment, ProfileScratch, distinct_pairs
 
-#: Process-wide count of numeric kernel executions (traverse+reduce+apply).
-_numeric_executions = 0
-
 #: Conservative per-edge working-set estimate of the streamed path: block
 #: src (8) + gathered dst (4–8) + source parts (8) + compressed keys (8) +
 #: message values (8), rounded up.
@@ -68,23 +63,6 @@ _STREAM_BYTES_PER_EDGE = 48
 #: Floor on the edges per streamed block — below this the per-block fixed
 #: costs (bincount, ufunc dispatch) dominate and throughput collapses.
 _MIN_BLOCK_EDGES = 1 << 15
-
-
-def numeric_execution_count() -> int:
-    """How many kernel iterations have been numerically executed.
-
-    Incremented once per :func:`execute_iteration` (equivalently, once per
-    :func:`apply_numeric`) — *not* per architecture accounting pass.  Tests
-    use the delta across a :func:`~repro.arch.compare.compare_architectures`
-    call to assert the kernel ran exactly once per iteration.
-    """
-    return _numeric_executions
-
-
-def reset_numeric_execution_count() -> None:
-    """Reset the process-wide execution counter (test helper)."""
-    global _numeric_executions
-    _numeric_executions = 0
 
 
 @dataclass
@@ -719,9 +697,6 @@ def _traverse_reduce(
     Each edge batch's messages come from the kernel's ``edge_messages``
     hook and are reduced with :meth:`MessageSpec.combine_at`.
     """
-    global _numeric_executions
-    _numeric_executions += 1
-
     touched = structure.touched
     message = kernel.message
     identity = message.identity

@@ -108,10 +108,6 @@ class RunResult:
         return sum(s.movement_seconds for s in self.iterations)
 
     @property
-    def total_edges_traversed(self) -> int:
-        return sum(s.edges_traversed for s in self.iterations)
-
-    @property
     def total_recovery_bytes(self) -> int:
         """Bytes moved by fault recovery and checkpointing (0 fault-free)."""
         return sum(s.recovery_bytes for s in self.iterations)
@@ -133,10 +129,6 @@ class RunResult:
         return np.asarray(
             [s.frontier_size for s in self.iterations], dtype=np.int64
         )
-
-    def offload_decisions(self) -> List[bool]:
-        """Whether each iteration's traversal was offloaded."""
-        return [s.offloaded for s in self.iterations]
 
     def summary_table(self) -> TextTable:
         """Human-readable per-iteration table."""

@@ -3,10 +3,9 @@
 :mod:`repro.faults` models hardware faults **inside** the simulation —
 crashed memory nodes, failed NDP units, degraded links — and charges their
 recovery to the movement ledger.  This package is the other half of the
-fault story: it breaks the *processes and files doing the simulating*.
-A chaos plan SIGKILLs a worker mid-task, SIGSTOPs one so it hangs without
-dying, tears the tail off a write-ahead journal, or corrupts an artifact
-in the content-addressed cache — the real failures a multi-hour sweep on
+fault story: it breaks the *processes doing the simulating*.  A chaos plan
+SIGKILLs a worker mid-task, SIGSTOPs one so it hangs without dying, or
+makes one exit without cleanup — the real failures a multi-hour sweep on
 preemptible infrastructure actually sees.
 
 Everything is seed-driven and deterministic: the same
@@ -14,20 +13,14 @@ Everything is seed-driven and deterministic: the same
 so resumability is *proven* in tests and CI (kill → ``--resume`` →
 bit-identical merged ledgers) rather than asserted.
 
-Injection points:
-
-* **Worker actions** (``kill``/``hang``/``crash``) ride into sweep workers
-  through :func:`repro.experiments.sweep.run_sweep`'s ``chaos_plan`` and
-  execute via :func:`apply_in_worker` — a real ``SIGKILL``, a real
-  ``SIGSTOP``, a real ``os._exit``.  No exception, no cleanup.  The same
-  plan crosses the wire under ``--scheduler remote``: the coordinator
-  takes the action at dispatch and ships it with the task, and the
-  ``repro-worker`` process applies it to *itself* before doing any work
-  (:mod:`repro.experiments.remote`), so distributed supervision is
-  exercised by genuinely killed remote workers.
-* **File faults** (:func:`tear_tail`, :func:`flip_bytes`,
-  :func:`corrupt_artifact`) mutilate on-disk state the way crashed writers
-  and bad disks do, for recovery-path tests.
+The actions (``kill``/``hang``/``crash``) ride into sweep workers through
+:func:`repro.experiments.sweep.run_sweep`'s ``chaos_plan`` and execute via
+:func:`apply_in_worker` — a real ``SIGKILL``, a real ``SIGSTOP``, a real
+``os._exit``.  No exception, no cleanup.  The same plan crosses the wire
+under ``--scheduler remote``: the coordinator takes the action at dispatch
+and ships it with the task, and the ``repro-worker`` process applies it to
+*itself* before doing any work (:mod:`repro.experiments.remote`), so
+distributed supervision is exercised by genuinely killed remote workers.
 """
 
 from __future__ import annotations
@@ -35,8 +28,7 @@ from __future__ import annotations
 import os
 import signal
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -47,9 +39,6 @@ __all__ = [
     "ChaosPlan",
     "ChaosSpec",
     "apply_in_worker",
-    "corrupt_artifact",
-    "flip_bytes",
-    "tear_tail",
 ]
 
 #: Worker-side chaos actions, in severity order:
@@ -163,86 +152,3 @@ class ChaosSpec:
                 plan.actions[label] = [kind] * self.repeats
             cursor += count
         return plan
-
-
-# --------------------------------------------------------------------------- #
-# File-level faults (torn writes, bad disks)
-# --------------------------------------------------------------------------- #
-
-
-def tear_tail(
-    path: str | os.PathLike,
-    nbytes: Optional[int] = None,
-    *,
-    seed: Optional[int] = None,
-) -> int:
-    """Truncate ``path`` by ``nbytes`` — a torn final write.
-
-    With ``nbytes=None`` a seeded PCG stream picks 1..min(64, size) bytes
-    to tear off, which lands inside the final record of any JSONL journal.
-    Returns the number of bytes removed (0 for an empty file).
-    """
-    path = Path(path)
-    size = path.stat().st_size
-    if size == 0:
-        return 0
-    if nbytes is None:
-        rng = np.random.default_rng(0 if seed is None else seed)
-        nbytes = int(rng.integers(1, min(64, size) + 1))
-    nbytes = min(int(nbytes), size)
-    with open(path, "r+b") as fh:
-        fh.truncate(size - nbytes)
-    return nbytes
-
-
-def flip_bytes(
-    path: str | os.PathLike, *, seed: int, count: int = 8
-) -> Tuple[int, ...]:
-    """XOR-corrupt ``count`` seeded byte positions of ``path`` in place.
-
-    Models silent media corruption (as opposed to the clean truncation of
-    :func:`tear_tail`).  Returns the corrupted offsets, sorted.
-    """
-    path = Path(path)
-    data = bytearray(path.read_bytes())
-    if not data:
-        return ()
-    rng = np.random.default_rng(seed)
-    offsets = sorted(
-        int(i) for i in rng.choice(len(data), size=min(count, len(data)), replace=False)
-    )
-    for off in offsets:
-        data[off] ^= 0xFF
-    path.write_bytes(bytes(data))
-    return tuple(offsets)
-
-
-def corrupt_artifact(
-    cache_root: str | os.PathLike,
-    *,
-    seed: int,
-    mode: str = "truncate",
-) -> Optional[Path]:
-    """Deterministically corrupt one ``.npz`` entry of an artifact cache.
-
-    Picks the victim by seeded index over the sorted entry list (stable
-    across runs against the same cache contents), then either truncates it
-    to half size (``mode="truncate"``) or flips bytes (``mode="flip"``).
-    Returns the corrupted path, or ``None`` when the cache is empty —
-    ``repro-cache verify`` must subsequently report exactly this entry.
-    """
-    if mode not in ("truncate", "flip"):
-        raise ExperimentError(f"unknown corruption mode {mode!r}")
-    root = Path(cache_root)
-    entries = sorted(p for p in root.glob("*/*/*.npz"))
-    if not entries:
-        return None
-    rng = np.random.default_rng(seed)
-    victim = entries[int(rng.integers(0, len(entries)))]
-    if mode == "truncate":
-        size = victim.stat().st_size
-        with open(victim, "r+b") as fh:
-            fh.truncate(size // 2)
-    else:
-        flip_bytes(victim, seed=seed)
-    return victim

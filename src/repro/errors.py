@@ -169,9 +169,9 @@ class ServerClosed(ServeError):
 class MetricError(ReproError):
     """An undeclared metric name was written.
 
-    Raised when a counter name is not registered in the central
-    :data:`repro.obs.metrics.METRICS` registry (typically a typo — the
-    message suggests the closest declared name).
+    Raised when a counter name is not one of the names declared on
+    :class:`repro.obs.metrics.M` (typically a typo — the message suggests
+    the closest declared name).
     """
 
 

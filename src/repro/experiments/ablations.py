@@ -18,8 +18,8 @@ import numpy as np
 from repro.arch.disaggregated import DisaggregatedSimulator
 from repro.arch.disaggregated_ndp import DisaggregatedNDPSimulator
 from repro.arch.trace import record_trace
+from repro.cache import load_dataset_cached
 from repro.experiments.common import DEFAULT_SEED, DEFAULT_TIER, ExperimentResult
-from repro.graph.datasets import load_dataset
 from repro.kernels.registry import get_kernel
 from repro.runtime.config import SystemConfig
 from repro.runtime.cost_model import estimate_movement, exact_movement
@@ -49,7 +49,7 @@ def run_dynamic_policy(
     )
     data: Dict[str, Dict[str, float]] = {}
     for kernel_name, dataset, parts in WORKLOADS:
-        graph, ds = load_dataset(dataset, tier=tier, seed=seed)
+        graph, ds = load_dataset_cached(dataset, tier=tier, seed=seed)
         kernel = get_kernel(kernel_name)
         trace = record_trace(
             graph,
@@ -191,7 +191,7 @@ def run_cost_model_fidelity(
     seed: int = DEFAULT_SEED,
 ) -> ExperimentResult:
     """Per-iteration estimate-vs-measured error of the movement cost model."""
-    graph, ds = load_dataset(dataset, tier=tier, seed=seed)
+    graph, ds = load_dataset_cached(dataset, tier=tier, seed=seed)
     config = SystemConfig(num_memory_nodes=num_partitions)
     kernel = get_kernel("pagerank", max_iterations=max_iterations)
     trace = record_trace(
@@ -257,11 +257,18 @@ def run_compute_scaling(
     offload the switch routes each aggregated update straight to the host
     owning the destination, so movement is *flat* in the host count while
     iteration time drops with the parallel host links; the fetch deployment
-    instead pays a growing host-to-host reshuffle of updates.
+    instead pays a growing host-to-host reshuffle of updates.  The host
+    count changes only the accounting, so one recording serves every row.
     """
-    from repro.arch.disaggregated import DisaggregatedSimulator
-
-    graph, ds = load_dataset(dataset, tier=tier, seed=seed)
+    graph, ds = load_dataset_cached(dataset, tier=tier, seed=seed)
+    trace = record_trace(
+        graph,
+        get_kernel("pagerank", max_iterations=max_iterations),
+        num_parts=num_partitions,
+        max_iterations=max_iterations,
+        seed=seed,
+        with_mirrors=False,
+    )
     table = TextTable(
         [
             "hosts",
@@ -280,18 +287,8 @@ def run_compute_scaling(
         config = SystemConfig(
             num_compute_nodes=int(c), num_memory_nodes=num_partitions
         )
-        ndp = DisaggregatedNDPSimulator(config).run(
-            graph,
-            get_kernel("pagerank", max_iterations=max_iterations),
-            max_iterations=max_iterations,
-            seed=seed,
-        )
-        fetch = DisaggregatedSimulator(config).run(
-            graph,
-            get_kernel("pagerank", max_iterations=max_iterations),
-            max_iterations=max_iterations,
-            seed=seed,
-        )
+        ndp = DisaggregatedNDPSimulator(config).replay(trace)
+        fetch = DisaggregatedSimulator(config).replay(trace)
         rows.append(
             {
                 "hosts": int(c),
@@ -337,7 +334,7 @@ def run_timing(
     """
     from repro.arch.compare import compare_architectures
 
-    graph, ds = load_dataset(dataset, tier=tier, seed=seed)
+    graph, ds = load_dataset_cached(dataset, tier=tier, seed=seed)
     comparison = compare_architectures(
         graph,
         get_kernel("pagerank", max_iterations=max_iterations),
@@ -408,8 +405,6 @@ def run_scale(
     Fig. 5 conclusions transfer across scales — the justification for
     reproducing trends on scaled-down stand-ins.
     """
-    from repro.arch.disaggregated import DisaggregatedSimulator
-
     config = SystemConfig(num_memory_nodes=num_partitions)
     table = TextTable(
         ["scale shift", "vertices", "edges", "fetch (MB)", "offload (MB)", "ratio"],
@@ -417,21 +412,19 @@ def run_scale(
     )
     rows = []
     for shift in shifts:
-        graph, ds = load_dataset(
+        graph, ds = load_dataset_cached(
             dataset, tier=tier, seed=seed, scale_shift=int(shift)
         )
-        fetch = DisaggregatedSimulator(config).run(
+        trace = record_trace(
             graph,
             get_kernel("pagerank", max_iterations=max_iterations),
+            num_parts=num_partitions,
             max_iterations=max_iterations,
             seed=seed,
+            with_mirrors=False,
         )
-        offload = DisaggregatedNDPSimulator(config).run(
-            graph,
-            get_kernel("pagerank", max_iterations=max_iterations),
-            max_iterations=max_iterations,
-            seed=seed,
-        )
+        fetch = DisaggregatedSimulator(config).replay(trace)
+        offload = DisaggregatedNDPSimulator(config).replay(trace)
         ratio = offload.total_host_link_bytes / max(fetch.total_host_link_bytes, 1)
         rows.append(
             {
@@ -474,7 +467,7 @@ def _hub_bfs_profile(tier: str, dataset: str, num_partitions: int, seed: int):
     """
     from repro.analysis import direction_profile
 
-    graph, ds = load_dataset(dataset, tier=tier, seed=seed)
+    graph, ds = load_dataset_cached(dataset, tier=tier, seed=seed)
     bfs = get_kernel("bfs")
     trace = record_trace(
         graph,
@@ -624,7 +617,7 @@ def run_energy(
     from repro.arch.compare import compare_architectures
     from repro.arch.energy import estimate_run_energy
 
-    graph, ds = load_dataset(dataset, tier=tier, seed=seed)
+    graph, ds = load_dataset_cached(dataset, tier=tier, seed=seed)
     comparison = compare_architectures(
         graph,
         get_kernel("pagerank", max_iterations=max_iterations),
@@ -678,14 +671,20 @@ def run_switch_buffer(
     seed: int = DEFAULT_SEED,
 ) -> ExperimentResult:
     """INC benefit as a function of the switch aggregation-table capacity."""
-    graph, ds = load_dataset(dataset, tier=tier, seed=seed)
-    no_inc_cfg = SystemConfig(num_memory_nodes=num_partitions)
-    baseline = DisaggregatedNDPSimulator(no_inc_cfg).run(
+    graph, ds = load_dataset_cached(dataset, tier=tier, seed=seed)
+    # The switch sees only the accounting: one recording serves the
+    # baseline and every buffer size.
+    trace = record_trace(
         graph,
         get_kernel("pagerank", max_iterations=max_iterations),
+        num_parts=num_partitions,
         max_iterations=max_iterations,
         seed=seed,
+        with_mirrors=False,
     )
+    baseline = DisaggregatedNDPSimulator(
+        SystemConfig(num_memory_nodes=num_partitions)
+    ).replay(trace)
     table = TextTable(
         ["buffer", "slots", "movement", "vs no-INC"],
         title=f"Ablation — INC benefit vs switch buffer, pagerank on {ds.name}",
@@ -697,12 +696,7 @@ def run_switch_buffer(
             enable_inc=True,
             switch_buffer_bytes=int(buf),
         )
-        run_result = DisaggregatedNDPSimulator(config).run(
-            graph,
-            get_kernel("pagerank", max_iterations=max_iterations),
-            max_iterations=max_iterations,
-            seed=seed,
-        )
+        run_result = DisaggregatedNDPSimulator(config).replay(trace)
         ratio = run_result.total_host_link_bytes / max(
             baseline.total_host_link_bytes, 1
         )

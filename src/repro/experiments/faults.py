@@ -19,10 +19,10 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.arch.compare import compare_architectures
+from repro.cache import load_dataset_cached
 from repro.experiments.common import DEFAULT_SEED, DEFAULT_TIER, ExperimentResult
 from repro.faults.checkpoint import EveryKCheckpoint
 from repro.faults.schedule import FaultSchedule, FaultSpec
-from repro.graph.datasets import load_dataset
 from repro.kernels.registry import get_kernel
 from repro.runtime.config import SystemConfig
 from repro.telemetry.report import fault_table
@@ -66,7 +66,7 @@ def run(
     ``fault_seed`` reseeds the fault schedule independently of the dataset
     seed (the CLI's ``--fault-seed``); an explicit ``spec`` wins over both.
     """
-    graph, ds = load_dataset(dataset, tier=tier, seed=seed)
+    graph, ds = load_dataset_cached(dataset, tier=tier, seed=seed)
     config = SystemConfig(num_compute_nodes=1, num_memory_nodes=num_nodes)
     prog = get_kernel(kernel)
     spec = spec or default_fault_spec(

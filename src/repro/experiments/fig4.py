@@ -13,8 +13,8 @@ from __future__ import annotations
 from typing import Dict, Optional, Tuple
 
 from repro.arch.disaggregated import DisaggregatedSimulator
+from repro.cache import load_dataset_cached
 from repro.experiments.common import DEFAULT_SEED, DEFAULT_TIER, ExperimentResult
-from repro.graph.datasets import load_dataset
 from repro.kernels.registry import PAPER_KERNELS, get_kernel
 from repro.runtime.config import SystemConfig
 from repro.utils.tables import TextTable
@@ -37,7 +37,7 @@ def run(
         title="Fig. 4 reproduction — compute vs memory requirements",
     )
     for dataset in DATASETS:
-        graph, spec = load_dataset(dataset, tier=tier, seed=seed)
+        graph, spec = load_dataset_cached(dataset, tier=tier, seed=seed)
         source = _best_source(graph)
         for kernel_name in PAPER_KERNELS:
             kernel = get_kernel(kernel_name)

@@ -13,8 +13,9 @@ from typing import Dict
 
 from repro.arch.disaggregated import DisaggregatedSimulator
 from repro.arch.disaggregated_ndp import DisaggregatedNDPSimulator
+from repro.arch.trace import record_trace
+from repro.cache import load_dataset_cached
 from repro.experiments.common import DEFAULT_SEED, DEFAULT_TIER, ExperimentResult
-from repro.graph.datasets import load_dataset
 from repro.kernels.pagerank import PageRank
 from repro.runtime.config import SystemConfig
 from repro.utils.tables import TextTable
@@ -42,17 +43,17 @@ def run(
     )
     series: Dict[str, Dict[str, float]] = {}
     for dataset in DATASETS:
-        graph, spec = load_dataset(dataset, tier=tier, seed=seed)
-        kernel = PageRank(max_iterations=max_iterations)
-        fetch = DisaggregatedSimulator(config).run(
-            graph, kernel, max_iterations=max_iterations, graph_name=spec.name
-        )
-        offload = DisaggregatedNDPSimulator(config).run(
+        graph, spec = load_dataset_cached(dataset, tier=tier, seed=seed)
+        trace = record_trace(
             graph,
             PageRank(max_iterations=max_iterations),
+            num_parts=num_partitions,
             max_iterations=max_iterations,
             graph_name=spec.name,
+            with_mirrors=False,
         )
+        fetch = DisaggregatedSimulator(config).replay(trace)
+        offload = DisaggregatedNDPSimulator(config).replay(trace)
         ratio = offload.total_host_link_bytes / max(fetch.total_host_link_bytes, 1)
         series[dataset] = {
             "fetch_bytes": fetch.total_host_link_bytes,

@@ -17,6 +17,7 @@ from typing import Dict, List, Sequence
 
 from repro.arch.disaggregated import DisaggregatedSimulator
 from repro.arch.disaggregated_ndp import DisaggregatedNDPSimulator
+from repro.arch.trace import record_trace
 from repro.cache import CachedPartitioner, load_dataset_cached
 from repro.experiments.common import DEFAULT_SEED, DEFAULT_TIER, ExperimentResult
 from repro.kernels.pagerank import PageRank
@@ -47,21 +48,26 @@ def run(
     for k in partitions:
         config = SystemConfig(num_memory_nodes=int(k))
         config_inc = config.with_options(enable_inc=True)
-        kernel = lambda: PageRank(max_iterations=max_iterations)  # noqa: E731
-
-        fetch = DisaggregatedSimulator(config).run(
-            graph, kernel(), max_iterations=max_iterations, seed=seed
+        # One recording per assignment: every deployment on it replays it.
+        hashed = record_trace(
+            graph,
+            PageRank(max_iterations=max_iterations),
+            num_parts=int(k),
+            max_iterations=max_iterations,
+            seed=seed,
+            with_mirrors=False,
         )
-        ndp_hash = DisaggregatedNDPSimulator(config).run(
-            graph, kernel(), max_iterations=max_iterations, seed=seed
+        fetch = DisaggregatedSimulator(config).replay(hashed)
+        ndp_hash = DisaggregatedNDPSimulator(config).replay(hashed)
+        cut = record_trace(
+            graph,
+            PageRank(max_iterations=max_iterations),
+            assignment=metis.partition(graph, int(k), seed=seed),
+            max_iterations=max_iterations,
+            with_mirrors=False,
         )
-        assignment = metis.partition(graph, int(k), seed=seed)
-        ndp_metis = DisaggregatedNDPSimulator(config).run(
-            graph, kernel(), assignment=assignment, max_iterations=max_iterations
-        )
-        ndp_inc = DisaggregatedNDPSimulator(config_inc).run(
-            graph, kernel(), assignment=assignment, max_iterations=max_iterations
-        )
+        ndp_metis = DisaggregatedNDPSimulator(config).replay(cut)
+        ndp_inc = DisaggregatedNDPSimulator(config_inc).replay(cut)
         series["fetch"].append(float(fetch.total_host_link_bytes))
         series["ndp-hash"].append(float(ndp_hash.total_host_link_bytes))
         series["ndp-metis"].append(float(ndp_metis.total_host_link_bytes))

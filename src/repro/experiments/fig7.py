@@ -20,8 +20,9 @@ import numpy as np
 
 from repro.arch.disaggregated import DisaggregatedSimulator
 from repro.arch.disaggregated_ndp import DisaggregatedNDPSimulator
+from repro.arch.trace import record_trace
+from repro.cache import load_dataset_cached
 from repro.experiments.common import DEFAULT_SEED, DEFAULT_TIER, ExperimentResult
-from repro.graph.datasets import load_dataset
 from repro.kernels.registry import get_kernel
 from repro.runtime.config import SystemConfig
 from repro.utils.tables import TextTable
@@ -57,24 +58,22 @@ def run(
     charts: List[str] = []
     data: Dict[str, Dict[str, List[float]]] = {}
     for spec in chosen:
-        graph, ds = load_dataset(spec.dataset, tier=tier, seed=seed)
+        graph, ds = load_dataset_cached(spec.dataset, tier=tier, seed=seed)
         source = int(graph.out_degrees.argmax())
         config = SystemConfig(num_memory_nodes=spec.partitions)
-
-        def _run(simulator_cls):
-            kernel = get_kernel(spec.kernel)
-            sim = simulator_cls(config)
-            return sim.run(
-                graph,
-                kernel,
-                source=source if kernel.needs_source else None,
-                max_iterations=spec.max_iterations,
-                graph_name=ds.name,
-                seed=seed,
-            )
-
-        fetch = _run(DisaggregatedSimulator)
-        offload = _run(DisaggregatedNDPSimulator)
+        kernel = get_kernel(spec.kernel)
+        trace = record_trace(
+            graph,
+            kernel,
+            num_parts=spec.partitions,
+            source=source if kernel.needs_source else None,
+            max_iterations=spec.max_iterations,
+            graph_name=ds.name,
+            seed=seed,
+            with_mirrors=False,
+        )
+        fetch = DisaggregatedSimulator(config).replay(trace)
+        offload = DisaggregatedNDPSimulator(config).replay(trace)
         fetch_bytes = fetch.per_iteration_bytes()
         offload_bytes = offload.per_iteration_bytes()
         frontier = fetch.per_iteration_frontier()

@@ -27,9 +27,9 @@ from repro.arch.disaggregated_ndp import DisaggregatedNDPSimulator
 from repro.arch.distributed import DistributedSimulator
 from repro.arch.distributed_ndp import DistributedNDPSimulator
 from repro.arch.trace import record_trace
+from repro.cache import load_dataset_cached
 from repro.experiments.common import DEFAULT_SEED, DEFAULT_TIER, ExperimentResult
 from repro.experiments.fig7 import PANELS
-from repro.graph.datasets import load_dataset
 from repro.kernels.registry import get_kernel
 from repro.obs.span import CATEGORY_ITERATION, Tracer, use_tracer
 from repro.runtime.config import SystemConfig
@@ -53,7 +53,7 @@ def run(
     data: Dict[str, Any] = {}
     cells_won: List[str] = []
     for spec in PANELS:
-        graph, ds = load_dataset(spec.dataset, tier=tier, seed=seed)
+        graph, ds = load_dataset_cached(spec.dataset, tier=tier, seed=seed)
         kernel = get_kernel(spec.kernel)
         source = (
             int(graph.out_degrees.argmax()) if kernel.needs_source else None

@@ -9,8 +9,8 @@ provisioning model at paper-scale demand.
 from __future__ import annotations
 
 from repro.arch.compare import compare_architectures
+from repro.cache import load_dataset_cached
 from repro.experiments.common import DEFAULT_SEED, DEFAULT_TIER, ExperimentResult
-from repro.graph.datasets import load_dataset
 from repro.kernels.pagerank import PageRank
 from repro.runtime.config import SystemConfig
 
@@ -40,7 +40,7 @@ def run(
     seed: int = DEFAULT_SEED,
 ) -> ExperimentResult:
     """Regenerate Table II on the given dataset stand-in."""
-    graph, spec = load_dataset(dataset, tier=tier, seed=seed)
+    graph, spec = load_dataset_cached(dataset, tier=tier, seed=seed)
     config = SystemConfig(num_compute_nodes=1, num_memory_nodes=num_nodes)
     kernel = PageRank(max_iterations=max_iterations)
     # Project the stand-in workload up to a TARGET_MEMORY_NODES-node pool.

@@ -20,8 +20,7 @@ __getattr__, __dir__, __all__ = lazy_exports(
     {
         ".checkpoint": (
             "AdaptiveCheckpoint", "CheckpointPolicy", "EveryKCheckpoint",
-            "NoCheckpoint", "get_checkpoint_policy",
-            "list_checkpoint_policies",
+            "NoCheckpoint", "list_checkpoint_policies",
         ),
         ".events": ("FaultEvent", "FaultKind"),
         ".recovery": ("FaultRuntime", "FaultsLike", "as_schedule"),

@@ -18,7 +18,6 @@ bytes), so the per-run :class:`~repro.faults.recovery.FaultRuntime` calls
 from __future__ import annotations
 
 import abc
-from typing import Dict, Type
 
 from repro.errors import RecoveryError
 
@@ -104,23 +103,11 @@ class AdaptiveCheckpoint(CheckpointPolicy):
         return f"AdaptiveCheckpoint(dirty_fraction={self.dirty_fraction})"
 
 
-_REGISTRY: Dict[str, Type[CheckpointPolicy]] = {
-    cls.name: cls for cls in (NoCheckpoint, EveryKCheckpoint, AdaptiveCheckpoint)
-}
-
-
 def list_checkpoint_policies() -> tuple[str, ...]:
-    """Registered checkpoint policy names."""
-    return tuple(sorted(_REGISTRY))
-
-
-def get_checkpoint_policy(name: str, **kwargs: object) -> CheckpointPolicy:
-    """Instantiate a checkpoint policy by name."""
-    try:
-        cls = _REGISTRY[name]
-    except KeyError:
-        raise RecoveryError(
-            f"unknown checkpoint policy {name!r}; available: "
-            f"{', '.join(list_checkpoint_policies())}"
-        ) from None
-    return cls(**kwargs)  # type: ignore[arg-type]
+    """The checkpoint policy names, sorted."""
+    return tuple(
+        sorted(
+            cls.name
+            for cls in (NoCheckpoint, EveryKCheckpoint, AdaptiveCheckpoint)
+        )
+    )

@@ -127,9 +127,6 @@ class FaultRuntime:
         """``bool[num_parts]``: parts whose NDP device is down this iteration."""
         return self._ndp_down_until > iteration
 
-    def any_ndp_down(self, iteration: int) -> bool:
-        return bool((self._ndp_down_until > iteration).any())
-
     # ------------------------------------------------------------------ #
     # Shard sizing (filled once per run by the simulator)
     # ------------------------------------------------------------------ #

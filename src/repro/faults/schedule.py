@@ -204,13 +204,6 @@ class FaultSchedule:
         """Events firing at the boundary before ``iteration``."""
         return tuple(e for e in self.events if e.iteration == iteration)
 
-    def events_of(self, kind: FaultKind) -> Tuple[FaultEvent, ...]:
-        return tuple(e for e in self.events if e.kind is kind)
-
-    def max_iteration(self) -> int:
-        """Last iteration any event fires at (-1 when empty)."""
-        return max((e.iteration for e in self.events), default=-1)
-
     def describe(self) -> Tuple[str, ...]:
         """One line per event, in firing order."""
         return tuple(e.describe() for e in self.events)

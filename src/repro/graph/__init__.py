@@ -12,10 +12,7 @@ __getattr__, __dir__, __all__ = lazy_exports(
             "complete_graph",
         ),
         ".datasets": ("DatasetSpec", "load_dataset", "list_datasets"),
-        ".stats": ("GraphStats", "compute_stats", "degree_histogram"),
         ".io": ("io",),
-        ".traversal": (
-            "bfs_levels", "bfs_parents", "connected_component_sizes",
-        ),
+        ".traversal": ("bfs_levels",),
     },
 )

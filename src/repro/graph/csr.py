@@ -15,14 +15,11 @@ from __future__ import annotations
 
 import hashlib
 import itertools
-from typing import Iterator, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
 from repro.errors import GraphError
-
-#: Wire size of one edge record in the paper's accounting (Section IV.A).
-EDGE_RECORD_BYTES = 8
 
 #: Dtype of ``indptr`` (offsets can exceed 2**32 for paper-scale edge
 #: counts) and of every vertex-id array handed across module boundaries.
@@ -299,19 +296,9 @@ class CSRGraph:
             _INDEX_DTYPE
         )
 
-    def out_degree(self, u: int) -> int:
-        """Out-degree of a single vertex."""
-        return int(self.indptr[u + 1] - self.indptr[u])
-
     def neighbors(self, u: int) -> np.ndarray:
         """Read-only view of ``u``'s out-neighbor ids."""
         return self.indices[self.indptr[u] : self.indptr[u + 1]]
-
-    def edge_weights_of(self, u: int) -> Optional[np.ndarray]:
-        """Weights of ``u``'s out-edges, or ``None`` for unweighted graphs."""
-        if self.weights is None:
-            return None
-        return self.weights[self.indptr[u] : self.indptr[u + 1]]
 
     def edge_array(self) -> Tuple[np.ndarray, np.ndarray]:
         """Return ``(src, dst)`` COO arrays (``src`` is expanded from indptr)."""
@@ -320,22 +307,12 @@ class CSRGraph:
         )
         return src, self.indices.copy()
 
-    def iter_edges(self) -> Iterator[Tuple[int, int]]:
-        """Iterate ``(src, dst)`` pairs.  Convenience only; not a hot path."""
-        src, dst = self.edge_array()
-        for u, v in zip(src.tolist(), dst.tolist()):
-            yield u, v
-
     def memory_footprint_bytes(self) -> int:
         """Bytes held by the CSR arrays (what a memory pool must store)."""
         total = self.indptr.nbytes + self.indices.nbytes
         if self.weights is not None:
             total += self.weights.nbytes
         return int(total)
-
-    def edge_list_bytes(self) -> int:
-        """Wire size of the full edge list under the paper's 8 B/edge model."""
-        return self.num_edges * EDGE_RECORD_BYTES
 
     # ------------------------------------------------------------------ #
     # Derived graphs

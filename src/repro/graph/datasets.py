@@ -47,10 +47,6 @@ class DatasetSpec:
     generator: Callable[[int, SeedLike], CSRGraph] = field(repr=False)
     base_scale: int = 14
 
-    @property
-    def paper_avg_degree(self) -> float:
-        return self.paper_edges / self.paper_vertices
-
 
 def _community_rmat(
     scale: int,

@@ -8,8 +8,7 @@ __getattr__, __dir__, __all__ = lazy_exports(
         ".device": ("DeviceClass", "DeviceModel"),
         ".catalog": (
             "CXL_CMS", "CXL_PNM", "UPMEM_PIM", "SWITCHML_TOFINO",
-            "SHARP_SWITCH", "HOST_XEON", "device_catalog", "get_device",
-            "list_devices",
+            "SHARP_SWITCH", "HOST_XEON", "device_catalog", "list_devices",
         ),
         ".capabilities": (
             "OffloadCheck", "check_offload", "supported_kernels",

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from typing import Dict, Tuple
 
-from repro.errors import ConfigError
 from repro.hardware.device import DeviceClass, DeviceModel
 from repro.utils.units import GiB
 
@@ -108,13 +107,3 @@ def device_catalog() -> Tuple[DeviceModel, ...]:
 def list_devices() -> Tuple[str, ...]:
     """Catalog device names."""
     return tuple(sorted(_CATALOG))
-
-
-def get_device(name: str) -> DeviceModel:
-    """Look up a catalog device by name."""
-    try:
-        return _CATALOG[name]
-    except KeyError:
-        raise ConfigError(
-            f"unknown device {name!r}; available: {', '.join(list_devices())}"
-        ) from None

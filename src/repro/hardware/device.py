@@ -72,11 +72,6 @@ class DeviceModel:
         """Total device throughput in operations/second."""
         return self.compute_units * self.unit_gops * 1e9
 
-    @property
-    def is_ndp(self) -> bool:
-        """True for the near-data tiers (PNM/PIM/INC)."""
-        return self.device_class is not DeviceClass.HOST
-
     def compute_seconds(self, ops: float) -> float:
         """Time to execute ``ops`` operations at full throughput."""
         if ops <= 0:

@@ -17,6 +17,5 @@ __getattr__, __dir__, __all__ = lazy_exports(
         ".ppr": ("PersonalizedPageRank",),
         ".widest_path": ("WidestPath",),
         ".registry": ("get_kernel", "list_kernels"),
-        ".reference": ("reference",),
     },
 )

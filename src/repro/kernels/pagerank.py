@@ -27,7 +27,7 @@ class PageRank(VertexProgram):
 
     The recurrence is ``rank' = (1 - d)/n + d * Σ_in rank/outdeg`` — the
     standard vertex-program formulation (what Galois/Gluon's push PR
-    computes); see :mod:`repro.kernels.reference` for the matching
+    computes); ``tests/support/kernel_reference.py`` holds the matching
     reference implementation used to validate all simulators.
 
     Parameters

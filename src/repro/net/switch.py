@@ -35,13 +35,6 @@ class AggregationOutcome:
     passthrough_updates: int  # updates that missed the table (overflow)
     reduction_ops: float  # ALU ops spent merging
 
-    @property
-    def update_reduction_ratio(self) -> float:
-        """``updates_out / updates_in`` (1.0 = no benefit)."""
-        if self.updates_in == 0:
-            return 1.0
-        return self.updates_out / self.updates_in
-
 
 class SwitchModel:
     """A programmable switch with a bounded aggregation table.

@@ -4,9 +4,9 @@ The subsystem has three parts:
 
 * :mod:`repro.obs.span` — hierarchical span tracer (run → iteration →
   phase) with a zero-cost disabled mode (:data:`NOOP_TRACER`).
-* :mod:`repro.obs.metrics` — central registry of *declared* metric
-  names (:data:`METRICS`, constants on :class:`M`) and the
-  :class:`CounterSet` that rejects undeclared names on write.
+* :mod:`repro.obs.metrics` — the *declared* metric names (constants on
+  :class:`M`, collected in :data:`METRICS`) and the :class:`CounterSet`
+  that rejects undeclared names on write.
 * :mod:`repro.obs.exporters` — JSONL event stream, Chrome
   ``chrome://tracing`` format, and the live ``--progress`` reporter.
 
@@ -28,13 +28,7 @@ from repro.obs.exporters import (
     write_chrome_trace,
     write_jsonl,
 )
-from repro.obs.metrics import (
-    METRICS,
-    CounterSet,
-    M,
-    MetricSpec,
-    MetricsRegistry,
-)
+from repro.obs.metrics import METRICS, CounterSet, M
 from repro.obs.schema import CHROME_TRACE_SCHEMA, validate_chrome_trace
 from repro.obs.span import (
     NOOP_TRACER,
@@ -43,7 +37,6 @@ from repro.obs.span import (
     Tracer,
     get_tracer,
     set_tracer,
-    structural_view,
     use_tracer,
 )
 
@@ -54,8 +47,6 @@ __all__ = [
     "JsonlStreamExporter",
     "M",
     "METRICS",
-    "MetricSpec",
-    "MetricsRegistry",
     "NOOP_TRACER",
     "NoOpTracer",
     "ProgressReporter",
@@ -64,7 +55,6 @@ __all__ = [
     "chrome_trace_dict",
     "get_tracer",
     "set_tracer",
-    "structural_view",
     "tracing_session",
     "use_tracer",
     "validate_chrome_trace",

@@ -66,16 +66,6 @@ class PartitionAssignment:
     def num_vertices(self) -> int:
         return int(self.parts.size)
 
-    def part_of(self, vertex: int) -> int:
-        """Owning part of one vertex."""
-        return int(self.parts[vertex])
-
-    def vertices_of(self, part: int) -> np.ndarray:
-        """Ids of vertices owned by ``part``."""
-        if not 0 <= part < self.num_parts:
-            raise PartitionError(f"part {part} out of range [0, {self.num_parts})")
-        return np.nonzero(self.parts == part)[0].astype(np.int64)
-
     def sizes(self) -> np.ndarray:
         """Vertex count per part."""
         return np.bincount(self.parts, minlength=self.num_parts).astype(np.int64)

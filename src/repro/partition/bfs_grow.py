@@ -7,7 +7,8 @@ a useful mid-point in the Fig. 6 trade-off space.
 
 Expansion was always frontier-batched; this version removes the remaining
 scalar bottlenecks while staying bit-identical to the scalar reference
-(:func:`repro.partition.reference.bfs_grow_reference`) for every seed:
+(``bfs_grow_reference`` in ``tests/support/partition_reference.py``) for
+every seed:
 
 * the next-seed scan streams over blocks of the random order exactly once
   (:class:`_SeedScanner`), and isolated seeds are drained inline instead of

@@ -42,9 +42,3 @@ def heavy_edge_matching(wg: WorkGraph, *, seed: SeedLike = None) -> np.ndarray:
                 continue
         match[u] = u
     return match
-
-
-def matching_is_valid(match: np.ndarray) -> bool:
-    """Check the involution property of a matching array."""
-    idx = np.arange(match.size)
-    return bool(np.array_equal(match[match], idx))

@@ -13,7 +13,6 @@ from typing import Tuple
 
 import numpy as np
 
-from repro.errors import PartitionError
 from repro.graph.csr import CSRGraph
 
 
@@ -46,30 +45,6 @@ class WorkGraph:
 
     def degree(self, u: int) -> int:
         return int(self.indptr[u + 1] - self.indptr[u])
-
-    def validate(self) -> None:
-        """Check the symmetric-CSR invariants (used by tests)."""
-        if self.indptr[0] != 0 or self.indptr[-1] != self.indices.size:
-            raise PartitionError("WorkGraph indptr inconsistent with indices")
-        if self.eweights.size != self.indices.size:
-            raise PartitionError("WorkGraph eweights length mismatch")
-        if self.vweights.size != self.num_vertices:
-            raise PartitionError("WorkGraph vweights length mismatch")
-        if self.indices.size:
-            src = np.repeat(
-                np.arange(self.num_vertices, dtype=np.int64), np.diff(self.indptr)
-            )
-            if np.any(src == self.indices):
-                raise PartitionError("WorkGraph must not contain self loops")
-            # Symmetry: the multiset of (u, v, w) must equal (v, u, w).
-            fwd = np.lexsort((self.indices, src))
-            rev = np.lexsort((src, self.indices))
-            if not (
-                np.array_equal(src[fwd], self.indices[rev])
-                and np.array_equal(self.indices[fwd], src[rev])
-                and np.array_equal(self.eweights[fwd], self.eweights[rev])
-            ):
-                raise PartitionError("WorkGraph adjacency is not symmetric")
 
 
 def from_csr(graph: CSRGraph) -> WorkGraph:

@@ -60,16 +60,6 @@ class MirrorTable:
             np.int64
         )
 
-    def mirror_parts_of(self, vertex: int) -> np.ndarray:
-        """Parts holding a mirror of ``vertex``."""
-        mask = self.mirror_vertices == vertex
-        return self.mirror_parts[mask]
-
-    def vertices_mirrored_on(self, part: int) -> np.ndarray:
-        """Vertices that have a mirror on ``part``."""
-        mask = self.mirror_parts == part
-        return self.mirror_vertices[mask]
-
 
 def build_mirror_table(
     graph: CSRGraph,

@@ -14,7 +14,8 @@ keys against the partition state frozen at block start.  The only
 sequential dependency *inside* a block is through block-internal edges, so
 the per-vertex loop shrinks to an argmax plus (rarely) a tiny correction
 bincount — while remaining bit-identical to the scalar reference
-(:func:`repro.partition.reference.ldg_reference`) for every seed.
+(``ldg_reference`` in ``tests/support/partition_reference.py``) for every
+seed.
 
 An opt-in ``chunked`` mode drops the intra-block corrections entirely and
 places each block against the frozen state in one shot.  It is no longer

@@ -74,10 +74,6 @@ class MovementEstimate:
             options["offload+inc"] = self.offload_inc_bytes
         return min(options, key=options.get)  # type: ignore[arg-type]
 
-    @property
-    def offload_wins(self) -> bool:
-        return self.offload_bytes < self.fetch_bytes
-
 
 def exact_movement(
     kernel: VertexProgram,

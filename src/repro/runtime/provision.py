@@ -11,7 +11,6 @@ Table II's Skewed/Balanced column.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple
 
 import numpy as np
 
@@ -75,10 +74,6 @@ class ProvisionPlan:
     num_memory_nodes: int
     report: UtilizationReport
 
-    @property
-    def total_nodes(self) -> int:
-        return self.num_compute_nodes + self.num_memory_nodes
-
 
 def provision_coupled(
     demand: WorkloadDemand,
@@ -137,15 +132,3 @@ def provision_disaggregated(
         num_memory_nodes=n_memory,
         report=report,
     )
-
-
-def demand_matrix(
-    graphs: Tuple[Tuple[str, CSRGraph], ...],
-    kernels: Tuple[VertexProgram, ...],
-) -> Tuple[WorkloadDemand, ...]:
-    """Demands for every (graph, kernel) pair — the Fig. 4 scatter points."""
-    out = []
-    for _, graph in graphs:
-        for kernel in kernels:
-            out.append(workload_demands(graph, kernel))
-    return tuple(out)

@@ -15,7 +15,7 @@ never see it — they complete futures via ``loop.call_soon_threadsafe``.
 from __future__ import annotations
 
 import asyncio
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, Tuple
 
 
 class Coalescer:
@@ -63,9 +63,6 @@ class Coalescer:
     @property
     def inflight(self) -> int:
         return len(self._inflight)
-
-    def peek(self, digest: str) -> Optional["asyncio.Future[bytes]"]:
-        return self._inflight.get(digest)
 
     def stats(self) -> Dict[str, Any]:
         return {

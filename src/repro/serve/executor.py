@@ -6,8 +6,11 @@ facade's single source of truth:
 * ``run``/``compare`` lease the graph from the shared :class:`GraphPool`
   and call the facade's resolved entry points
   (:func:`repro.api._run_resolved` / :func:`repro.api._compare_resolved`)
-  — the *same* code path ``repro.api.run`` and the ``repro-run`` CLI
-  execute, so served results are bit-identical to offline ones;
+  — the *same* code path ``repro.api.run`` executes, so served results are
+  bit-identical to offline ones.  The ``repro-run`` CLI builds its own
+  simulator;
+  ``tests/serve/test_cli_daemon.py::test_served_sha_matches_repro_run_cli``
+  checks that the two agree;
 * ``sweep`` delegates to :func:`repro.experiments.sweep.run_sweep` — the
   sweep coordinator on loopback with forked workers (keepalives, retries,
   quarantine) — with the requested ``jobs`` capped by the server.

@@ -183,11 +183,6 @@ class GraphPool:
         with self._lock:
             return sum(e.nbytes for e in self._entries.values())
 
-    @property
-    def pinned_count(self) -> int:
-        with self._lock:
-            return sum(1 for e in self._entries.values() if e.refs > 0)
-
     def stats(self) -> Dict[str, Any]:
         with self._lock:
             return {

@@ -9,6 +9,6 @@ __getattr__, __dir__, __all__ = lazy_exports(
         ".utilization": (
             "UtilizationReport", "utilization_report", "classify_utilization",
         ),
-        ".report": ("movement_table", "to_csv", "to_json"),
+        ".report": ("movement_table", "to_json"),
     },
 )

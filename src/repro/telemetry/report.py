@@ -1,11 +1,9 @@
-"""Report rendering: movement tables, CSV and JSON export."""
+"""Report rendering: movement tables and JSON export."""
 
 from __future__ import annotations
 
-import csv
-import io
 import json
-from typing import Any, Mapping, Sequence
+from typing import Any, Mapping
 
 from repro.telemetry.movement import MovementLedger
 from repro.utils.tables import TextTable
@@ -65,18 +63,6 @@ def cache_table(
         else:
             table.add_row(name, f"{value:g}")
     return table
-
-
-def to_csv(rows: Sequence[Mapping[str, Any]]) -> str:
-    """Serialize a homogeneous row list to CSV text."""
-    if not rows:
-        return ""
-    buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=list(rows[0].keys()))
-    writer.writeheader()
-    for row in rows:
-        writer.writerow(row)
-    return buf.getvalue()
 
 
 def to_json(payload: Any, *, indent: int = 2) -> str:

@@ -6,7 +6,7 @@ __getattr__, __dir__, __all__ = lazy_exports(
     __name__,
     {
         ".backoff": ("BackoffPolicy", "exponential_delay", "retry_after_hint"),
-        ".rng": ("ensure_rng", "spawn_rngs"),
+        ".rng": ("ensure_rng",),
         ".units": (
             "format_bytes", "format_count", "format_rate", "parse_bytes",
             "KiB", "MiB", "GiB", "TiB",

@@ -7,7 +7,7 @@ experiments are reproducible end to end.
 
 from __future__ import annotations
 
-from typing import Optional, Union
+from typing import Union
 
 import numpy as np
 
@@ -30,36 +30,3 @@ def ensure_rng(seed: SeedLike = None) -> np.random.Generator:
     if seed is None or isinstance(seed, (int, np.integer)):
         return np.random.default_rng(seed)
     raise TypeError(f"cannot build a Generator from {type(seed).__name__}")
-
-
-def spawn_rngs(seed: SeedLike, n: int) -> list[np.random.Generator]:
-    """Split ``seed`` into ``n`` statistically independent generators.
-
-    Used when work fans out across simulated nodes so that per-node streams
-    do not overlap regardless of execution order.
-    """
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
-    if isinstance(seed, np.random.Generator):
-        # Derive children from the generator's own stream to stay deterministic.
-        child_seeds = seed.integers(0, 2**63 - 1, size=n)
-        return [np.random.default_rng(int(s)) for s in child_seeds]
-    ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    return [np.random.default_rng(child) for child in ss.spawn(n)]
-
-
-def derive_seed(seed: Optional[int], *labels: object) -> int:
-    """Derive a stable sub-seed from ``seed`` and a sequence of labels.
-
-    The same ``(seed, labels)`` pair always yields the same sub-seed, which
-    lets independent experiment stages share one top-level seed without
-    correlated streams.
-    """
-    base = 0 if seed is None else int(seed)
-    h = np.uint64(0xCBF29CE484222325)
-    prime = np.uint64(0x100000001B3)
-    payload = repr((base,) + labels).encode()
-    with np.errstate(over="ignore"):
-        for byte in payload:
-            h = np.uint64((int(h) ^ byte) * int(prime) % 2**64)
-    return int(h % np.uint64(2**63 - 1))

@@ -32,10 +32,6 @@ class TextTable:
         for row in rows:
             self.add_row(*row)
 
-    @property
-    def nrows(self) -> int:
-        return len(self._rows)
-
     def render(self) -> str:
         """Return the table as a multi-line string."""
         widths = [len(c) for c in self.columns]

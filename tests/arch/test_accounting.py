@@ -52,7 +52,7 @@ class TestDisaggregatedAccounting:
         run = DisaggregatedSimulator(config4).run(
             tiny_rmat, PageRank(max_iterations=2), max_iterations=2
         )
-        assert not any(run.offload_decisions())
+        assert not any(s.offloaded for s in run.iterations)
 
     def test_hand_computed_graph(self):
         # 3 vertices all on one memory node; PR frontier = all 3; 2 edges.
@@ -115,7 +115,7 @@ class TestDisaggregatedNDPAccounting:
             tiny_rmat, PageRank(max_iterations=2), max_iterations=2
         )
         internal = run.ledger.bytes_for(link=LinkClass.NDP_INTERNAL)
-        assert internal == 8 * run.total_edges_traversed
+        assert internal == 8 * sum(s.edges_traversed for s in run.iterations)
         assert run.ledger.bytes_for(phase="edge-fetch") == 0
 
     def test_never_policy_degenerates_to_fetch(self, tiny_rmat, config4):
@@ -127,7 +127,7 @@ class TestDisaggregatedNDPAccounting:
             tiny_rmat, PageRank(max_iterations=3), assignment=a, max_iterations=3
         )
         assert never.total_host_link_bytes == plain.total_host_link_bytes
-        assert not any(never.offload_decisions())
+        assert not any(s.offloaded for s in never.iterations)
 
     def test_bfs_compact_frontier_push(self, tiny_rmat, config4):
         """Membership-only kernels ship ids/bitmap instead of id+value."""
@@ -153,7 +153,7 @@ class TestDisaggregatedNDPAccounting:
         run = DisaggregatedNDPSimulator(config4).run(
             tiny_rmat, PageRank(max_iterations=2), max_iterations=2
         )
-        assert all(run.offload_decisions())
+        assert all(s.offloaded for s in run.iterations)
         assert run.counters["iterations-offload"] == run.num_iterations
 
 
@@ -178,7 +178,7 @@ class TestDistributedAccounting:
             tiny_rmat, PageRank(max_iterations=2), max_iterations=2
         )
         local = run.ledger.bytes_for(link=LinkClass.NODE_LOCAL)
-        assert local == 8 * run.total_edges_traversed
+        assert local == 8 * sum(s.edges_traversed for s in run.iterations)
         assert run.ledger.bytes_for(phase="edge-fetch") == 0
 
     def test_sync_participants_all_nodes(self, tiny_rmat):

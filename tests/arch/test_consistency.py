@@ -11,13 +11,13 @@ from repro.arch.distributed import DistributedSimulator
 from repro.arch.distributed_ndp import DistributedNDPSimulator
 from repro.arch.registry import get_architecture, list_architectures
 from repro.errors import ConfigError, SimulationError
-from repro.kernels import reference
 from repro.kernels.bfs import BFS
 from repro.kernels.cc import ConnectedComponents
 from repro.kernels.pagerank import PageRank
 from repro.kernels.sssp import SSSP
 from repro.partition.metis import MetisPartitioner
 from repro.runtime.config import SystemConfig
+from support import kernel_reference as reference
 
 ALL_SIMS = (
     DistributedSimulator,
@@ -177,7 +177,7 @@ class TestRunHarness:
         run = DisaggregatedNDPSimulator(cfg).run(
             tiny_rmat, PageRank(max_iterations=2), max_iterations=2
         )
-        assert not any(run.offload_decisions())
+        assert not any(s.offloaded for s in run.iterations)
         assert run.counters["offload-denied-capability"] > 0
 
     def test_run_result_metadata(self, tiny_rmat, config4):
@@ -189,7 +189,8 @@ class TestRunHarness:
         assert run.kernel == "pagerank"
         assert run.graph_name == "g"
         assert run.num_parts == 4
-        assert run.summary_table().nrows == run.num_iterations
+        # title, header and rule, then one row per iteration
+        assert len(run.summary_table().render().splitlines()) == run.num_iterations + 3
 
     def test_timing_fields_positive(self, tiny_rmat, config4):
         run = DisaggregatedNDPSimulator(config4).run(

@@ -141,6 +141,6 @@ class TestExecuteIteration:
         dist = state.prop("distance")
         for v, w in zip(
             weighted_er.neighbors(0).tolist(),
-            weighted_er.edge_weights_of(0).tolist(),
+            weighted_er.weights[: weighted_er.indptr[1]].tolist(),
         ):
             assert dist[v] <= w + 1e-12

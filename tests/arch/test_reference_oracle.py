@@ -23,12 +23,12 @@ from repro.arch.engine import (
     frontier_structure,
     prepare_graph,
 )
-from repro.arch.reference import frontier_structure_reference
 from repro.graph.csr import CSRGraph
 from repro.graph.generators import rmat, star_graph
 from repro.kernels.registry import get_kernel, list_kernels
 from repro.partition.random_hash import HashPartitioner
 from repro.runtime.config import SystemConfig
+from support.structure_reference import frontier_structure_reference
 
 ENGINE_KERNELS = sorted(list_kernels())
 

@@ -14,10 +14,6 @@ from repro.arch.disaggregated import DisaggregatedSimulator
 from repro.arch.disaggregated_ndp import DisaggregatedNDPSimulator
 from repro.arch.distributed import DistributedSimulator
 from repro.arch.distributed_ndp import DistributedNDPSimulator
-from repro.arch.engine import (
-    numeric_execution_count,
-    reset_numeric_execution_count,
-)
 from repro.arch.results import result_sha256
 from repro.arch.trace import record_trace
 from repro.errors import CapabilityError, SimulationError
@@ -179,26 +175,25 @@ class TestPoliciesNeverTouchNumerics:
 
 
 class TestExecuteOnce:
-    def test_compare_runs_numerics_once(self, lj_tiny):
+    def test_compare_runs_numerics_once(self, lj_tiny, numeric_executions):
         kernel = get_kernel("pagerank")
-        reset_numeric_execution_count()
         comparison = compare_architectures(
             lj_tiny, kernel, max_iterations=6, graph_name="lj"
         )
         assert comparison.trace is not None
         # One numeric execution per iteration — not one per architecture.
-        assert numeric_execution_count() == comparison.trace.num_iterations
+        assert numeric_executions.count == comparison.trace.num_iterations
         assert len(comparison.rows) == 4
 
-    def test_compare_rows_equal_separate_runs(self, lj_tiny):
+    def test_compare_rows_equal_separate_runs(self, lj_tiny, numeric_executions):
         kernel = get_kernel("cc")
         comparison = compare_architectures(lj_tiny, kernel, max_iterations=8)
         for row, sim in zip(comparison.rows, _simulators(SystemConfig())):
-            reset_numeric_execution_count()
+            numeric_executions.count = 0
             run = sim.run(lj_tiny, kernel, max_iterations=8)
             # run streams the engine loop into accounting: one numeric
             # execution per iteration, none kept for a second pass.
-            assert numeric_execution_count() == run.num_iterations
+            assert numeric_executions.count == run.num_iterations
             assert row.architecture == run.architecture
             assert row.run.iterations == run.iterations
             assert row.run.ledger.breakdown() == run.ledger.breakdown()
@@ -211,14 +206,13 @@ class TestCapabilityDenial:
     """PIM units without floating point cannot run PageRank, and
     distributed-NDP has no host fallback: every entry point refuses."""
 
-    def test_every_entry_point_refuses(self, lj_tiny):
+    def test_every_entry_point_refuses(self, lj_tiny, numeric_executions):
         cfg = SystemConfig(num_memory_nodes=4, ndp_device=UPMEM_PIM)
         kernel = get_kernel("pagerank")
         sim = DistributedNDPSimulator(cfg)
-        reset_numeric_execution_count()
         with pytest.raises(CapabilityError):
             sim.run(lj_tiny, kernel, max_iterations=4)
-        assert numeric_execution_count() == 0
+        assert numeric_executions.count == 0
 
         trace = record_trace(lj_tiny, kernel, num_parts=4, max_iterations=4)
         with pytest.raises(CapabilityError):

@@ -8,7 +8,7 @@ import pytest
 
 from repro.cache.cli import main as cache_main
 from repro.cache.store import ArtifactCache
-from repro.chaos import corrupt_artifact
+from support.file_faults import corrupt_artifact
 
 
 def _seed(cache: ArtifactCache, n: int = 3) -> list:

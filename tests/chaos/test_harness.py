@@ -7,15 +7,9 @@ import numpy as np
 import pytest
 
 from repro.cache.store import ArtifactCache
-from repro.chaos import (
-    CHAOS_KINDS,
-    ChaosPlan,
-    ChaosSpec,
-    corrupt_artifact,
-    flip_bytes,
-    tear_tail,
-)
+from repro.chaos import CHAOS_KINDS, ChaosPlan, ChaosSpec
 from repro.errors import ExperimentError
+from support.file_faults import corrupt_artifact, flip_bytes, tear_tail
 
 LABELS = [f"kernel/ds/p{i}" for i in range(8)]
 

@@ -6,6 +6,8 @@ structural properties (skew, communities, sparsity) the assertions rely on.
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -95,3 +97,23 @@ def two_triangles() -> CSRGraph:
     src = np.array([0, 1, 2, 3, 4, 5])
     dst = np.array([1, 2, 0, 4, 5, 3])
     return CSRGraph.from_edges(src, dst, 6)
+
+
+@pytest.fixture
+def numeric_executions(monkeypatch):
+    """Count the engine's numeric executions (traverse, reduce, apply).
+
+    Wraps ``repro.arch.engine.apply_numeric``, which runs once per executed
+    iteration however many deployments account it; ``.count`` starts at 0.
+    """
+    from repro.arch import engine
+
+    counter = SimpleNamespace(count=0)
+    apply_numeric = engine.apply_numeric
+
+    def counting(*args, **kwargs):
+        counter.count += 1
+        return apply_numeric(*args, **kwargs)
+
+    monkeypatch.setattr(engine, "apply_numeric", counting)
+    return counter

@@ -16,11 +16,10 @@ import json
 
 import pytest
 
-from repro.arch.engine import numeric_execution_count
 from repro.experiments import ALL_EXPERIMENTS
 from repro.experiments.common import DEFAULT_SEED
 from repro.graph.datasets import load_dataset
-from repro.kernels import reference
+from support import kernel_reference as reference
 
 ABLATIONS = ("ablation-direction", "ablation-dobfs")
 
@@ -58,15 +57,14 @@ def test_tiny_output_is_pinned(experiment_id):
 
 
 @pytest.mark.parametrize("experiment_id", ABLATIONS)
-def test_one_engine_execution_per_bfs_iteration(experiment_id):
+def test_one_engine_execution_per_bfs_iteration(experiment_id, numeric_executions):
     graph, _ = load_dataset("twitter7-sim", tier="tiny", seed=DEFAULT_SEED)
     levels = reference.bfs(graph, int(graph.out_degrees.argmax()))
     # Level-synchronous BFS runs one iteration per level, the last of
     # which discovers nothing.
     bfs_iterations = int(levels.max()) + 1
-    before = numeric_execution_count()
     ALL_EXPERIMENTS[experiment_id](tier="tiny")
-    assert numeric_execution_count() - before == bfs_iterations
+    assert numeric_executions.count == bfs_iterations
 
 
 if __name__ == "__main__":  # pragma: no cover

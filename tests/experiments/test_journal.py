@@ -7,7 +7,7 @@ import json
 
 import pytest
 
-from repro.chaos import ChaosPlan, tear_tail
+from repro.chaos import ChaosPlan
 from repro.errors import ExperimentError, JournalError
 from repro.experiments.journal import (
     JOURNAL_VERSION,
@@ -23,6 +23,7 @@ from repro.experiments.journal import (
 )
 from repro.experiments.sweep import SweepTask, run_sweep
 from repro.faults import FaultSpec
+from support.file_faults import tear_tail
 
 TASKS = [
     SweepTask("wikitalk-sim", "pagerank", 4, "tiny", 7, max_iterations=4),

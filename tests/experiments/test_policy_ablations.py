@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import pytest
 
-from repro.arch.engine import numeric_execution_count
 from repro.arch.trace import record_trace
 from repro.experiments import ALL_EXPERIMENTS, ablations
 from repro.experiments.common import DEFAULT_SEED
@@ -55,8 +54,10 @@ ITERATIONS = {
 
 
 @pytest.mark.parametrize("experiment_id", sorted(ITERATIONS))
-def test_one_engine_execution_per_workload_iteration(experiment_id):
+def test_one_engine_execution_per_workload_iteration(
+    experiment_id, numeric_executions
+):
     expected = ITERATIONS[experiment_id]()
-    before = numeric_execution_count()
+    numeric_executions.count = 0
     ALL_EXPERIMENTS[experiment_id](tier="tiny")
-    assert numeric_execution_count() - before == expected
+    assert numeric_executions.count == expected

@@ -77,7 +77,6 @@ class TestFaultSchedule:
         schedule = FaultSchedule.from_spec(FaultSpec(seed=0, horizon=100))
         assert schedule.empty
         assert len(schedule) == 0
-        assert schedule.max_iteration() == -1
 
     def test_events_sorted_by_iteration(self):
         schedule = FaultSchedule(
@@ -94,11 +93,6 @@ class TestFaultSchedule:
         schedule = FaultSchedule.single_crash(iteration=4, part=1)
         assert schedule.events_at(4)[0].part == 1
         assert schedule.events_at(3) == ()
-
-    def test_events_of(self):
-        schedule = FaultSchedule.single_crash(iteration=4, part=1)
-        assert len(schedule.events_of(FaultKind.MEMORY_NODE_CRASH)) == 1
-        assert schedule.events_of(FaultKind.MESSAGE_DROP) == ()
 
     def test_max_events_truncates(self):
         spec = FaultSpec(

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import GraphError
-from repro.graph.csr import CSRGraph, EDGE_RECORD_BYTES
+from repro.graph.csr import CSRGraph
 
 
 class TestConstruction:
@@ -23,7 +23,7 @@ class TestConstruction:
     def test_from_edges_explicit_larger_vertex_count(self):
         g = CSRGraph.from_edges([0], [1], 10)
         assert g.num_vertices == 10
-        assert g.out_degree(9) == 0
+        assert g.out_degrees[9] == 0
 
     def test_from_edges_rejects_too_small_vertex_count(self):
         with pytest.raises(GraphError, match="smaller than max vertex id"):
@@ -105,21 +105,10 @@ class TestAccessors:
         assert np.array_equal(two_triangles.out_degrees, np.ones(6, dtype=np.int64))
         assert np.array_equal(two_triangles.in_degrees, np.ones(6, dtype=np.int64))
 
-    def test_out_degree_scalar(self):
-        g = CSRGraph.from_edges([0, 0, 1], [1, 2, 0], 3)
-        assert g.out_degree(0) == 2
-        assert g.out_degree(2) == 0
-
     def test_edge_array_roundtrip(self, tiny_er):
         src, dst = tiny_er.edge_array()
         rebuilt = CSRGraph.from_edges(src, dst, tiny_er.num_vertices)
         assert rebuilt == tiny_er
-
-    def test_iter_edges_matches_edge_array(self):
-        g = CSRGraph.from_edges([0, 1, 2], [1, 2, 0], 3)
-        pairs = list(g.iter_edges())
-        src, dst = g.edge_array()
-        assert pairs == list(zip(src.tolist(), dst.tolist()))
 
     def test_memory_footprint_counts_arrays(self):
         g = CSRGraph.from_edges([0], [1], 2)
@@ -131,17 +120,6 @@ class TestAccessors:
         assert g.memory_footprint_bytes() == (
             g.indptr.nbytes + g.indices.nbytes + g.weights.nbytes
         )
-
-    def test_edge_list_bytes(self, tiny_er):
-        assert tiny_er.edge_list_bytes() == tiny_er.num_edges * EDGE_RECORD_BYTES
-
-    def test_edge_weights_of(self):
-        g = CSRGraph.from_edges([0, 0], [1, 2], 3, weights=[2.0, 3.0])
-        assert list(g.edge_weights_of(0)) == [2.0, 3.0]
-        assert g.edge_weights_of(1).size == 0
-
-    def test_edge_weights_of_unweighted_is_none(self, tiny_er):
-        assert tiny_er.edge_weights_of(0) is None
 
 
 class TestDerivedGraphs:

@@ -15,7 +15,7 @@ from repro.graph.generators import (
     star_graph,
     watts_strogatz,
 )
-from repro.graph.stats import compute_stats, gini
+from support.graph_stats import compute_stats, gini
 
 
 class TestRMAT:
@@ -185,7 +185,7 @@ class TestStructuredGraphs:
     def test_path_directed(self):
         g = path_graph(4, directed=True)
         assert g.num_edges == 3
-        assert g.out_degree(3) == 0
+        assert g.out_degrees[3] == 0
 
     def test_path_undirected(self):
         g = path_graph(4)
@@ -193,12 +193,12 @@ class TestStructuredGraphs:
 
     def test_star_out(self):
         g = star_graph(5)
-        assert g.out_degree(0) == 5
+        assert g.out_degrees[0] == 5
         assert np.all(g.out_degrees[1:] == 0)
 
     def test_star_undirected(self):
         g = star_graph(5, directed_out=False)
-        assert g.out_degree(0) == 5
+        assert g.out_degrees[0] == 5
         assert np.all(g.out_degrees[1:] == 1)
 
     def test_complete(self):

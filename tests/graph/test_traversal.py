@@ -11,10 +11,12 @@ from repro.graph.traversal import (
     _gather,
     _gather_positions,
     bfs_levels,
+    gather_neighbor_slices,
+)
+from support.traversal import (
     bfs_parents,
     connected_component_sizes,
     frontier_sequence,
-    gather_neighbor_slices,
     reachable_vertices,
     weak_component_labels,
 )

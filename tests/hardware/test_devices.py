@@ -11,7 +11,6 @@ from repro.hardware.catalog import (
     SWITCHML_TOFINO,
     UPMEM_PIM,
     device_catalog,
-    get_device,
     list_devices,
 )
 from repro.hardware.device import DeviceClass, DeviceModel
@@ -67,10 +66,6 @@ class TestDeviceModel:
                 memory_capacity_bytes=1,
             )
 
-    def test_is_ndp(self):
-        assert not HOST_XEON.is_ndp
-        assert CXL_CMS.is_ndp and UPMEM_PIM.is_ndp and SHARP_SWITCH.is_ndp
-
 
 class TestCatalog:
     def test_table1_devices_present(self):
@@ -84,13 +79,6 @@ class TestCatalog:
             "sharp-switchib2",
         ):
             assert name in names
-
-    def test_get_device(self):
-        assert get_device("upmem") is UPMEM_PIM
-
-    def test_unknown_device(self):
-        with pytest.raises(ConfigError, match="unknown device"):
-            get_device("tpu")
 
     def test_catalog_host_first(self):
         catalog = device_catalog()

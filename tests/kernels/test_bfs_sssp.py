@@ -7,10 +7,10 @@ from repro.arch.disaggregated import DisaggregatedSimulator
 from repro.arch.disaggregated_ndp import DisaggregatedNDPSimulator
 from repro.graph.csr import CSRGraph
 from repro.graph.generators import erdos_renyi, path_graph, ring_graph
-from repro.kernels import reference
 from repro.kernels.bfs import BFS
 from repro.kernels.sssp import SSSP
 from repro.runtime.config import SystemConfig
+from support import kernel_reference as reference
 
 
 def run_engine(graph, kernel, source, sim_cls=DisaggregatedSimulator):

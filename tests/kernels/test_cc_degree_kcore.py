@@ -12,11 +12,11 @@ from repro.graph.generators import (
     ring_graph,
     star_graph,
 )
-from repro.kernels import reference
 from repro.kernels.cc import ConnectedComponents
 from repro.kernels.degree import DegreeCentrality
 from repro.kernels.kcore import KCore
 from repro.runtime.config import SystemConfig
+from support import kernel_reference as reference
 
 
 def run_engine(graph, kernel, **kwargs):

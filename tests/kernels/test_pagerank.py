@@ -7,9 +7,9 @@ import pytest
 from repro.arch.disaggregated import DisaggregatedSimulator
 from repro.graph.csr import CSRGraph
 from repro.graph.generators import complete_graph, erdos_renyi, ring_graph
-from repro.kernels import reference
 from repro.kernels.pagerank import PageRank
 from repro.runtime.config import SystemConfig
+from support import kernel_reference as reference
 
 
 def run_engine(graph, kernel, **kwargs):

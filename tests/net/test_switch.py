@@ -34,14 +34,12 @@ class TestSwitchModel:
         assert outcome.updates_in == 400
         assert outcome.updates_out == 100
         assert outcome.bytes_out == 1600
-        assert outcome.update_reduction_ratio == pytest.approx(0.25)
         assert outcome.passthrough_updates == 0
         assert outcome.reduction_ops == pytest.approx(300)
 
     def test_no_updates(self):
         outcome = make_switch().aggregate(np.zeros(4), None, 0, 16)
         assert outcome.updates_in == 0
-        assert outcome.update_reduction_ratio == 1.0
 
     def test_no_duplication_no_benefit(self):
         # Every destination hit by exactly one node: nothing to merge.

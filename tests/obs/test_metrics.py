@@ -1,29 +1,17 @@
-"""Metrics registry: declarations and counters checked against them."""
+"""Declared metric names and the counters checked against them."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.errors import MetricError, ReproError
-from repro.obs.metrics import METRICS, CounterSet, M, MetricsRegistry
+from repro.obs.metrics import METRICS, CounterSet, M
 
 
 class TestRegistry:
-    def test_declare_returns_name(self):
-        reg = MetricsRegistry()
-        assert reg.declare("foo-bytes", unit="bytes") == "foo-bytes"
-        assert "foo-bytes" in reg
-        assert reg.spec("foo-bytes").unit == "bytes"
-
-    def test_redeclare_same_kind_is_noop(self):
-        reg = MetricsRegistry()
-        reg.declare("foo")
-        assert reg.declare("foo") == "foo"
-        assert reg.names() == ("foo",)
-
     def test_typo_raises_with_closest_match_hint(self):
         with pytest.raises(MetricError) as exc:
-            METRICS.check("fault-event")  # declared name is "fault-events"
+            CounterSet().add("fault-event")  # declared name is "fault-events"
         msg = str(exc.value)
         assert "undeclared metric" in msg
         assert "did you mean 'fault-events'" in msg

@@ -33,10 +33,10 @@ from repro.obs.span import (
     NOOP_TRACER,
     Tracer,
     get_tracer,
-    structural_view,
     use_tracer,
 )
 from repro.runtime.config import SystemConfig
+from support.spans import structural_view
 
 TIER = "tiny"
 SEED = 7

@@ -16,9 +16,9 @@ from repro.obs.span import (
     Tracer,
     get_tracer,
     set_tracer,
-    structural_view,
     use_tracer,
 )
+from support.spans import structural_view
 
 
 class FakeClock:

@@ -15,9 +15,9 @@ from repro.partition.metis import (
     fm_refine,
     heavy_edge_matching,
 )
-from repro.partition.metis.matching import matching_is_valid
 from repro.partition.metis.refine import rebalance, side_gains
 from repro.partition.metis.wgraph import build, from_csr, induced_subgraph
+from support.metis import matching_is_valid, validate_work_graph
 
 
 @pytest.fixture
@@ -33,7 +33,7 @@ def wg_ring():
 class TestWorkGraph:
     def test_from_csr_symmetric(self, tiny_rmat):
         wg = from_csr(tiny_rmat)
-        wg.validate()
+        validate_work_graph(wg)
 
     def test_from_csr_merges_bidirectional_edges(self):
         g = CSRGraph.from_edges([0, 1], [1, 0], 2)
@@ -58,7 +58,7 @@ class TestWorkGraph:
 
     def test_induced_subgraph(self, wg_grid):
         sub, ids = induced_subgraph(wg_grid, np.arange(16))
-        sub.validate()
+        validate_work_graph(sub)
         assert sub.num_vertices == 16
         assert np.array_equal(ids, np.arange(16))
 
@@ -121,7 +121,7 @@ class TestCoarsen:
     def test_weights_conserved(self, wg_grid):
         match = heavy_edge_matching(wg_grid, seed=1)
         coarse, cmap = coarsen(wg_grid, match)
-        coarse.validate()
+        validate_work_graph(coarse)
         assert coarse.total_vweight == wg_grid.total_vweight
         assert cmap.size == wg_grid.num_vertices
         assert cmap.max() == coarse.num_vertices - 1

@@ -37,13 +37,6 @@ class TestPushMirrors:
         assert per_vertex.sum() == 1
         assert list(table.mirrors_per_part()) == [1, 0]
 
-    def test_lookup_helpers(self, cross_graph):
-        g, a = cross_graph
-        table = build_mirror_table(g, a)
-        assert list(table.mirror_parts_of(2)) == [0]
-        assert list(table.vertices_mirrored_on(0)) == [2]
-        assert table.mirror_parts_of(0).size == 0
-
     def test_matches_communication_volume(self, tiny_rmat):
         # Push mirrors are exactly the (dst, remote part) pairs, i.e. the
         # communication volume metric.

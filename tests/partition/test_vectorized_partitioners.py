@@ -21,8 +21,8 @@ from repro.graph.generators import erdos_renyi, grid_graph, rmat, star_graph
 from repro.partition import HashPartitioner, edge_cut
 from repro.partition.base import balance_ratio, fill_lightest
 from repro.partition.bfs_grow import BFSGrowPartitioner
-from repro.partition.reference import bfs_grow_reference, ldg_reference
 from repro.partition.streaming import LDGStreamingPartitioner
+from support.partition_reference import bfs_grow_reference, ldg_reference
 
 
 def _digest(assignment) -> str:

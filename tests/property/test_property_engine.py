@@ -12,12 +12,12 @@ from repro.arch.disaggregated import DisaggregatedSimulator
 from repro.arch.disaggregated_ndp import DisaggregatedNDPSimulator
 from repro.arch.engine import execute_iteration
 from repro.graph.csr import CSRGraph
-from repro.kernels import reference
 from repro.kernels.cc import ConnectedComponents
 from repro.kernels.pagerank import PageRank
 from repro.partition.base import PartitionAssignment
 from repro.runtime.config import SystemConfig
 from repro.runtime.cost_model import exact_movement
+from support import kernel_reference as reference
 
 
 @st.composite

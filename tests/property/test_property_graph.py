@@ -6,8 +6,9 @@ from hypothesis import given, settings, strategies as st
 
 from repro.graph import csr
 from repro.graph.csr import CSRGraph, index_dtype_for
-from repro.graph.stats import gini
-from repro.graph.traversal import bfs_levels, weak_component_labels
+from repro.graph.traversal import bfs_levels
+from support.graph_stats import gini
+from support.traversal import weak_component_labels
 
 
 @st.composite

@@ -5,12 +5,12 @@ from hypothesis import given, settings, strategies as st
 
 from repro.arch.disaggregated import DisaggregatedSimulator
 from repro.graph.csr import CSRGraph
-from repro.kernels import reference
 from repro.kernels.bfs import BFS
 from repro.kernels.kcore import KCore
 from repro.kernels.sssp import SSSP
 from repro.kernels.widest_path import WidestPath
 from repro.runtime.config import SystemConfig
+from support import kernel_reference as reference
 
 
 @st.composite

@@ -19,8 +19,9 @@ from repro.partition import (
     replication_factor,
 )
 from repro.partition.metis.coarsen import coarsen
-from repro.partition.metis.matching import heavy_edge_matching, matching_is_valid
+from repro.partition.metis.matching import heavy_edge_matching
 from repro.partition.metis.wgraph import from_csr
+from support.metis import matching_is_valid, validate_work_graph
 
 
 @st.composite
@@ -114,7 +115,7 @@ def test_coarsening_conserves_weight_and_shrinks(graph):
     wg = from_csr(graph)
     match = heavy_edge_matching(wg, seed=5)
     coarse, cmap = coarsen(wg, match)
-    coarse.validate()
+    validate_work_graph(coarse)
     assert coarse.total_vweight == wg.total_vweight
     assert coarse.num_vertices <= wg.num_vertices
     # total edge weight never grows under contraction

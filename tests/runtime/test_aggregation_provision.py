@@ -7,7 +7,6 @@ from repro.hardware.catalog import CXL_CMS, HOST_XEON, SHARP_SWITCH
 from repro.kernels.bfs import BFS
 from repro.kernels.pagerank import PageRank
 from repro.runtime.provision import (
-    demand_matrix,
     provision_coupled,
     provision_disaggregated,
     workload_demands,
@@ -35,12 +34,6 @@ class TestWorkloadDemands:
         pr = workload_demands(tiny_rmat, PageRank())
         bfs = workload_demands(tiny_rmat, BFS())
         assert pr.compute_ops_per_iteration > bfs.compute_ops_per_iteration
-
-    def test_demand_matrix_size(self, tiny_rmat, tiny_er):
-        demands = demand_matrix(
-            (("a", tiny_rmat), ("b", tiny_er)), (PageRank(), BFS())
-        )
-        assert len(demands) == 4
 
 
 class TestProvisioning:
@@ -87,10 +80,3 @@ class TestProvisioning:
         demand = workload_demands(tiny_rmat, PageRank())
         with pytest.raises(ConfigError):
             provision_disaggregated(demand, HOST_XEON, SHARP_SWITCH)
-
-    def test_total_nodes(self, tiny_rmat):
-        demand = self._scaled_demand(tiny_rmat, 1e7)
-        plan = provision_disaggregated(
-            demand, HOST_XEON, CXL_CMS, target_iteration_seconds=10
-        )
-        assert plan.total_nodes == plan.num_compute_nodes + plan.num_memory_nodes

@@ -75,7 +75,7 @@ class TestExactMovement:
             partial_pairs=20,
             distinct_destinations=20,
         )
-        assert dense.offload_wins
+        assert dense.offload_bytes < dense.fetch_bytes
         sparse = exact_movement(
             kernel,
             frontier_size=100,
@@ -83,7 +83,7 @@ class TestExactMovement:
             partial_pairs=140,
             distinct_destinations=140,
         )
-        assert not sparse.offload_wins
+        assert sparse.offload_bytes >= sparse.fetch_bytes
 
     def test_best_selector(self):
         kernel = PageRank()

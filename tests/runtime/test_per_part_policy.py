@@ -5,7 +5,6 @@ import pytest
 
 from repro.arch.disaggregated_ndp import DisaggregatedNDPSimulator
 from repro.graph.csr import CSRGraph
-from repro.kernels import reference
 from repro.kernels.pagerank import PageRank
 from repro.partition.range_chunk import RangePartitioner
 from repro.runtime.config import SystemConfig
@@ -16,6 +15,7 @@ from repro.runtime.offload import (
     get_policy,
     list_policies,
 )
+from support import kernel_reference as reference
 
 
 @pytest.fixture(scope="module")
@@ -171,7 +171,7 @@ class TestHybridSimulation:
         run = DisaggregatedNDPSimulator(
             cfg, policy=get_policy("per-part")
         ).run(mixed_density_graph, PageRank(max_iterations=2), max_iterations=2)
-        assert not any(run.offload_decisions())
+        assert not any(s.offloaded for s in run.iterations)
 
     def test_inc_applies_to_offloaded_shards(self, mixed_density_graph):
         cfg = SystemConfig(num_memory_nodes=8, enable_inc=True)

@@ -30,10 +30,10 @@ def test_kernel_does_not_split_the_pool_key():
 def test_release_is_idempotent_and_unpins():
     pool = GraphPool()
     lease = pool.acquire(WIKI)
-    assert pool.pinned_count == 1
+    assert pool.stats()["pinned"] == 1
     lease.release()
     lease.release()  # second release must be a no-op
-    assert pool.pinned_count == 0
+    assert pool.stats()["pinned"] == 0
     assert pool.stats()["entries"] == 1  # stays warm
 
 
@@ -95,7 +95,7 @@ def test_concurrent_cold_acquires_load_once():
     assert list(stats["graphs"].values())[0]["refs"] == 6
     for lease in leases:
         lease.release()
-    assert pool.pinned_count == 0
+    assert pool.stats()["pinned"] == 0
 
 
 def test_clear_empties_everything():

@@ -12,7 +12,8 @@ import scipy.sparse as sp
 
 from repro.errors import KernelError
 from repro.graph.csr import CSRGraph
-from repro.graph.traversal import bfs_levels, weak_component_labels
+from repro.graph.traversal import bfs_levels
+from support.traversal import weak_component_labels
 
 
 def _adjacency(graph: CSRGraph, *, weighted: bool = False) -> sp.csr_matrix:

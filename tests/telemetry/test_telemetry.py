@@ -7,7 +7,7 @@ import pytest
 from repro.net.link import LinkClass
 from repro.obs.metrics import CounterSet, M
 from repro.telemetry.movement import MovementLedger
-from repro.telemetry.report import movement_table, to_csv, to_json
+from repro.telemetry.report import movement_table, to_json
 from repro.telemetry.utilization import (
     classify_utilization,
     utilization_report,
@@ -147,15 +147,6 @@ class TestReports:
         ledger.record("apply", LinkClass.HOST_LINK, 2048)
         out = movement_table(ledger).render()
         assert "apply" in out and "2.00 KiB" in out and "TOTAL" in out
-
-    def test_to_csv(self):
-        rows = [{"a": 1, "b": "x"}, {"a": 2, "b": "y"}]
-        text = to_csv(rows)
-        assert text.splitlines()[0] == "a,b"
-        assert "2,y" in text
-
-    def test_to_csv_empty(self):
-        assert to_csv([]) == ""
 
     def test_to_json_coerces_numpy(self):
         import numpy as np

@@ -10,8 +10,8 @@ from repro.errors import KernelError
 from repro.graph.generators import erdos_renyi
 from repro.hardware.capabilities import check_offload
 from repro.hardware.catalog import UPMEM_PIM
-from repro.kernels import reference
 from repro.runtime.config import SystemConfig
+from support import kernel_reference as reference
 
 
 def weighted_degree_program():

@@ -5,7 +5,8 @@ A static walk of the import graph starts at the console scripts in
 entry, and follows every import statement, including function-level ones.
 A name in a package's ``lazy_exports`` table leads to its module only when
 some import names it.  A module that nothing reaches is code no result
-needs: delete it, or use it.
+needs: delete it, or use it.  Test-side oracles and helpers live in
+``tests/support``, which nothing under ``src/`` may import.
 """
 
 from __future__ import annotations
@@ -14,14 +15,7 @@ import ast
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src"
-
-#: unreached on purpose, each until the ROADMAP item named beside it
-ALLOWED_UNREACHED = {
-    "repro.arch.reference": "item 2: oracles move to test support",
-    "repro.kernels.reference": "item 2: oracles move to test support",
-    "repro.partition.reference": "item 2: oracles move to test support",
-    "repro.graph.stats": "item 2: oracles move to test support",
-}
+TESTS = Path(__file__).resolve().parent
 
 
 def _module_name(path: Path) -> str:
@@ -105,6 +99,18 @@ def _reached() -> set:
 
 def test_every_module_is_reached_from_an_entry_point():
     unreached = set(MODULES) - _reached()
-    allowed = set(ALLOWED_UNREACHED)
-    assert not unreached - allowed, f"unreached: {sorted(unreached - allowed)}"
-    assert not allowed - unreached, f"reached now: {sorted(allowed - unreached)}"
+    assert not unreached, f"unreached: {sorted(unreached)}"
+
+
+def test_no_module_imports_test_code():
+    # Under pytest every test module's directory is on ``sys.path``.
+    test_names = {"tests", "support", "conftest"} | {
+        p.stem for p in TESTS.rglob("test_*.py")
+    }
+    offenders = sorted(
+        (module, name)
+        for module in MODULES
+        for name in _imports(module)
+        if name.partition(".")[0] in test_names
+    )
+    assert not offenders, f"src imports test code: {offenders}"

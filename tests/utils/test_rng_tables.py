@@ -1,9 +1,9 @@
-"""Unit tests for RNG helpers and the table renderer."""
+"""Unit tests for the RNG helper and the table renderer."""
 
 import numpy as np
 import pytest
 
-from repro.utils.rng import derive_seed, ensure_rng, spawn_rngs
+from repro.utils.rng import ensure_rng
 from repro.utils.tables import TextTable
 
 
@@ -29,46 +29,6 @@ class TestEnsureRng:
             ensure_rng("seed")
 
 
-class TestSpawnRngs:
-    def test_count(self):
-        assert len(spawn_rngs(1, 5)) == 5
-
-    def test_streams_differ(self):
-        rngs = spawn_rngs(1, 3)
-        draws = [r.integers(0, 10**9) for r in rngs]
-        assert len(set(draws)) == 3
-
-    def test_deterministic(self):
-        a = [r.integers(0, 10**9) for r in spawn_rngs(7, 4)]
-        b = [r.integers(0, 10**9) for r in spawn_rngs(7, 4)]
-        assert a == b
-
-    def test_from_generator(self):
-        rngs = spawn_rngs(np.random.default_rng(3), 2)
-        assert len(rngs) == 2
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            spawn_rngs(1, -1)
-
-    def test_zero(self):
-        assert spawn_rngs(1, 0) == []
-
-
-class TestDeriveSeed:
-    def test_stable(self):
-        assert derive_seed(1, "fig5", 3) == derive_seed(1, "fig5", 3)
-
-    def test_labels_matter(self):
-        assert derive_seed(1, "fig5") != derive_seed(1, "fig6")
-
-    def test_base_matters(self):
-        assert derive_seed(1, "x") != derive_seed(2, "x")
-
-    def test_none_base(self):
-        assert derive_seed(None, "x") == derive_seed(None, "x")
-
-
 class TestTextTable:
     def test_render_contains_cells(self):
         t = TextTable(["a", "b"], title="T")
@@ -84,7 +44,7 @@ class TestTextTable:
     def test_extend(self):
         t = TextTable(["a"])
         t.extend([[1], [2]])
-        assert t.nrows == 2
+        assert t.render().splitlines()[2:] == ["1", "2"]
 
     def test_needs_columns(self):
         with pytest.raises(ValueError):
