@@ -321,17 +321,22 @@ class RunSpec:
 _SPEC_FIELDS = frozenset(f.name for f in fields(RunSpec))
 
 
-def _resolve_spec(spec: Optional[RunSpec], overrides: Dict[str, Any]) -> RunSpec:
-    unknown = set(overrides) - _SPEC_FIELDS
+def _resolve_spec(cls: type, spec: Any, overrides: Dict[str, Any]) -> Any:
+    """``spec`` (default ``cls()``) with keyword ``overrides`` applied;
+    unknown names raise :class:`ConfigError`."""
+    valid = sorted(f.name for f in fields(cls))
+    unknown = set(overrides) - set(valid)
     if unknown:
         raise ConfigError(
-            f"unknown RunSpec field(s) {sorted(unknown)}; "
-            f"valid fields: {sorted(_SPEC_FIELDS)}"
+            f"unknown {cls.__name__} field(s) {sorted(unknown)}; "
+            f"valid fields: {valid}"
         )
     if spec is None:
-        return RunSpec(**overrides)
-    if not isinstance(spec, RunSpec):
-        raise ConfigError(f"spec must be a RunSpec, got {type(spec).__name__}")
+        return cls(**overrides)
+    if not isinstance(spec, cls):
+        raise ConfigError(
+            f"spec must be a {cls.__name__}, got {type(spec).__name__}"
+        )
     return replace(spec, **overrides) if overrides else spec
 
 
@@ -394,7 +399,7 @@ def run(spec: Optional[RunSpec] = None, **overrides: Any):
     The active tracer (see :mod:`repro.obs`) instruments the run when one
     is installed; otherwise tracing costs nothing.
     """
-    spec = _resolve_spec(spec, overrides)
+    spec = _resolve_spec(RunSpec, spec, overrides)
     return _run_resolved(spec)
 
 
@@ -451,7 +456,7 @@ def compare(spec: Optional[RunSpec] = None, **overrides: Any):
     remotely and the passive pool cannot), so the comparison shows the
     chosen policy against the static baselines.
     """
-    spec = _resolve_spec(spec, overrides)
+    spec = _resolve_spec(RunSpec, spec, overrides)
     return _compare_resolved(spec)
 
 
@@ -485,9 +490,19 @@ def _compare_resolved(
 
 @dataclass(frozen=True, kw_only=True)
 class SweepSpec:
-    """Frozen description of how a sweep *executes* — the facade's value
-    object for everything around the task list (the workloads themselves
-    are :class:`~repro.experiments.sweep.SweepTask` objects).
+    """Frozen description of how a sweep *executes* — the one declaration
+    of a sweep's options, read by ``repro-experiments run sweep``,
+    :func:`sweep`, :func:`repro.experiments.sweep.run` and
+    :func:`~repro.experiments.sweep.run_sweep` alike (the workloads
+    themselves are :class:`~repro.experiments.sweep.SweepTask` objects).
+
+    ``tier``, ``seed``, ``memory_budget_bytes`` and ``fault_seed`` shape
+    the default Fig. 7 task list; ``run_sweep`` runs the tasks it is given
+    and ignores them.  ``timeout``, ``retries``, ``poison_threshold`` and
+    ``heartbeat_timeout_s`` supervise worker processes, so they do nothing
+    in an in-process sweep (``jobs=1`` without a ``RemoteScheduler``, i.e.
+    ``--jobs 1`` without ``--scheduler remote``): there a task runs once
+    and its exception fails the sweep (a FAILED row under ``keep_going``).
 
     Serializes trivially, so a driver script can persist the spec next to
     the journal and re-create the exact resume call after a crash::
@@ -517,11 +532,21 @@ class SweepSpec:
     def __post_init__(self) -> None:
         if self.jobs < 1:
             raise ConfigError(f"jobs must be >= 1, got {self.jobs}")
+        if self.retries < 0:
+            raise ConfigError(f"retries must be >= 0, got {self.retries}")
+        if self.timeout is not None and self.timeout <= 0:
+            raise ConfigError(f"timeout must be positive, got {self.timeout}")
+        if self.poison_threshold is not None and self.poison_threshold < 1:
+            raise ConfigError(
+                f"poison_threshold must be >= 1, got {self.poison_threshold}"
+            )
+        if self.heartbeat_timeout_s <= 0:
+            raise ConfigError(
+                "heartbeat_timeout_s must be positive, got "
+                f"{self.heartbeat_timeout_s}"
+            )
         if self.resume and self.journal_path is None:
-            raise ConfigError("resume=True requires journal_path")
-
-
-_SWEEP_FIELDS = frozenset(f.name for f in fields(SweepSpec))
+            raise ConfigError("resume requires journal_path")
 
 
 def sweep(
@@ -545,33 +570,8 @@ def sweep(
     """
     from repro.experiments import sweep as sweep_mod
 
-    unknown = set(overrides) - _SWEEP_FIELDS
-    if unknown:
-        raise ConfigError(
-            f"unknown SweepSpec field(s) {sorted(unknown)}; "
-            f"valid fields: {sorted(_SWEEP_FIELDS)}"
-        )
-    if spec is None:
-        spec = SweepSpec(**overrides)
-    elif not isinstance(spec, SweepSpec):
-        raise ConfigError(f"spec must be a SweepSpec, got {type(spec).__name__}")
-    elif overrides:
-        spec = replace(spec, **overrides)
-    return sweep_mod.run(
-        tier=spec.tier,
-        seed=spec.seed,
-        jobs=spec.jobs,
-        tasks=tasks,
-        timeout=spec.timeout,
-        retries=spec.retries,
-        keep_going=spec.keep_going,
-        memory_budget_bytes=spec.memory_budget_bytes,
-        fault_seed=spec.fault_seed,
-        journal_path=spec.journal_path,
-        resume=spec.resume,
-        poison_threshold=spec.poison_threshold,
-        heartbeat_timeout_s=spec.heartbeat_timeout_s,
-    )
+    spec = _resolve_spec(SweepSpec, spec, overrides)
+    return sweep_mod.run(spec=spec, tasks=tasks)
 
 
 def load_dataset(

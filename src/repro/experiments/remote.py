@@ -1,9 +1,9 @@
 """Distributed sweep coordinator: a content-addressed TCP work queue.
 
-``RemoteScheduler`` plugs into the :class:`~repro.experiments.scheduler.
-SweepScheduler` seam and fans a sweep's tasks out to ``repro-worker``
-processes on any number of hosts.  The design follows the paper's
-disaggregation discipline — move *descriptors*, not data:
+``run_sweep(tasks, scheduler=RemoteScheduler(...))`` fans a sweep's tasks
+out to ``repro-worker`` processes on any number of hosts.  The design
+follows the paper's disaggregation discipline — move *descriptors*, not
+data:
 
 * the **control plane** is newline-delimited JSON over one TCP connection
   per worker: task dispatch ships :func:`task_to_json` (a few hundred
@@ -22,11 +22,12 @@ graphs instead of fetching them), so local, remote and served sweeps
 share these semantics by construction:
 
 * a lost connection mid-task charges that task — and no other — an
-  attempt and re-queues it with the shared capped-exponential
+  attempt and re-queues it with the capped-exponential
   :class:`BackoffPolicy`;
-* a stale keepalive (``heartbeat_timeout_s``) or an over-budget task
-  (``timeout``) gets the connection closed with blame attributed to the
-  exact task the worker was running;
+* a stale keepalive (the :class:`~repro.api.SweepSpec`'s
+  ``heartbeat_timeout_s``) or an over-budget task (``timeout``) gets the
+  connection closed with blame attributed to the exact task the worker
+  was running;
 * ``poison_threshold`` quarantines a task that keeps killing workers;
 * a *deterministic* in-task exception reported by the worker is fatal
   (or a placeholder under ``keep_going``), never retried;
@@ -84,10 +85,11 @@ from repro.experiments.journal import (
     sweep_digest,
     task_to_json,
 )
-from repro.experiments.scheduler import SweepOptions, SweepScheduler
 from repro.obs.span import get_tracer, stamp_batch
+from repro.utils.backoff import BackoffPolicy
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
+    from repro.api import SweepSpec
     from repro.experiments.worker import ForkedFleet
 
 #: wire protocol version; a mismatched worker is rejected at handshake
@@ -153,7 +155,7 @@ class _Conn:
         return f"{self.name}@{self.host} (pid {self.pid})"
 
 
-class RemoteScheduler(SweepScheduler):
+class RemoteScheduler:
     """Execute a sweep on ``repro-worker`` processes over TCP.
 
     The coordinator binds ``host:port`` (port 0 = OS-assigned), publishes
@@ -172,8 +174,6 @@ class RemoteScheduler(SweepScheduler):
     replaced; every worker is killed and reaped before ``execute``
     returns or raises.
     """
-
-    name = "remote"
 
     def __init__(
         self,
@@ -209,7 +209,11 @@ class RemoteScheduler(SweepScheduler):
         #: (host, port) actually bound, set once the server is up
         self.bound: Optional[Tuple[str, int]] = None
 
-    def execute(self, todo, results, session, chaos, opts) -> None:
+    def execute(
+        self, todo, results, session, chaos, spec, *, backoff_s, collect_spans
+    ) -> None:
+        """Run ``todo`` for :func:`~repro.experiments.sweep.run_sweep`,
+        which owns ``results``, the journal ``session`` and ``chaos``."""
         cache = self.cache if self.cache is not None else get_cache()
         # Resolve every distinct graph up front: warms the coordinator
         # cache (the fetch source) and pins the graph display names the
@@ -220,7 +224,7 @@ class RemoteScheduler(SweepScheduler):
         for _idx, task in todo:
             if task.graph_key in graphs:
                 continue
-            graph, spec = load_dataset_cached(
+            graph, ds = load_dataset_cached(
                 task.dataset, tier=task.tier, seed=task.seed, cache=cache
             )
             if self.fleet is not None:
@@ -232,9 +236,10 @@ class RemoteScheduler(SweepScheduler):
                     "kind": "dataset",
                     "key": dataset_key(task.dataset, task.tier, key_seed, 0),
                 }
-            graphs[task.graph_key] = (spec.name, artifact)
+            graphs[task.graph_key] = (ds.name, artifact)
         coordinator = _Coordinator(
-            self, todo, results, session, chaos, opts, graphs, cache, loaded
+            self, todo, results, session, chaos, spec, graphs, cache, loaded,
+            backoff=BackoffPolicy(base_s=backoff_s), collect_spans=collect_spans,
         )
         asyncio.run(coordinator.run())
 
@@ -249,17 +254,22 @@ class _Coordinator:
         results: Dict[int, Any],
         session: Any,
         chaos: Any,
-        opts: SweepOptions,
+        spec: "SweepSpec",
         graphs: Dict[Tuple[str, str, int], Tuple[str, Optional[Dict[str, str]]]],
         cache: Optional[ArtifactCache],
         loaded: Dict[Tuple[str, str, int], Any],
+        *,
+        backoff: BackoffPolicy,
+        collect_spans: bool,
     ) -> None:
         self.sched = sched
         self.fleet = sched.fleet
         self.results = results
         self.session = session
         self.chaos = chaos
-        self.opts = opts
+        self.spec = spec
+        self.backoff = backoff
+        self.collect_spans = collect_spans
         self.graphs = graphs
         self.cache = cache
         self.loaded = loaded
@@ -284,7 +294,7 @@ class _Coordinator:
         #: than spinning forever
         self._drought_since: Optional[float] = None
         #: worker keepalive cadence: five beats per staleness bound
-        self.keepalive_s = min(1.0, opts.heartbeat_timeout_s / 5.0)
+        self.keepalive_s = min(1.0, spec.heartbeat_timeout_s / 5.0)
         self._old_signals: Dict[int, Any] = {}
         #: set and replaced on every state change (see :meth:`_notify`)
         self._changed = asyncio.Event()
@@ -489,7 +499,7 @@ class _Coordinator:
                 "t": "welcome",
                 "sweep": self.digest,
                 "keepalive_s": self.keepalive_s,
-                "collect_spans": self.opts.collect_spans,
+                "collect_spans": self.collect_spans,
             },
         )
         return conn if ok else None
@@ -550,7 +560,7 @@ class _Coordinator:
                     "graph_name": graph_name,
                     "artifact": artifact,
                     "chaos": self.chaos.take(task.label),
-                    "collect_spans": self.opts.collect_spans,
+                    "collect_spans": self.collect_spans,
                 },
             )
             if not dispatched:
@@ -617,7 +627,7 @@ class _Coordinator:
         error = str(msg.get("error") or "worker reported an unknown failure")
         failed = _failed_outcome(task, graph_name, error, tries + 1)
         self.session.outcome(idx, "failed", failed)
-        if not self.opts.keep_going:
+        if not self.spec.keep_going:
             self._fail(
                 ExperimentError(f"sweep task {task.label} failed: {error}")
             )
@@ -645,8 +655,8 @@ class _Coordinator:
             "worker-lost", worker=conn.ident, task=task.label, error=error
         )
         if (
-            self.opts.poison_threshold is not None
-            and kills >= self.opts.poison_threshold
+            self.spec.poison_threshold is not None
+            and kills >= self.spec.poison_threshold
         ):
             quarantined = _failed_outcome(
                 task,
@@ -663,8 +673,8 @@ class _Coordinator:
             self.remaining.discard(idx)
             self._notify()
             return
-        if tries + 1 <= self.opts.retries:
-            ready_at = time.monotonic() + self.opts.backoff.delay(tries)
+        if tries + 1 <= self.spec.retries:
+            ready_at = time.monotonic() + self.backoff.delay(tries)
             heapq.heappush(
                 self.pending, (ready_at, self._next_seq(), idx, task, tries + 1)
             )
@@ -674,7 +684,7 @@ class _Coordinator:
             task, graph_name, f"{error} (after {tries + 1} attempts)", tries + 1
         )
         self.session.outcome(idx, "failed", exhausted)
-        if not self.opts.keep_going:
+        if not self.spec.keep_going:
             self._fail(
                 ExperimentError(
                     f"sweep task {task.label} failed after {tries + 1} "
@@ -713,11 +723,11 @@ class _Coordinator:
                 _idx, task, _tries, started = out
                 stale = now - conn.last_seen
                 if (
-                    self.opts.timeout is not None
-                    and now - started > self.opts.timeout
+                    self.spec.timeout is not None
+                    and now - started > self.spec.timeout
                 ):
-                    conn.blame = f"timed out after {self.opts.timeout:g}s"
-                elif stale > self.opts.heartbeat_timeout_s:
+                    conn.blame = f"timed out after {self.spec.timeout:g}s"
+                elif stale > self.spec.heartbeat_timeout_s:
                     conn.blame = (
                         f"worker hung: keepalive stale for {stale:.1f}s"
                     )

@@ -16,14 +16,14 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Any, Optional, Sequence
 
 from repro.cli_common import (
     add_fault_seed_arg,
     add_observability_args,
     add_policy_arg,
 )
-from repro.errors import ExperimentError
+from repro.errors import ConfigError, ExperimentError
 from repro.experiments import ALL_EXPERIMENTS
 from repro.obs import tracing_session
 from repro.telemetry.report import to_json
@@ -80,7 +80,8 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="SECONDS",
         help="per-task timeout for the 'sweep' experiment (hung workers "
-        "are killed and the task retried)",
+        "are killed and the task retried); supervises worker processes, so "
+        "it does nothing at --jobs 1 without --scheduler remote",
     )
     run_p.add_argument(
         "--retries",
@@ -88,7 +89,8 @@ def build_parser() -> argparse.ArgumentParser:
         default=2,
         metavar="N",
         help="retry budget for crashed or timed-out sweep workers "
-        "(exponential backoff between rounds)",
+        "(exponential backoff between rounds); does nothing at --jobs 1 "
+        "without --scheduler remote",
     )
     cache_mode = run_p.add_mutually_exclusive_group()
     cache_mode.add_argument(
@@ -138,7 +140,8 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="K",
         help="quarantine a sweep task after it kills a worker K "
-        "times instead of burning the retry budget on it",
+        "times instead of burning the retry budget on it; does nothing at "
+        "--jobs 1 without --scheduler remote",
     )
     run_p.add_argument(
         "--heartbeat-timeout",
@@ -146,7 +149,8 @@ def build_parser() -> argparse.ArgumentParser:
         default=30.0,
         metavar="SECONDS",
         help="declare a sweep worker hung when its keepalive goes stale "
-        "for this long (default: 30)",
+        "for this long (default: 30); does nothing at --jobs 1 without "
+        "--scheduler remote",
     )
     run_p.add_argument(
         "--chaos-seed",
@@ -227,26 +231,24 @@ def build_parser() -> argparse.ArgumentParser:
 
 def run_experiment(
     experiment_id: str,
+    spec=None,
     *,
-    tier: str = "small",
-    seed: int = 7,
     json_dir: Optional[str] = None,
-    jobs: int = 1,
-    timeout: Optional[float] = None,
-    retries: int = 2,
-    keep_going: bool = False,
-    memory_budget_bytes: Optional[int] = None,
-    fault_seed: Optional[int] = None,
-    journal_path: Optional[str] = None,
-    resume: bool = False,
-    poison_threshold: Optional[int] = None,
-    heartbeat_timeout_s: float = 30.0,
     chaos_spec=None,
     scheduler=None,
     dry_run: bool = False,
     policy=None,
+    **overrides: Any,
 ) -> str:
-    """Run one experiment and return its rendered report."""
+    """Run one experiment and return its rendered report.
+
+    ``spec`` is the command line's :class:`repro.api.SweepSpec` (keyword
+    ``overrides`` win): the sweep reads all of it, the other experiments
+    its ``tier`` and ``seed``, and ``faults`` its ``fault_seed`` too.
+    """
+    from repro.api import SweepSpec, _resolve_spec
+
+    spec = _resolve_spec(SweepSpec, spec, overrides)
     try:
         fn = ALL_EXPERIMENTS[experiment_id]
     except KeyError:
@@ -264,18 +266,7 @@ def run_experiment(
         result = fn()  # type: ignore[call-arg]
     elif experiment_id == "sweep":
         result = fn(  # type: ignore[call-arg]
-            tier=tier,
-            seed=seed,
-            jobs=jobs,
-            timeout=timeout,
-            retries=retries,
-            keep_going=keep_going,
-            memory_budget_bytes=memory_budget_bytes,
-            fault_seed=fault_seed,
-            journal_path=journal_path,
-            resume=resume,
-            poison_threshold=poison_threshold,
-            heartbeat_timeout_s=heartbeat_timeout_s,
+            spec=spec,
             chaos_spec=chaos_spec,
             scheduler=scheduler,
             dry_run=dry_run,
@@ -283,10 +274,10 @@ def run_experiment(
         )
     elif experiment_id == "faults":
         result = fn(  # type: ignore[call-arg]
-            tier=tier, seed=seed, fault_seed=fault_seed
+            tier=spec.tier, seed=spec.seed, fault_seed=spec.fault_seed
         )
     else:
-        result = fn(tier=tier, seed=seed)  # type: ignore[call-arg]
+        result = fn(tier=spec.tier, seed=spec.seed)  # type: ignore[call-arg]
     if json_dir:
         out = Path(json_dir)
         out.mkdir(parents=True, exist_ok=True)
@@ -320,6 +311,26 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             return 2
     if args.resume and args.journal is None:
         print("error: --resume requires --journal", file=sys.stderr)
+        return 2
+    from repro.api import SweepSpec
+
+    try:
+        spec = SweepSpec(
+            tier=args.tier,
+            seed=args.seed,
+            jobs=args.jobs,
+            timeout=args.timeout,
+            retries=args.retries,
+            keep_going=args.keep_going,
+            memory_budget_bytes=budget,
+            fault_seed=args.fault_seed,
+            journal_path=args.journal,
+            resume=args.resume,
+            poison_threshold=args.quarantine_after,
+            heartbeat_timeout_s=args.heartbeat_timeout,
+        )
+    except ConfigError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 2
     if args.dry_run and targets != ["sweep"]:
         print(
@@ -388,19 +399,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             try:
                 report = run_experiment(
                     target,
-                    tier=args.tier,
-                    seed=args.seed,
+                    spec,
                     json_dir=args.json,
-                    jobs=args.jobs,
-                    timeout=args.timeout,
-                    retries=args.retries,
-                    keep_going=args.keep_going,
-                    memory_budget_bytes=budget,
-                    fault_seed=args.fault_seed,
-                    journal_path=args.journal,
-                    resume=args.resume,
-                    poison_threshold=args.quarantine_after,
-                    heartbeat_timeout_s=args.heartbeat_timeout,
                     chaos_spec=chaos_spec,
                     scheduler=scheduler,
                     dry_run=args.dry_run,

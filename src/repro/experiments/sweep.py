@@ -2,30 +2,35 @@
 
 Fig. 7-style sweeps run many (dataset, kernel, partition-count) workloads.
 Each workload is independent, so the sweep fans out over worker processes.
-``run_sweep(tasks, jobs=N)`` with ``N > 1`` runs the sweep coordinator
-(:class:`repro.experiments.remote.RemoteScheduler`) on loopback and feeds
-it ``N`` workers forked from this process: they inherit the graphs the
-parent loaded, so no edge array is copied, pickled or sent, and local,
-remote and served sweeps share one supervision core.
+A sweep's options are one :class:`repro.api.SweepSpec`, and
+:func:`run_sweep` places the tasks left to run:
+
+* an explicit :class:`repro.experiments.remote.RemoteScheduler` feeds
+  ``repro-worker`` processes on any hosts;
+* otherwise ``jobs > 1`` runs that same coordinator on loopback with
+  ``jobs`` workers forked from this process
+  (:class:`repro.experiments.worker.ForkedFleet`): they inherit the
+  graphs the parent loaded, so no edge array is copied, pickled or sent,
+  and local, remote and served sweeps share one supervision core;
+* otherwise the tasks run in-process, one after another.
 
 Each task itself follows the execute-once discipline: the kernel is
 recorded into one :class:`~repro.arch.trace.ExecutionTrace` and replayed
 through both disaggregated simulators (fetch vs NDP offload), so a sweep
 over W workloads runs exactly W numeric executions regardless of how many
-architectures are accounted.
-
-``run_sweep(tasks, jobs=1)`` with ``jobs <= 1`` executes the identical task
-function in-process; the parallel path must produce bit-identical outcomes
-(the tests assert it).
+architectures are accounted.  Every placement executes the identical task
+function, so their outcomes are bit-identical (the tests assert it).
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import secrets
 from dataclasses import dataclass, replace
 from typing import (
     TYPE_CHECKING,
+    Any,
     Dict,
     List,
     Mapping,
@@ -36,7 +41,9 @@ from typing import (
 
 if TYPE_CHECKING:  # pragma: no cover — annotation only, avoids an import cycle
     from repro.api import PolicySpec
+    from repro.experiments.remote import RemoteScheduler
 
+from repro.api import SweepSpec, _resolve_spec
 from repro.arch.disaggregated import DisaggregatedSimulator
 from repro.arch.disaggregated_ndp import DisaggregatedNDPSimulator
 from repro.arch.results import result_sha256
@@ -51,11 +58,6 @@ from repro.experiments.journal import (
     sweep_digest,
     task_digest,
 )
-from repro.experiments.scheduler import (
-    LocalScheduler,
-    SweepOptions,
-    SweepScheduler,
-)
 from repro.faults.schedule import FaultSchedule, FaultSpec
 from repro.graph.csr import CSRGraph
 from repro.chaos import ChaosPlan, ChaosSpec
@@ -68,7 +70,6 @@ from repro.obs.span import (
     use_tracer,
 )
 from repro.runtime.config import SystemConfig
-from repro.utils.backoff import BackoffPolicy
 from repro.utils.tables import TextTable
 
 
@@ -294,26 +295,16 @@ class _JournalSession:
     method is safe to call when journaling is off.
     """
 
-    def __init__(
-        self,
-        journal_path: Optional[str],
-        resume: bool,
-        tasks: Sequence[SweepTask],
-        *,
-        jobs: int,
-    ) -> None:
+    def __init__(self, spec: SweepSpec, tasks: Sequence[SweepTask]) -> None:
         self.journal: Optional[SweepJournal] = None
         self.resumed: Dict[int, SweepOutcome] = {}
         self.torn_records = 0
+        journal_path = spec.journal_path
         if journal_path is None:
-            if resume:
-                raise ExperimentError(
-                    "resume requires a journal path (pass journal_path=...)"
-                )
             self._digests: List[str] = []
             return
         self._digests = [task_digest(task) for task in tasks]
-        if resume:
+        if spec.resume:
             self.journal, recovery = SweepJournal.resume(journal_path, tasks)
             self.torn_records = recovery.torn_records
             for idx, record in recovery.completed.items():
@@ -332,7 +323,7 @@ class _JournalSession:
                 )
         else:
             self.journal = SweepJournal.create(
-                journal_path, tasks, meta={"jobs": jobs}
+                journal_path, tasks, meta={"jobs": spec.jobs}
             )
 
     def start(self, idx: int, attempt: int) -> None:
@@ -359,29 +350,22 @@ class _JournalSession:
 
 def run_sweep(
     tasks: Sequence[SweepTask],
+    spec: Optional[SweepSpec] = None,
     *,
-    jobs: int = 1,
-    timeout: Optional[float] = None,
-    retries: int = 2,
-    backoff_s: float = 0.25,
-    keep_going: bool = False,
+    scheduler: Optional["RemoteScheduler"] = None,
     chaos_plan: Optional[ChaosPlan] = None,
     collect_spans: bool = False,
-    journal_path: Optional[str] = None,
-    resume: bool = False,
-    poison_threshold: Optional[int] = None,
-    heartbeat_timeout_s: float = 30.0,
-    scheduler: Optional[SweepScheduler] = None,
+    backoff_s: float = 0.25,
+    **overrides: Any,
 ) -> List[SweepOutcome]:
     """Run every task and return outcomes in task order.
 
-    Execution placement is delegated to a :class:`SweepScheduler`.  The
-    default :class:`LocalScheduler` runs ``jobs <= 1`` in-process; for
-    ``jobs > 1`` it runs the
-    :class:`repro.experiments.remote.RemoteScheduler` coordinator on
-    loopback with ``jobs`` forked workers.  An explicit ``RemoteScheduler``
-    feeds ``repro-worker`` processes on any hosts through the same
-    coordinator, so every parallel sweep has one set of semantics.
+    ``spec`` is a :class:`repro.api.SweepSpec`; keyword ``overrides``
+    (``jobs=4``, ``keep_going=True``, ...) win over its fields.  The tasks
+    left to run go to the caller's ``scheduler``; otherwise ``jobs > 1``
+    runs the :class:`~repro.experiments.remote.RemoteScheduler` coordinator
+    on loopback with ``jobs`` forked workers; otherwise they run
+    in-process.  Every parallel sweep therefore has one set of semantics.
 
     A worker whose connection is lost (crash, kill), whose keepalive goes
     stale for ``heartbeat_timeout_s`` (frozen, not crashed) or whose task
@@ -396,7 +380,9 @@ def run_sweep(
     *quarantined* — recorded as a diagnostic outcome (``quarantined=True``)
     and set aside — instead of burning the whole retry budget or taking
     down the sweep.  SIGINT/SIGTERM flush the journal and raise
-    ``SweepInterrupted``.
+    ``SweepInterrupted``.  In-process there is no worker to supervise: a
+    task runs once, and ``timeout``, ``retries``, ``poison_threshold`` and
+    ``heartbeat_timeout_s`` do nothing.
 
     ``journal_path`` arms the write-ahead journal (see
     :mod:`repro.experiments.journal`); with ``resume=True`` tasks whose
@@ -406,48 +392,40 @@ def run_sweep(
 
     ``chaos_plan`` (see :mod:`repro.chaos`) injects kill/hang/crash
     actions per task label; the sweep consumes a copy, so the caller's
-    plan is left intact.  In serial mode any injected action raises
-    instead, as there is no process to lose.
+    plan is left intact.  In-process any injected action raises instead,
+    as there is no process to lose.
 
     With ``collect_spans`` each task records its own span batch (see
     :class:`SweepOutcome.spans`) regardless of the execution mode.
     """
+    spec = _resolve_spec(SweepSpec, spec, overrides)
     if not tasks:
         return []
-    if retries < 0:
-        raise ExperimentError(f"retries must be >= 0, got {retries}")
-    if timeout is not None and timeout <= 0:
-        raise ExperimentError(f"timeout must be positive, got {timeout}")
-    if poison_threshold is not None and poison_threshold < 1:
-        raise ExperimentError(
-            f"poison_threshold must be >= 1, got {poison_threshold}"
-        )
-    if heartbeat_timeout_s <= 0:
-        raise ExperimentError(
-            f"heartbeat_timeout_s must be positive, got {heartbeat_timeout_s}"
-        )
-
     # take() consumes the plan: copy it so the caller's stays intact.
     actions = chaos_plan.actions if chaos_plan is not None else {}
     chaos = ChaosPlan({label: list(kinds) for label, kinds in actions.items()})
-    session = _JournalSession(journal_path, resume, tasks, jobs=jobs)
+    session = _JournalSession(spec, tasks)
     results: Dict[int, SweepOutcome] = dict(session.resumed)
     todo = [(idx, task) for idx, task in enumerate(tasks) if idx not in results]
-
-    opts = SweepOptions(
-        jobs=jobs,
-        timeout=timeout,
-        retries=retries,
-        backoff=BackoffPolicy(base_s=backoff_s),
-        keep_going=keep_going,
-        collect_spans=collect_spans,
-        poison_threshold=poison_threshold,
-        heartbeat_timeout_s=heartbeat_timeout_s,
-    )
     try:
-        if todo:
-            active = scheduler if scheduler is not None else LocalScheduler()
-            active.execute(todo, results, session, chaos, opts)
+        if todo and scheduler is None and spec.jobs == 1:
+            _run_serial(todo, results, session, chaos, spec, collect_spans)
+        elif todo:
+            if scheduler is None:
+                # Loaded for parallel sweeps only: asyncio, sockets, fork.
+                from repro.experiments.remote import RemoteScheduler
+                from repro.experiments.worker import ForkedFleet
+
+                workers = min(spec.jobs, len(todo))
+                scheduler = RemoteScheduler(
+                    token=secrets.token_hex(16),
+                    min_workers=workers,
+                    fleet=ForkedFleet(workers),
+                )
+            scheduler.execute(
+                todo, results, session, chaos, spec,
+                backoff_s=backoff_s, collect_spans=collect_spans,
+            )
         session.end(results)
     finally:
         session.close()
@@ -459,8 +437,7 @@ def _run_serial(
     results: Dict[int, SweepOutcome],
     session: _JournalSession,
     chaos: ChaosPlan,
-    *,
-    keep_going: bool,
+    spec: SweepSpec,
     collect_spans: bool,
 ) -> None:
     """The in-process path; journal records bracket every task."""
@@ -469,10 +446,10 @@ def _run_serial(
     graphs: Dict[Tuple[str, str, int], Tuple[CSRGraph, str]] = {}
     for _idx, task in todo:
         if task.graph_key not in graphs:
-            graph, spec = load_dataset_cached(
+            graph, ds = load_dataset_cached(
                 task.dataset, tier=task.tier, seed=task.seed
             )
-            graphs[task.graph_key] = (graph, spec.name)
+            graphs[task.graph_key] = (graph, ds.name)
     for idx, task in todo:
         graph, name = graphs[task.graph_key]
         session.start(idx, 1)
@@ -488,12 +465,12 @@ def _run_serial(
         except Exception as exc:
             failed = _failed_outcome(task, name, str(exc), 1)
             session.outcome(idx, "failed", failed)
-            if not keep_going:
+            if not spec.keep_going:
                 raise
             results[idx] = failed
 
 
-def _dry_run_result(tasks: Sequence[SweepTask], *, jobs: int) -> ExperimentResult:
+def _dry_run_result(tasks: Sequence[SweepTask], spec: SweepSpec) -> ExperimentResult:
     """Resolved task list plus content digests; nothing executes.
 
     The per-task digests are exactly what journal ``start`` records pin
@@ -503,7 +480,7 @@ def _dry_run_result(tasks: Sequence[SweepTask], *, jobs: int) -> ExperimentResul
     digest = sweep_digest(tasks)
     table = TextTable(
         ["#", "workload", "tier", "seed", "task digest"],
-        title=f"Sweep dry run — {len(tasks)} workloads, jobs={max(jobs, 1)}",
+        title=f"Sweep dry run — {len(tasks)} workloads, jobs={spec.jobs}",
     )
     tasks_data: Dict[str, object] = {}
     for idx, task in enumerate(tasks):
@@ -533,102 +510,82 @@ def _dry_run_result(tasks: Sequence[SweepTask], *, jobs: int) -> ExperimentResul
 
 def run(
     *,
-    tier: str = DEFAULT_TIER,
-    seed: int = DEFAULT_SEED,
-    jobs: int = 1,
+    spec: Optional[SweepSpec] = None,
     tasks: Optional[Sequence[SweepTask]] = None,
-    timeout: Optional[float] = None,
-    retries: int = 2,
-    keep_going: bool = False,
-    memory_budget_bytes: Optional[int] = None,
-    fault_seed: Optional[int] = None,
-    journal_path: Optional[str] = None,
-    resume: bool = False,
-    poison_threshold: Optional[int] = None,
-    heartbeat_timeout_s: float = 30.0,
     chaos_spec: Optional[ChaosSpec] = None,
-    scheduler: Optional[SweepScheduler] = None,
+    scheduler: Optional["RemoteScheduler"] = None,
     dry_run: bool = False,
     policy: Optional["PolicySpec"] = None,
+    **overrides: Any,
 ) -> ExperimentResult:
     """Sweep experiment entry point (``repro-experiments sweep``).
 
-    ``fault_seed`` injects the standard mixed-fault schedule (see
-    :meth:`FaultSpec.standard`) into every workload.  When a
+    ``spec`` is a :class:`repro.api.SweepSpec`, keyword ``overrides``
+    winning.  Without ``tasks`` the sweep runs the Fig. 7 panels at the
+    spec's ``tier`` and ``seed``; its ``memory_budget_bytes`` and
+    ``fault_seed`` (the standard mixed-fault schedule, see
+    :meth:`FaultSpec.standard`) apply to every workload, and ``policy``
+    overrides each one's disaggregated-NDP offload policy.  When a
     tracer is active (``repro-experiments --trace-out``), each task
     records its own span batch — in-process or on a worker — and the
     batches are adopted into one parent ``sweep`` span, so the timeline
     is coherent across process boundaries.
 
-    ``journal_path``/``resume`` arm the write-ahead journal
-    (``--journal``/``--resume``; see :mod:`repro.experiments.journal`),
-    ``poison_threshold`` the quarantine (``--quarantine-after``), and
-    ``chaos_spec`` the process-level fault harness (``--chaos-seed`` et
-    al.; see :mod:`repro.chaos`) — chaos victims are chosen over the
+    ``chaos_spec`` arms the process-level fault harness (``--chaos-seed``
+    et al.; see :mod:`repro.chaos`) — chaos victims are chosen over the
     final task labels, after every per-task override is applied.
 
-    ``scheduler`` overrides execution placement (``--scheduler remote``
-    builds a :class:`~repro.experiments.remote.RemoteScheduler`); the
-    default is single-host.  ``dry_run`` prints the resolved task list
-    plus the content-addressed ``sweep_digest`` and executes nothing —
-    the digest is what a journal pins and what a resume validates, so
-    diffing two dry runs explains any "different sweep" refusal.
+    ``scheduler`` (``--scheduler remote``) runs the sweep on a
+    :class:`~repro.experiments.remote.RemoteScheduler`.  ``dry_run``
+    prints the resolved task list plus the content-addressed
+    ``sweep_digest`` and executes nothing — the digest is what a journal
+    pins and what a resume validates, so diffing two dry runs explains
+    any "different sweep" refusal.
     """
-    chosen = list(tasks) if tasks is not None else fig7_sweep_tasks(tier=tier, seed=seed)
+    spec = _resolve_spec(SweepSpec, spec, overrides)
+    if tasks is None:
+        tasks = fig7_sweep_tasks(tier=spec.tier, seed=spec.seed)
+    chosen = list(tasks)
+    # --policy overrides the disaggregated-NDP offload policy per task.
     if policy is not None:
-        # --policy overrides the disaggregated-NDP offload policy per task.
         chosen = [replace(task, policy=policy) for task in chosen]
-    if memory_budget_bytes is not None:
-        chosen = [
-            replace(task, memory_budget_bytes=memory_budget_bytes)
-            for task in chosen
-        ]
-    if fault_seed is not None:
+    if spec.memory_budget_bytes is not None:
+        budget = spec.memory_budget_bytes
+        chosen = [replace(task, memory_budget_bytes=budget) for task in chosen]
+    if spec.fault_seed is not None:
         chosen = [
             replace(
                 task,
                 fault_spec=FaultSpec.standard(
-                    seed=fault_seed, num_parts=task.partitions
+                    seed=spec.fault_seed, num_parts=task.partitions
                 ),
             )
             for task in chosen
         ]
     if dry_run:
-        return _dry_run_result(chosen, jobs=jobs)
+        return _dry_run_result(chosen, spec)
     chaos_plan = (
         chaos_spec.plan([task.label for task in chosen])
         if chaos_spec is not None and chaos_spec.total_victims
         else None
     )
-    sweep_kwargs = dict(
-        jobs=jobs,
-        timeout=timeout,
-        retries=retries,
-        keep_going=keep_going,
-        journal_path=journal_path,
-        resume=resume,
-        poison_threshold=poison_threshold,
-        heartbeat_timeout_s=heartbeat_timeout_s,
-        chaos_plan=chaos_plan,
-        scheduler=scheduler,
-    )
     tracer = get_tracer()
-    if tracer.enabled:
-        with tracer.span(
-            "sweep",
-            category=CATEGORY_RUN,
-            workloads=len(chosen),
-            jobs=max(jobs, 1),
-            mode="sweep",
-            journaled=journal_path is not None,
-            resumed=bool(resume),
-        ):
-            outcomes = run_sweep(chosen, collect_spans=True, **sweep_kwargs)
-            for out in outcomes:
-                if out.spans:
-                    tracer.adopt_batch(out.spans)
-    else:
-        outcomes = run_sweep(chosen, **sweep_kwargs)
+    with tracer.span(
+        "sweep",
+        category=CATEGORY_RUN,
+        workloads=len(chosen),
+        jobs=spec.jobs,
+        mode="sweep",
+        journaled=spec.journal_path is not None,
+        resumed=spec.resume,
+    ):
+        outcomes = run_sweep(
+            chosen, spec, scheduler=scheduler, chaos_plan=chaos_plan,
+            collect_spans=tracer.enabled,
+        )
+        for out in outcomes:
+            if out.spans:
+                tracer.adopt_batch(out.spans)
     table = TextTable(
         [
             "workload",
@@ -638,7 +595,7 @@ def run(
             "cache hits",
             "result sha256",
         ],
-        title=f"Fig. 7 sweep — {len(outcomes)} workloads, jobs={max(jobs, 1)}",
+        title=f"Fig. 7 sweep — {len(outcomes)} workloads, jobs={spec.jobs}",
     )
     data: Dict[str, Dict[str, object]] = {}
     for out in outcomes:
@@ -687,10 +644,10 @@ def run(
         "workloads fan out over N forked workers fed by the sweep "
         "coordinator over loopback."
     )
-    if journal_path is not None:
+    if spec.journal_path is not None:
         result.notes.append(
-            f"Write-ahead journal: {journal_path}"
-            + (" (resumed)" if resume else "")
+            f"Write-ahead journal: {spec.journal_path}"
+            + (" (resumed)" if spec.resume else "")
             + " — a killed sweep continues with --resume instead of "
             "restarting."
         )

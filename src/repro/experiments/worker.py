@@ -1,4 +1,4 @@
-"""``repro-worker`` — pull-mode sweep worker for the remote scheduler.
+"""``repro-worker`` — pull-mode sweep worker for the sweep coordinator.
 
 One worker = one TCP connection to a sweep coordinator
 (:class:`repro.experiments.remote.RemoteScheduler`).  The loop is
@@ -12,7 +12,7 @@ deliberately dumb — authenticate, then pull:
    sweep on this host starts warm.  With no local cache the payload is
    decoded in memory.
 3. Execute the task with the *same* ``_execute_task`` function the
-   single-host paths use — outcomes (and their ``ledger_sha256``) can
+   in-process sweep uses — outcomes (and their ``ledger_sha256``) can
    only differ from a local run if the inputs differ.
 4. Report ``result`` and pull again.  A background thread sends ``ping``
    keepalives at the cadence the coordinator's ``welcome`` dictated.
@@ -369,10 +369,13 @@ class ForkedFleet:
     """``size`` sweep workers forked from the sweep process itself.
 
     :class:`~repro.experiments.remote.RemoteScheduler` drives a fleet from
-    its event-loop thread only, so no thread is alive when it forks:
-    :meth:`start` once the coordinator is bound, :meth:`lost` whenever a
-    forked worker's connection goes, :meth:`stop` before the sweep
-    returns or raises.  A child runs the ``repro-worker`` serve loop with
+    its event-loop thread only: :meth:`start` once the coordinator is
+    bound, :meth:`lost` whenever a forked worker's connection goes,
+    :meth:`stop` before the sweep returns or raises.  In a CLI or library
+    sweep that thread is the only one alive when it forks.  A served sweep
+    forks from a daemon executor thread while the daemon's event-loop
+    thread and its other executor threads run; the child inherits only
+    the forking thread.  A child runs the ``repro-worker`` serve loop with
     the graphs the coordinator loaded already in its store, so it neither
     imports ``repro`` afresh nor reads the cache, and it prints nothing.
     """

@@ -102,8 +102,3 @@ def device_catalog() -> Tuple[DeviceModel, ...]:
     return tuple(
         sorted(_CATALOG.values(), key=lambda d: (d.device_class is not DeviceClass.HOST, d.name))
     )
-
-
-def list_devices() -> Tuple[str, ...]:
-    """Catalog device names."""
-    return tuple(sorted(_CATALOG))

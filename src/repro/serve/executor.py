@@ -11,9 +11,11 @@ facade's single source of truth:
   simulator;
   ``tests/serve/test_cli_daemon.py::test_served_sha_matches_repro_run_cli``
   checks that the two agree;
-* ``sweep`` delegates to :func:`repro.experiments.sweep.run_sweep` — the
-  sweep coordinator on loopback with forked workers (keepalives, retries,
-  quarantine) — with the requested ``jobs`` capped by the server.
+* ``sweep`` delegates to :func:`repro.experiments.sweep.run_sweep` with
+  the requested ``jobs`` capped by the server and ``keep_going`` set, so
+  ``jobs > 1`` runs the sweep coordinator on loopback with workers forked
+  from the executor thread (keepalives, retries, quarantine) and
+  ``jobs=1`` runs the tasks in that thread.
 
 Threads suffice for parallelism here: the engine hot loops run in numpy
 (GIL released) and sweeps fork their own worker processes.

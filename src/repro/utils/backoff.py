@@ -11,7 +11,7 @@ The core primitive is :func:`exponential_delay`: attempt ``k`` waits
 two runs of the same sweep produce the same retry schedule.
 
 :class:`BackoffPolicy` packages the parameters so they can be threaded
-through call stacks (scheduler options, admission config) as one value.
+through call stacks (the sweep coordinator, admission config) as one value.
 """
 
 from __future__ import annotations

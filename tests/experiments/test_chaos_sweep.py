@@ -13,7 +13,7 @@ import threading
 import pytest
 
 from repro.chaos import ChaosPlan, ChaosSpec
-from repro.errors import ExperimentError, SweepInterrupted
+from repro.errors import ConfigError, ExperimentError, SweepInterrupted
 from repro.experiments.journal import SweepJournal
 from repro.experiments.runner import main
 from repro.experiments.sweep import SweepTask, run_sweep
@@ -129,6 +129,20 @@ class TestChaosHang:
                 chaos_plan=ChaosPlan(actions={TASKS[0].label: ["hang"]}),
             )
 
+    def test_task_timeout_severs_a_hung_worker(self):
+        # The keepalive bound is far off: only the per-task budget can
+        # blame the frozen worker, so the charge must cite it.
+        with pytest.raises(ExperimentError, match="timed out after 1s"):
+            run_sweep(
+                TASKS[:2],
+                jobs=2,
+                retries=0,
+                backoff_s=0.01,
+                timeout=1.0,
+                heartbeat_timeout_s=60.0,
+                chaos_plan=ChaosPlan(actions={TASKS[0].label: ["hang"]}),
+            )
+
 
 class TestQuarantine:
     def test_poison_task_is_quarantined(self):
@@ -159,7 +173,7 @@ class TestQuarantine:
             )
 
     def test_threshold_validation(self):
-        with pytest.raises(ExperimentError, match="poison_threshold"):
+        with pytest.raises(ConfigError, match="poison_threshold"):
             run_sweep(TASKS[:1], jobs=2, poison_threshold=0)
 
 

@@ -8,7 +8,7 @@ import json
 import pytest
 
 from repro.chaos import ChaosPlan
-from repro.errors import ExperimentError, JournalError
+from repro.errors import ConfigError, JournalError
 from repro.experiments.journal import (
     JOURNAL_VERSION,
     SweepJournal,
@@ -93,6 +93,35 @@ class TestTaskSerialization:
         assert task_digest(TASKS[0]) == task_digest(TASKS[0])
         assert task_digest(TASKS[0]) != task_digest(TASKS[1])
         assert sweep_digest(TASKS) != sweep_digest(list(reversed(TASKS)))
+
+
+class TestPinnedDigests:
+    """Journals, resumes and ``--dry-run`` output key on these digests: a
+    change to the task encoding must show up here, not as a refused
+    resume."""
+
+    def test_fig7_sweep_digest(self):
+        from repro.experiments.sweep import fig7_sweep_tasks
+
+        assert sweep_digest(fig7_sweep_tasks(tier="tiny", seed=7)) == (
+            "b98df572f580cf7140ac7299b45f6248ddf725c077e64d763cf61827cda77d4c"
+        )
+
+    def test_task_digest_with_faults_and_policy(self):
+        from repro.api import PolicySpec
+
+        task = SweepTask(
+            "wikitalk-sim",
+            "pagerank",
+            4,
+            "tiny",
+            7,
+            fault_spec=FaultSpec.standard(seed=3, num_parts=4),
+            policy=PolicySpec("threshold", {"min_avg_degree": 2.0}),
+        )
+        assert task_digest(task) == (
+            "09cd099b15e5b052469f2d67c8050ba5cbc77e12e432347b17936cd8b3215f3e"
+        )
 
 
 class TestJournalLifecycle:
@@ -298,7 +327,7 @@ class TestJournaledSweep:
         assert resumed == baseline
 
     def test_resume_requires_journal_path(self):
-        with pytest.raises(ExperimentError, match="resume requires"):
+        with pytest.raises(ConfigError, match="resume requires"):
             run_sweep(TASKS, jobs=1, resume=True)
 
     def test_outcome_json_roundtrip_is_exact(self):

@@ -29,13 +29,12 @@ class TestExperimentContract:
             assert ablation in ALL_EXPERIMENTS
 
     def test_every_experiment_accepts_tier_and_seed(self):
-        # The runner passes tier/seed to everything except table1.
+        # The runner passes tier/seed to everything except table1; the
+        # sweep takes them as SweepSpec fields through its overrides.
         for name, fn in ALL_EXPERIMENTS.items():
             if name == "table1":
                 continue
-            params = inspect.signature(fn).parameters
-            assert "tier" in params, name
-            assert "seed" in params, name
+            inspect.signature(fn).bind(tier="tiny", seed=7)
 
     def test_every_experiment_is_keyword_only(self):
         for name, fn in ALL_EXPERIMENTS.items():

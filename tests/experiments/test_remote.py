@@ -4,8 +4,8 @@ Everything runs on localhost with OS-assigned ports.  The assertions are
 the acceptance criteria of the distributed scheduler: remote outcomes are
 ledger-identical to single-host runs, a SIGKILL'd worker costs a retry
 but never a task, a bad token never gets a task, and the write-ahead
-journal is scheduler-agnostic (a sweep journaled remotely resumes
-locally with zero re-execution).
+journal is placement-agnostic (a sweep journaled remotely resumes with
+zero re-execution).
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import pytest
 
 from repro.cache import ArtifactCache
 from repro.chaos import ChaosPlan
-from repro.errors import SchedulerError
+from repro.errors import SchedulerError, WorkerAuthError
 from repro.experiments.remote import RemoteScheduler, write_ready_file
 from repro.experiments.runner import main
 from repro.experiments.sweep import SweepTask, run_sweep
@@ -287,27 +287,34 @@ class TestRemoteJournal:
         remote = run_sweep(
             TASKS, scheduler=_remote(fleet), journal_path=str(journal)
         )
-        # Resuming the same journal locally re-executes nothing and
-        # returns the remotely-computed outcomes verbatim.
-        from repro.experiments.scheduler import SweepScheduler
-
-        class _Exploder(SweepScheduler):
-            name = "exploder"
-
-            def execute(self, todo, results, session, chaos, opts):
-                raise AssertionError(
-                    f"resume should have skipped everything, got {todo}"
-                )
-
+        # Resuming the same journal re-executes nothing and returns the
+        # remotely-computed outcomes verbatim: a coordinator with no
+        # workers would fail "0 of 1 required workers" if it started.
+        idle = RemoteScheduler(token=TOKEN, min_workers=1, worker_wait_s=0.3)
         resumed = run_sweep(
             TASKS,
-            scheduler=_Exploder(),
+            scheduler=idle,
             journal_path=str(journal),
             resume=True,
         )
+        assert idle.bound is None
         assert [o.ledger_sha256 for o in resumed] == [
             o.ledger_sha256 for o in remote
         ]
+
+
+class TestSchedulerErrors:
+    def test_scheduler_error_is_experiment_error(self):
+        from repro.errors import ExperimentError
+
+        assert issubclass(SchedulerError, ExperimentError)
+        assert issubclass(WorkerAuthError, SchedulerError)
+
+    def test_remote_requires_token(self):
+        from repro.experiments.remote import RemoteScheduler
+
+        with pytest.raises(SchedulerError, match="token"):
+            RemoteScheduler(token="")
 
 
 class TestReadyFile:

@@ -7,7 +7,7 @@ from __future__ import annotations
 import pytest
 
 from repro.chaos import ChaosPlan
-from repro.errors import ExperimentError
+from repro.errors import ConfigError, ExperimentError
 from repro.experiments.runner import build_parser
 from repro.experiments.sweep import SweepTask, fig7_sweep_tasks, run_sweep
 from repro.faults import FaultSpec
@@ -52,9 +52,9 @@ class TestRunSweep:
         assert len(tasks) >= 4
 
     def test_parameter_validation(self):
-        with pytest.raises(ExperimentError):
+        with pytest.raises(ConfigError):
             run_sweep(SMALL_TASKS, retries=-1)
-        with pytest.raises(ExperimentError):
+        with pytest.raises(ConfigError):
             run_sweep(SMALL_TASKS, jobs=2, timeout=0)
 
 

@@ -13,13 +13,7 @@ from repro.graph.traversal import (
     bfs_levels,
     gather_neighbor_slices,
 )
-from support.traversal import (
-    bfs_parents,
-    connected_component_sizes,
-    frontier_sequence,
-    reachable_vertices,
-    weak_component_labels,
-)
+from support.traversal import weak_component_labels
 
 
 def to_nx(graph: CSRGraph) -> nx.DiGraph:
@@ -131,31 +125,6 @@ class TestBFS:
         with pytest.raises(GraphError):
             bfs_levels(tiny_er, tiny_er.num_vertices)
 
-    def test_parents_consistent_with_levels(self, tiny_er):
-        levels = bfs_levels(tiny_er, 0)
-        parents = bfs_parents(tiny_er, 0)
-        assert parents[0] == 0
-        for v in range(tiny_er.num_vertices):
-            if v == 0 or parents[v] < 0:
-                assert (levels[v] >= 0) == (parents[v] >= 0) or v == 0
-                continue
-            assert levels[v] == levels[parents[v]] + 1
-
-    def test_parents_edges_exist(self, tiny_er):
-        parents = bfs_parents(tiny_er, 0)
-        for v in range(tiny_er.num_vertices):
-            p = parents[v]
-            if p >= 0 and p != v:
-                assert v in tiny_er.neighbors(int(p))
-
-    def test_frontier_sequence_partitions_reachable(self, tiny_er):
-        frontiers = frontier_sequence(tiny_er, 0)
-        combined = np.concatenate(frontiers)
-        assert np.unique(combined).size == combined.size
-        assert np.array_equal(
-            np.sort(combined), reachable_vertices(tiny_er, 0)
-        )
-
 
 class TestComponents:
     def test_two_rings(self):
@@ -166,8 +135,8 @@ class TestComponents:
             np.concatenate([dst, dst + 5]),
             10,
         )
-        sizes = connected_component_sizes(g)
-        assert list(sizes) == [5, 5]
+        labels = weak_component_labels(g)
+        assert list(labels) == [0] * 5 + [5] * 5
 
     def test_labels_are_min_ids(self):
         g = CSRGraph.from_edges([3, 1], [4, 2], 5)

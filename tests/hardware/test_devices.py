@@ -11,7 +11,6 @@ from repro.hardware.catalog import (
     SWITCHML_TOFINO,
     UPMEM_PIM,
     device_catalog,
-    list_devices,
 )
 from repro.hardware.device import DeviceClass, DeviceModel
 
@@ -69,7 +68,7 @@ class TestDeviceModel:
 
 class TestCatalog:
     def test_table1_devices_present(self):
-        names = list_devices()
+        names = {device.name for device in device_catalog()}
         for name in (
             "host-xeon",
             "cxl-cms",

@@ -4,7 +4,6 @@ CLI path."""
 
 from __future__ import annotations
 
-import glob
 import json
 import os
 import re
@@ -57,7 +56,6 @@ def _start_daemon(tmp_path, *extra):
 
 @pytest.mark.parametrize("signum", [signal.SIGINT, signal.SIGTERM])
 def test_signal_triggers_graceful_shutdown(tmp_path, signum):
-    before = set(glob.glob("/dev/shm/rsw-*"))
     proc, port = _start_daemon(tmp_path)
     try:
         status, _h, body = http_get(port, "/v1/healthz")
@@ -77,7 +75,6 @@ def test_signal_triggers_graceful_shutdown(tmp_path, signum):
             proc.communicate()
     assert proc.returncode == 0, stderr
     assert "stopped cleanly" in stderr
-    assert set(glob.glob("/dev/shm/rsw-*")) - before == set()
 
 
 def test_remote_shutdown_endpoint(tmp_path):

@@ -6,7 +6,6 @@ background event loop (:class:`ServerThread`) and talks plain HTTP.
 
 from __future__ import annotations
 
-import glob
 import json
 import threading
 import time
@@ -239,12 +238,8 @@ def test_overload_sheds_with_retry_after(run_payload):
 # --------------------------------------------------------------------------- #
 
 
-def _shm_residue():
-    return glob.glob("/dev/shm/rsw-*")
-
-
-def test_sweep_request_and_clean_shutdown(run_payload):
-    before = set(_shm_residue())
+def test_sweep_request_and_clean_shutdown(run_payload, live_children):
+    before = live_children()
     tasks = [
         {"dataset": "wikitalk-sim", "kernel": "pagerank", "partitions": 4,
          "tier": "tiny", "max_iterations": 4},
@@ -268,12 +263,13 @@ def test_sweep_request_and_clean_shutdown(run_payload):
     finally:
         server.stop()
 
-    # graceful shutdown released every pooled graph and shm segment
+    # graceful shutdown released every pooled graph, and the sweep killed
+    # and reaped every worker it forked
     stats = server.server.pool.stats()
     assert stats["entries"] == 0
     assert stats["bytes"] == 0
     assert stats["pinned"] == 0
-    assert set(_shm_residue()) - before == set()
+    assert live_children() - before == set()
 
 
 def test_draining_server_rejects_new_requests(run_payload):

@@ -1,4 +1,4 @@
-"""Graph statistics: degree distributions, skew, and frontier summaries.
+"""Graph statistics: degree summaries and skew.
 
 No simulator or policy reads these.  The tests use them to check that the
 dataset stand-ins keep the degree and skew properties EXPERIMENTS.md
@@ -8,8 +8,6 @@ records.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple
-
 import numpy as np
 
 from repro.graph.csr import CSRGraph
@@ -71,35 +69,3 @@ def gini(values: np.ndarray) -> float:
     n = values.size
     ranks = np.arange(1, n + 1, dtype=np.float64)
     return float((2.0 * np.dot(ranks, values) / (n * total)) - (n + 1) / n)
-
-
-def degree_histogram(graph: CSRGraph, *, direction: str = "out") -> Tuple[np.ndarray, np.ndarray]:
-    """Return ``(degrees, counts)`` for the non-empty degree buckets."""
-    if direction == "out":
-        deg = graph.out_degrees
-    elif direction == "in":
-        deg = graph.in_degrees
-    else:
-        raise ValueError(f"direction must be 'out' or 'in', got {direction!r}")
-    counts = np.bincount(deg)
-    nonzero = np.nonzero(counts)[0]
-    return nonzero, counts[nonzero]
-
-
-def powerlaw_exponent_estimate(graph: CSRGraph, *, xmin: int = 2) -> float:
-    """MLE estimate of the degree power-law exponent (Clauset et al. style).
-
-    Used in tests to confirm the skewed stand-ins really are heavy-tailed.
-    Returns ``nan`` when fewer than 10 vertices have degree >= ``xmin``.
-    """
-    deg = graph.out_degrees
-    tail = deg[deg >= xmin].astype(np.float64)
-    if tail.size < 10:
-        return float("nan")
-    return float(1.0 + tail.size / np.log(tail / (xmin - 0.5)).sum())
-
-
-def frontier_out_degree_sum(graph: CSRGraph, frontier: np.ndarray) -> int:
-    """Total out-degree across ``frontier`` — the edge-fetch volume driver."""
-    frontier = np.asarray(frontier, dtype=np.int64)
-    return int((graph.indptr[frontier + 1] - graph.indptr[frontier]).sum())
